@@ -5,10 +5,8 @@ for the growth bounds that connect them."""
 from .arcgraph import (
     ArcGraph,
     CrossingStats,
-    Edge,
     build_sum_graph,
     count_crossings_fast,
-    count_crossings_oracle,
     count_intersections,
     crossing_stats,
     degree_sequence,

@@ -4,22 +4,27 @@ intervals strictly interleave; they intersect iff the open intervals overlap
 at all (interleaving or nesting) and the edges share no vertex.
 
 Only the order of the positions matters for any count here, never the
-coordinates themselves.
+coordinates themselves.  Edges are stored as int64 columns and every count
+is computed with numpy in O(m log m), without a Python loop over edges.
+
+Each counter's peak memory, in bytes per edge and per vertex, is listed
+in the README and held to that bound by ``test_peak_memory``.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
-from typing import NamedTuple, Optional, Sequence
+import operator
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from .sets import IntegerSet, sumset
+import numpy as np
+
+from .sets import IntegerSet
 
 __all__ = [
-    "Edge",
     "ArcGraph",
     "CrossingStats",
     "build_sum_graph",
-    "count_crossings_oracle",
     "count_crossings_fast",
     "count_intersections",
     "max_translate_pair_crossings",
@@ -28,36 +33,52 @@ __all__ = [
     "crossing_stats",
 ]
 
+# Values whose span stays below this fit int64 once shifted to start at 0.
+_INT64_SPAN = 1 << 63
 
-class Edge(NamedTuple):
-    u: int
-    v: int
-    label: Optional[tuple[int, int]] = None
+# Points of A + delta evaluated per numpy call in max_translate_pair_crossings:
+# at 48 bytes per point, that counter's working memory beyond its inputs.
+_DELTA_BATCH_ELEMENTS = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArcGraph:
-    """Vertex positions (strictly increasing) plus edges as index pairs u < v.
+    """Vertex positions (strictly increasing Python ints) plus one int64
+    column per edge attribute: the endpoints ``u < v`` as vertex indices
+    and, for sum graphs, the ``gap`` and ``translate`` index that produced
+    each edge (both None for hand-built graphs).
 
-    ``validate=False`` skips the invariant scan; builders that guarantee
-    validity by construction use it to avoid an extra pass over millions
-    of edges.
+    Columns may be passed as any integer sequence; they are stored as
+    read-only int64 arrays.  An int64 array is stored without a copy and
+    made read-only in place.
     """
 
     positions: tuple[int, ...]
-    edges: tuple[Edge, ...]
-    validate: InitVar[bool] = True
+    u: np.ndarray
+    v: np.ndarray
+    gap: Optional[np.ndarray] = None
+    translate: Optional[np.ndarray] = None
 
-    def __post_init__(self, validate: bool):
-        if not validate:
-            return
-        for x, y in zip(self.positions, self.positions[1:]):
-            if x >= y:
-                raise ValueError("positions must be strictly increasing")
-        n = len(self.positions)
-        for e in self.edges:
-            if not (0 <= e.u < e.v < n):
-                raise ValueError(f"edge {e} out of range or not u < v")
+    def __post_init__(self):
+        if (self.gap is None) != (self.translate is None):
+            raise ValueError("gap and translate labels go together")
+        m = None
+        for name in ("u", "v", "gap", "translate"):
+            column = getattr(self, name)
+            if column is None:
+                continue
+            column = np.asarray(column, dtype=np.int64)
+            if column.ndim != 1 or (m is not None and len(column) != m):
+                raise ValueError(f"column {name} must be 1-D with one entry per edge")
+            m = len(column)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        p = self.positions
+        if not all(map(operator.lt, p, p[1:])):
+            raise ValueError("positions must be strictly increasing")
+        if m and not (np.all(self.u >= 0) and np.all(self.u < self.v)
+                      and np.all(self.v < len(p))):
+            raise ValueError("edges must satisfy 0 <= u < v < number of vertices")
 
     @property
     def num_vertices(self) -> int:
@@ -65,7 +86,7 @@ class ArcGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.u)
 
 
 @dataclass(frozen=True)
@@ -85,156 +106,223 @@ class CrossingStats:
         }
 
 
+def _offsets(values: Sequence[int], dtype) -> np.ndarray:
+    """values - values[0] as an array of ``dtype``."""
+    base = values[0]
+    return np.array([x - base for x in values], dtype=dtype)
+
+
 def build_sum_graph(A: IntegerSet, B: IntegerSet) -> ArcGraph:
     """The sum graph of (A, B): one vertex per value of A+B and, for every
-    b in B, a path through a_1+b, ..., a_k+b.  Edges are labeled with the
-    (gap index, translate index) pair that produced them.  When A does not
-    have distinct consecutive differences the same vertex pair can occur
-    twice; such parallel edges are retained.
+    b in B, a path through a_1+b, ..., a_k+b.  Edge ``j*(|A|-1) + i`` joins
+    a_i+b_j to a_{i+1}+b_j and carries gap i and translate j.  When A does
+    not have distinct consecutive differences the same vertex pair can
+    occur twice; such parallel edges are retained.
+
+    Sums are formed from A and B shifted to start at 0: in int64 when
+    span(A) + span(B) < 2**63, otherwise in Python ints (object arrays).
     """
     if len(A) < 2:
         raise ValueError("A must have at least two elements")
-    positions = sumset(A, B).elements
-    index = {value: i for i, value in enumerate(positions)}
-    ae = A.elements
-    edges = []
-    for j, b in enumerate(B.elements):
-        prev = index[ae[0] + b]
-        for i in range(1, len(ae)):
-            cur = index[ae[i] + b]
-            edges.append(Edge(prev, cur, (i - 1, j)))
-            prev = cur
-    return ArcGraph(positions, tuple(edges), validate=False)
+    k, l = len(A), len(B)
+    dtype = np.int64 if (A.max - A.min) + (B.max - B.min) < _INT64_SPAN else object
+    sums = _offsets(A.elements, dtype)[None, :] + _offsets(B.elements, dtype)[:, None]
+    values = _distinct(sums)
+    index = np.searchsorted(values, sums).astype(np.int64, copy=False)
+    base = A.min + B.min
+    positions = tuple(map(base.__add__, values.tolist()))
+    return ArcGraph(positions,
+                    u=index[:, :-1].ravel(), v=index[:, 1:].ravel(),
+                    gap=np.tile(np.arange(k - 1, dtype=np.int64), l),
+                    translate=np.repeat(np.arange(l, dtype=np.int64), k - 1))
 
 
-def _index_pairs(graph: ArcGraph) -> list[tuple[int, int]]:
-    return sorted((e.u, e.v) for e in graph.edges)
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values, by a sort: ``np.unique`` hashes integer
+    arrays in numpy 2.4 and took 30x as long on 150,000 distinct int64s."""
+    values = np.sort(values, axis=None)
+    if len(values) < 2:
+        return values
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
-def count_crossings_oracle(graph: ArcGraph) -> int:
-    """Reference crossing count: scan all edge pairs and test the strict
-    interleaving predicate.  Quadratic, kept deliberately simple."""
-    edges = _index_pairs(graph)
-    m = len(edges)
-    count = 0
-    for i in range(m):
-        a, b = edges[i]
-        for j in range(i + 1, m):
-            c, d = edges[j]
-            if c >= b:
-                # later edges start even further right: no interleave possible
-                break
-            if a < c and b < d:
-                count += 1
-    return count
+def _pairs_within(counts: np.ndarray) -> int:
+    """Sum of C(c, 2) over the counts."""
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _strict_inversions(x: np.ndarray) -> int:
+    """Pairs i < j with x[i] > x[j] for nonnegative x, by a bottom-up merge
+    sort.  At level s the array is a row of sorted blocks of 2**s; each
+    pair of blocks is merged by one sort of keys (pair, value, side), the
+    side bit putting left before right on equal values.  A right element
+    moves left past exactly the left elements of its pair greater than it,
+    so the level's inversions are the right elements' summed moves.  Keys
+    stay below 2 * len(x) * (max(x) + 1), far from 2**63 for any array
+    that fits in memory."""
+    m = len(x)
+    if m < 2:
+        return 0
+    top = int(x.max()) + 1
+    index = np.arange(m, dtype=np.int64)
+    values = x
+    total = 0
+    shift = 0
+    while (1 << shift) < m:
+        side = (index >> shift) & 1
+        tag = (index >> (shift + 1)) * top
+        keys = (tag + values) * 2 + side
+        keys.sort()
+        total += int(index @ (side - (keys & 1)))
+        values = (keys >> 1) - tag
+        shift += 1
+    return total
+
+
+def _crossings_and_nestings(graph: ArcGraph) -> tuple[int, int]:
+    """(crossings, vertex-disjoint strict nestings) of the graph.
+
+    For two edges (a, b) and (c, d) with a < c < b, the second one either
+    crosses (d > b), nests strictly inside (d < b) or shares the right
+    endpoint (d == b).  So crossings are the pairs with a < c < b, counted
+    from prefix sums of left endpoints, minus strict nestings, a strict
+    inversion count of v in (u, v) order, minus the pairs sharing a right
+    endpoint but not the left one.
+    """
+    m = graph.num_edges
+    if m < 2:
+        return 0, 0
+    n = graph.num_vertices
+    u, v = graph.u, graph.v
+    starts_below = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=n), out=starts_below[1:])
+    overlapping = int((starts_below[v] - starts_below[u + 1]).sum())
+    keys = np.sort(u * n + v)
+    run_ends = np.flatnonzero(np.diff(keys)) + 1
+    parallel_runs = np.diff(np.concatenate(([0], run_ends, [m])))
+    shared_right = _pairs_within(np.bincount(v)) - _pairs_within(parallel_runs)
+    nestings = _strict_inversions(keys % n)
+    return overlapping - nestings - shared_right, nestings
 
 
 def count_crossings_fast(graph: ArcGraph) -> int:
-    """Crossing count in O(m log n): sweep edges by left endpoint and, for
-    each edge, count previously opened arcs whose right endpoint falls
-    strictly inside it (a Fenwick tree over right-endpoint ranks).
-
-    Edges sharing a left endpoint are processed as one group, queries
-    first, insertions after, so pairs with a common vertex never count;
-    equal right endpoints are excluded by the strict rank range.
-    """
-    m = len(graph.edges)
-    if m < 2:
-        return 0
-    n = len(graph.positions)
-    edges = _index_pairs(graph)
-    tree = [0] * (n + 1)
-    total = 0
-    i = 0
-    while i < m:
-        u = edges[i][0]
-        j = i
-        while j < m and edges[j][0] == u:
-            v = edges[j][1]
-            # inserted right endpoints w with u < w < v, i.e. ranks in (u+1, v]
-            t = v
-            while t:
-                total += tree[t]
-                t &= t - 1
-            t = u + 1
-            while t:
-                total -= tree[t]
-                t &= t - 1
-            j += 1
-        for idx in range(i, j):
-            t = edges[idx][1] + 1
-            while t <= n:
-                tree[t] += 1
-                t += t & (-t)
-        i = j
-    return total
+    """Number of crossing edge pairs (strictly interleaved endpoint
+    intervals), in O(m log m).  Parallel edges and edges sharing a vertex
+    never cross."""
+    return _crossings_and_nestings(graph)[0]
 
 
 def count_intersections(graph: ArcGraph) -> int:
     """Vertex-disjoint edge pairs whose open intervals share an interior
-    point; counts nesting as well as interleaving, so the result is never
-    below the crossing count."""
-    edges = _index_pairs(graph)
-    m = len(edges)
-    count = 0
-    for i in range(m):
-        a, b = edges[i]
-        for j in range(i + 1, m):
-            c, d = edges[j]
-            if c >= b:
-                break
-            # here a <= c < b; overlap needs all four endpoints distinct
-            if a < c and d != b:
-                count += 1
-    return count
+    point: the crossings plus the strict nestings, so never below the
+    crossing count."""
+    crossings, nestings = _crossings_and_nestings(graph)
+    return crossings + nestings
+
+
+def _translate_paths(graph: ArcGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(A - min A, B - min B) read back from a labeled graph's columns.
+    Raises ValueError unless every translate is a path with the same gap
+    labels 0..k-2 as translate 0, shifted along the line."""
+    if graph.translate is None:
+        raise ValueError("edges must carry (gap, translate) labels")
+    m = graph.num_edges
+    order = np.lexsort((graph.gap, graph.translate))
+    translate = graph.translate[order]
+    l = 1 + int(np.count_nonzero(np.diff(translate)))
+    k = m // l + 1
+    shaped = (l, k - 1)
+    if m % l or np.any(translate.reshape(shaped) != translate[::k - 1, None]):
+        raise ValueError("translates differ in their number of edges")
+    u = graph.u[order].reshape(shaped)
+    v = graph.v[order].reshape(shaped)
+    if (np.any(graph.gap[order].reshape(shaped) != np.arange(k - 1))
+            or np.any(u[:, 1:] != v[:, :-1])):
+        raise ValueError("translates are not paths with gaps 0..k-2")
+    p = graph.positions
+    dtype = np.int64 if p[-1] - p[0] < _INT64_SPAN else object
+    values = _offsets(p, dtype)[np.hstack((u, v[:, -1:]))]
+    shape = values - values[:, :1]
+    if np.any(shape != shape[0]):
+        raise ValueError("translates are not shifted copies of translate 0")
+    b = np.sort(values[:, 0])
+    return shape[0], b - b[0]
+
+
+def _candidate_differences(b: np.ndarray, below: int) -> np.ndarray:
+    """Distinct values b[j] - b[i] with 0 < b[j] - b[i] < below, b sorted."""
+    l = len(b)
+    stop = np.searchsorted(b, b + below, side="left")
+    counts = stop - np.arange(l) - 1
+    first = np.repeat(np.arange(l), counts)
+    offset = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+    deltas = _distinct(b[first + 1 + offset] - b[first])
+    return deltas[deltas > 0]
+
+
+def _crossings_by_difference(a: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """f(delta) for each delta > 0: crossings between the path through the
+    sorted points a and the path through a + delta.
+
+    With h the index of the last point of a at or below x = a + delta, arc
+    (x_r, x_r+1) crosses the arc of a holding x_r strictly inside when that
+    arc ends strictly before x_r+1, and the arc of a holding x_r+1 strictly
+    inside when that arc starts after x_r; no other arc of a can cross it.
+    """
+    k = len(a)
+    found = np.empty(len(deltas), dtype=np.int64)
+    step = max(1, _DELTA_BATCH_ELEMENTS // k)
+    for lo in range(0, len(deltas), step):
+        x = a[None, :] + deltas[lo:lo + step, None]
+        h = np.searchsorted(a, x, side="right") - 1
+        on = a[h] == x
+        h0, h1, on0, on1 = h[:, :-1], h[:, 1:], on[:, :-1], on[:, 1:]
+        spread = h1 > h0
+        ends_inside = spread & ~on0 & ~((h1 == h0 + 1) & on1)
+        starts_inside = spread & ~on1 & (h1 <= k - 2)
+        found[lo:lo + step] = (np.count_nonzero(ends_inside, axis=1)
+                               + np.count_nonzero(starts_inside, axis=1))
+    return found
 
 
 def max_translate_pair_crossings(graph: ArcGraph) -> int:
     """Largest crossing count between the edge sets of two translates,
-    maximized over unordered translate pairs.  Requires labeled edges."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for e in graph.edges:
-        if e.label is None:
-            raise ValueError("edges must carry (gap, translate) labels")
-        groups.setdefault(e.label[1], []).append((e.u, e.v))
-    if len(groups) < 2:
+    maximized over unordered translate pairs.  Requires labeled edges.
+
+    Two translates A + b and A + b' (b < b') cross as A and A + delta with
+    delta = b' - b, and never once delta >= span(A), so this is the largest
+    f(delta) over the distinct such delta in B - B; each f takes one
+    ``searchsorted`` of |A| points.
+    """
+    if graph.num_edges == 0:
         return 0
-    keys = sorted(groups)
-    best = 0
-    for x in range(len(keys)):
-        ex = groups[keys[x]]
-        for y in range(x + 1, len(keys)):
-            c = 0
-            for a, b in ex:
-                for cc, dd in groups[keys[y]]:
-                    if a < cc < b < dd or cc < a < dd < b:
-                        c += 1
-            if c > best:
-                best = c
-    return best
+    a, b = _translate_paths(graph)
+    deltas = _candidate_differences(b, a[-1])
+    if not len(deltas):
+        return 0
+    return int(_crossings_by_difference(a, deltas).max())
 
 
 def degree_sequence(graph: ArcGraph) -> tuple[int, ...]:
     """Vertex degrees sorted nonincreasing; parallel edges count twice."""
-    deg = [0] * len(graph.positions)
-    for e in graph.edges:
-        deg[e.u] += 1
-        deg[e.v] += 1
-    deg.sort(reverse=True)
-    return tuple(deg)
+    n = graph.num_vertices
+    degrees = (np.bincount(graph.u, minlength=n)
+               + np.bincount(graph.v, minlength=n))
+    return tuple(np.sort(degrees)[::-1].tolist())
 
 
 def has_parallel_edges(graph: ArcGraph) -> bool:
-    return len({(e.u, e.v) for e in graph.edges}) < len(graph.edges)
+    keys = graph.u * graph.num_vertices + graph.v
+    return len(_distinct(keys)) < len(keys)
 
 
 def crossing_stats(graph: ArcGraph) -> CrossingStats:
     """All counting statistics for one graph in one bundle."""
-    labeled = all(e.label is not None for e in graph.edges)
     return CrossingStats(
         crossings=count_crossings_fast(graph),
         intersections=count_intersections(graph),
         max_translate_pair_crossings=(
-            max_translate_pair_crossings(graph) if labeled else None),
+            max_translate_pair_crossings(graph)
+            if graph.translate is not None else None),
         degree_sequence=degree_sequence(graph),
     )

@@ -20,11 +20,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .arcgraph import (
     ArcGraph,
     build_sum_graph,
     count_crossings_fast,
-    count_crossings_oracle,
     count_intersections,
     degree_sequence,
     has_parallel_edges,
@@ -192,19 +193,21 @@ def check_degree_weighted_crossing(graph: ArcGraph, *,
 def check_bipartite_crossing(graph: ArcGraph, part_u) -> BoundReport:
     """cr >= e^3 / (108 |U||V|) for the bipartite subgraph of cross edges,
     asserted only under the edge-density hypothesis e >= 6 max(|U|,|V|)."""
-    U = set(part_u)
     n = graph.num_vertices
-    if any(not 0 <= u < n for u in U):
+    members = np.fromiter(part_u, dtype=np.int64)
+    if np.any((members < 0) | (members >= n)):
         raise ValueError("part contains an out-of-range vertex index")
-    cross = tuple(e for e in graph.edges if (e.u in U) != (e.v in U))
-    e = len(cross)
-    size_u = len(U)
+    in_u = np.zeros(n, dtype=bool)
+    in_u[members] = True
+    is_cross = in_u[graph.u] != in_u[graph.v]
+    cross = ArcGraph(graph.positions, u=graph.u[is_cross], v=graph.v[is_cross])
+    e = cross.num_edges
+    size_u = int(np.count_nonzero(in_u))
     size_v = n - size_u
-    crossings = count_crossings_oracle(
-        ArcGraph(graph.positions, cross, validate=False))
+    crossings = count_crossings_fast(cross)
     # parallel edges never cross, so the cubic bound only holds for simple
     # cross subgraphs; multigraphs are recorded, not asserted
-    simple = len({(x.u, x.v) for x in cross}) == e
+    simple = not has_parallel_edges(cross)
     hypothesis = simple and e >= 6 * max(size_u, size_v)
     if size_u and size_v:
         satisfied = 108 * size_u * size_v * crossings >= e**3

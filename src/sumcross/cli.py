@@ -5,7 +5,8 @@ sidon (search | optimize), reproduce-paper.  Every run emits machine-readable
 JSON plus a run manifest, and outputs are byte-stable across repeated runs.
 
 Exit codes: 0 ok, 1 assert-mode bound violation or reference mismatch,
-2 malformed input.
+2 malformed input or a file that cannot be read or written (a one-line
+``error:`` message on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .construct import (
 )
 from .sets import (
     IntegerSet,
-    SetFileError,
     energy,
     is_dcd,
     load_set,
@@ -458,10 +458,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SetFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # malformed input (SetFileError is a ValueError) or unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

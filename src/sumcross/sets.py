@@ -47,9 +47,11 @@ _INT_LINE = re.compile(r"-?[0-9]+")
 # over materializing one big hash set.
 _STREAM_PAIR_THRESHOLD = 1 << 27
 
-# Inputs whose magnitude stays below this bound are safe for int64
-# sum/difference arithmetic inside the chunked counter.
-_INT64_SAFE = 1 << 62
+# The chunked counter works on A and B shifted to minimum 0, where every sum
+# lies in [0, span(A) + span(B)] and every search bound x - a in
+# [-span(A), span(A) + span(B) + 1]; both fit int64 while the summed spans
+# stay below this.
+_INT64_SAFE_SPAN = (1 << 63) - 1
 
 
 class SetFileError(ValueError):
@@ -276,8 +278,7 @@ def sumset_size(A: IntegerSet, B: IntegerSet, *, method: str = "auto",
         ae = A.elements
         be = B.elements
         return len({a + b for a in ae for b in be})
-    bound = max(abs(A.min), abs(A.max), abs(B.min), abs(B.max))
-    if bound >= _INT64_SAFE:
+    if (A.max - A.min) + (B.max - B.min) >= _INT64_SAFE_SPAN:
         return _sumset_size_merged(A, B)
     return _sumset_size_chunked(A, B, chunk_elements)
 
@@ -316,8 +317,9 @@ def _sumset_size_chunked(A: IntegerSet, B: IntegerSet, chunk_elements: int) -> i
     """Partition the sum-value range into chunks of at most ``chunk_elements``
     pairs each (binary search on the pair-counting function), then count
     distinct sums per chunk with a vectorized gather + unique."""
-    a = np.array(A.elements, dtype=np.int64)
-    b = np.array(B.elements, dtype=np.int64)
+    # |A+B| is translation invariant: count (A - min A) + (B - min B)
+    a = np.array([x - A.min for x in A.elements], dtype=np.int64)
+    b = np.array([x - B.min for x in B.elements], dtype=np.int64)
     symmetric = A.elements == B.elements
     n = len(a)
     rows = np.arange(n)

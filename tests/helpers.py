@@ -7,7 +7,7 @@ checked against something that cannot share their bugs.
 
 import random
 
-from sumcross import ArcGraph, Edge, IntegerSet
+from sumcross import ArcGraph, IntegerSet
 
 
 def random_dcd_set(rng: random.Random, size: int, max_gap: int | None = None,
@@ -47,19 +47,43 @@ def random_arcgraph(rng: random.Random, max_n: int = 60,
     n = rng.randint(2, max_n)
     positions = tuple(sorted(rng.sample(range(-10 * max_n, 10 * max_n), n)))
     m = rng.randint(0, max_m)
-    edges = []
+    us, vs = [], []
     for _ in range(m):
         u = rng.randrange(n - 1)
-        v = rng.randrange(u + 1, n)
-        edges.append(Edge(u, v))
-    return ArcGraph(positions, tuple(edges))
+        us.append(u)
+        vs.append(rng.randrange(u + 1, n))
+    return ArcGraph(positions, u=us, v=vs)
+
+
+def edge_pairs(graph: ArcGraph) -> list[tuple[int, int]]:
+    """The (u, v) vertex-index pairs of the graph's edges, in column order."""
+    return list(zip(graph.u.tolist(), graph.v.tolist()))
+
+
+def count_crossings_oracle(graph: ArcGraph) -> int:
+    """Reference crossing count: scan all edge pairs in (u, v) order and
+    test the strict interleaving predicate.  Quadratic, kept deliberately
+    simple."""
+    edges = sorted(edge_pairs(graph))
+    m = len(edges)
+    count = 0
+    for i in range(m):
+        a, b = edges[i]
+        for j in range(i + 1, m):
+            c, d = edges[j]
+            if c >= b:
+                # later edges start even further right: no interleave possible
+                break
+            if a < c and b < d:
+                count += 1
+    return count
 
 
 def crossings_by_definition(graph: ArcGraph) -> int:
     """Independent quadratic crossing count: test both orientations of the
     strict-interleaving predicate on raw positions, no sorting, no pruning."""
     pos = graph.positions
-    es = [(pos[e.u], pos[e.v]) for e in graph.edges]
+    es = [(pos[u], pos[v]) for u, v in edge_pairs(graph)]
     total = 0
     for i in range(len(es)):
         a, b = es[i]
@@ -74,7 +98,7 @@ def intersections_by_definition(graph: ArcGraph) -> int:
     """Independent intersection count straight from the definition:
     vertex-disjoint edges whose closed position intervals share an
     interior point."""
-    es = [(e.u, e.v) for e in graph.edges]
+    es = edge_pairs(graph)
     pos = graph.positions
     total = 0
     for i in range(len(es)):
@@ -84,6 +108,29 @@ def intersections_by_definition(graph: ArcGraph) -> int:
             if len({u1, v1, u2, v2}) != 4:
                 continue
             if max(pos[u1], pos[u2]) < min(pos[v1], pos[v2]):
+                total += 1
+    return total
+
+
+def sum_graph_by_definition(A: IntegerSet, B: IntegerSet):
+    """(positions, [(u, v, gap, translate), ...]) of the sum graph, built
+    with Python ints and a dict, edges in translate-then-gap order."""
+    positions = tuple(sorted({a + b for a in A for b in B}))
+    index = {x: i for i, x in enumerate(positions)}
+    edges = [(index[A[i] + b], index[A[i + 1] + b], i, j)
+             for j, b in enumerate(B) for i in range(len(A) - 1)]
+    return positions, edges
+
+
+def translate_pair_crossings_by_definition(A: IntegerSet, b: int, c: int) -> int:
+    """Crossings between the paths A + b and A + c on raw values: every arc
+    of one against every arc of the other, both orientations."""
+    arcs = [(A[i], A[i + 1]) for i in range(len(A) - 1)]
+    total = 0
+    for x, y in arcs:
+        for z, w in arcs:
+            p, q, r, s = x + b, y + b, z + c, w + c
+            if p < r < q < s or r < p < s < q:
                 total += 1
     return total
 

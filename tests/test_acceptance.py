@@ -25,7 +25,6 @@ from sumcross import (
     construction_exponent,
     coprime_construction,
     count_crossings_fast,
-    count_crossings_oracle,
     count_intersections,
     difference_set,
     encode_vectors,
@@ -41,6 +40,7 @@ from sumcross import (
 )
 from sumcross.cli import main as cli_main
 from helpers import (
+    count_crossings_oracle,
     random_arcgraph,
     random_dcd_set,
     random_doubling_dcd_set,

@@ -1,27 +1,34 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from sumcross import (
     ArcGraph,
-    Edge,
     IntegerSet,
     build_sum_graph,
+    coprime_construction,
     count_crossings_fast,
-    count_crossings_oracle,
     count_intersections,
     crossing_stats,
     degree_sequence,
     has_parallel_edges,
     is_dcd,
     max_translate_pair_crossings,
+    sidon_seed_construction,
+    REFERENCE_SEED,
 )
 from helpers import (
+    count_crossings_oracle,
     crossings_by_definition,
+    edge_pairs,
     intersections_by_definition,
     random_arcgraph,
     random_dcd_set,
     random_integer_set,
+    sum_graph_by_definition,
+    translate_pair_crossings_by_definition,
 )
 
 
@@ -30,38 +37,42 @@ def iset(*values):
 
 
 def graph_of(positions, pairs):
-    return ArcGraph(tuple(positions), tuple(Edge(u, v) for u, v in pairs))
+    return ArcGraph(tuple(positions), u=[u for u, _ in pairs],
+                    v=[v for _, v in pairs])
 
 
 class TestArcGraphType:
     def test_rejects_unsorted_positions(self):
         with pytest.raises(ValueError):
-            ArcGraph((3, 1), ())
+            ArcGraph((3, 1), u=[], v=[])
 
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):
-            ArcGraph((0, 1), (Edge(1, 0),))
+            graph_of((0, 1), [(1, 0)])
         with pytest.raises(ValueError):
-            ArcGraph((0, 1), (Edge(0, 2),))
+            graph_of((0, 1), [(0, 2)])
         with pytest.raises(ValueError):
-            ArcGraph((0, 1), (Edge(0, 0),))
+            graph_of((0, 1), [(0, 0)])
+        with pytest.raises(ValueError):
+            graph_of((0, 1, 2), [(-1, 1)])
 
 
 class TestBuildSumGraph:
     def test_single_translate_is_a_path(self):
         g = build_sum_graph(iset(0, 1, 3), iset(0))
         assert g.positions == (0, 1, 3)
-        assert [(e.u, e.v) for e in g.edges] == [(0, 1), (1, 2)]
+        assert edge_pairs(g) == [(0, 1), (1, 2)]
 
     def test_two_translates(self):
         g = build_sum_graph(iset(0, 1, 3), iset(0, 1))
         assert g.positions == (0, 1, 2, 3, 4)
         assert g.num_edges == 4
-        assert {(e.u, e.v) for e in g.edges} == {(0, 1), (1, 3), (1, 2), (2, 4)}
+        assert set(edge_pairs(g)) == {(0, 1), (1, 3), (1, 2), (2, 4)}
 
     def test_labels_carry_gap_and_translate(self):
         g = build_sum_graph(iset(0, 1, 3), iset(0, 1))
-        assert sorted(e.label for e in g.edges) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        labels = zip(g.gap.tolist(), g.translate.tolist())
+        assert sorted(labels) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_edge_count_with_multiplicity(self):
         rng = random.Random(1)
@@ -135,7 +146,7 @@ class TestCrossingCounts:
         for _ in range(20):
             g = random_arcgraph(rng, max_n=20, max_m=60)
             warped = ArcGraph(
-                tuple(2 * p**3 + 5 for p in g.positions), g.edges)
+                tuple(2 * p**3 + 5 for p in g.positions), u=g.u, v=g.v)
             assert count_crossings_fast(warped) == count_crossings_fast(g)
             assert count_intersections(warped) == count_intersections(g)
 
@@ -200,9 +211,9 @@ class TestDegrees:
         for _ in range(25):
             g = random_arcgraph(rng, max_n=25, max_m=90)
             deg = [0] * g.num_vertices
-            for e in g.edges:
-                deg[e.u] += 1
-                deg[e.v] += 1
+            for u, v in edge_pairs(g):
+                deg[u] += 1
+                deg[v] += 1
             assert degree_sequence(g) == tuple(sorted(deg, reverse=True))
             assert sum(degree_sequence(g)) == 2 * g.num_edges
 
@@ -232,3 +243,198 @@ def test_sum_graph_positions_follow_any_dcd_input():
     assert is_dcd(A)
     values = {a + b for a in A for b in B}
     assert g.positions == tuple(sorted(values))
+
+
+class TestColumns:
+    def test_columns_are_read_only_int64(self):
+        g = build_sum_graph(iset(0, 1, 3), iset(0, 1))
+        for column in (g.u, g.v, g.gap, g.translate):
+            assert column.dtype == np.int64
+            assert not column.flags.writeable
+        assert graph_of(range(3), [(0, 1)]).gap is None
+
+    def test_rejects_mismatched_columns(self):
+        with pytest.raises(ValueError):
+            ArcGraph((0, 1, 2), u=[0, 1], v=[1])
+        with pytest.raises(ValueError):
+            ArcGraph((0, 1, 2), u=[0], v=[1], gap=[0])
+        with pytest.raises(ValueError):
+            ArcGraph((0, 1, 2), u=[0], v=[1], gap=[0, 1], translate=[0, 0])
+
+
+def _check_against_oracles(g):
+    crossings = crossings_by_definition(g)
+    assert count_crossings_oracle(g) == crossings
+    assert count_crossings_fast(g) == crossings
+    assert count_intersections(g) == intersections_by_definition(g)
+    pairs = edge_pairs(g)
+    assert has_parallel_edges(g) == (len(set(pairs)) < len(pairs))
+    assert sum(degree_sequence(g)) == 2 * g.num_edges
+
+
+def _check_sum_graph(A, B):
+    """Columns and every count of build_sum_graph(A, B) against the Python
+    builder and the quadratic oracles."""
+    g = build_sum_graph(A, B)
+    positions, edges = sum_graph_by_definition(A, B)
+    assert g.positions == positions
+    assert all(type(x) is int for x in g.positions)
+    columns = zip(g.u.tolist(), g.v.tolist(), g.gap.tolist(),
+                  g.translate.tolist())
+    assert list(columns) == edges
+    _check_against_oracles(g)
+    expected = max((translate_pair_crossings_by_definition(A, b, c)
+                    for i, b in enumerate(B) for c in B[i + 1:]), default=0)
+    assert max_translate_pair_crossings(g) == expected
+    return g
+
+
+class TestEdgeCases:
+    def test_no_edge_and_one_edge(self):
+        for pairs in ([], [(0, 2)]):
+            g = graph_of(range(3), pairs)
+            assert count_crossings_fast(g) == 0
+            assert count_intersections(g) == 0
+            assert not has_parallel_edges(g)
+        assert degree_sequence(graph_of(range(3), [])) == (0, 0, 0)
+        labeled = ArcGraph((0, 1), u=[], v=[], gap=[], translate=[])
+        assert max_translate_pair_crossings(labeled) == 0
+
+    def test_parallel_edges_against_oracles(self):
+        # few vertices and many edges: heavy parallel multiplicities
+        rng = random.Random(50)
+        for _ in range(60):
+            g = random_arcgraph(rng, max_n=6, max_m=40)
+            _check_against_oracles(g)
+
+    def test_two_element_a_and_singleton_b(self):
+        rng = random.Random(51)
+        for _ in range(20):
+            _check_sum_graph(random_integer_set(rng, 2, -50, 50),
+                             random_integer_set(rng, rng.randint(1, 12), -50, 50))
+            g = _check_sum_graph(random_integer_set(rng, rng.randint(2, 12), -50, 50),
+                                 random_integer_set(rng, 1, -50, 50))
+            assert count_crossings_fast(g) == 0
+            assert max_translate_pair_crossings(g) == 0
+
+    def test_values_near_the_int64_limits(self):
+        # spans near 2**63 but summed below it: the int64 build
+        rng = random.Random(52)
+        edge = 2**62
+        for _ in range(10):
+            A = IntegerSet.of([-edge + rng.randrange(9)] + rng.sample(range(-99, 99), 3)
+                              + [edge - 10 - rng.randrange(9)])
+            B = IntegerSet.of(rng.sample(range(-edge, -edge + 9), 3))
+            assert (A.max - A.min) + (B.max - B.min) < 2**63
+            _check_sum_graph(A, B)
+
+    def test_spans_beyond_int64_use_python_ints(self):
+        rng = random.Random(53)
+        for _ in range(10):
+            A = IntegerSet.of([-(2**62) + rng.randrange(9)] + rng.sample(range(-99, 99), 3)
+                              + [2**62 - rng.randrange(9)])
+            B = IntegerSet.of([-(2**62) - rng.randrange(9), 2**62 + rng.randrange(9)]
+                              + rng.sample(range(-99, 99), 2))
+            assert (A.max - A.min) + (B.max - B.min) >= 2**63
+            _check_sum_graph(A, B)
+        g = _check_sum_graph(IntegerSet((0, 2**70, 2**71 + 3)),
+                             IntegerSet((-(2**80), 5, 2**70)))
+        assert g.positions[-1] == 2**71 + 3 + 2**70
+
+    def test_random_sum_graphs_against_the_python_builder(self):
+        rng = random.Random(54)
+        for _ in range(25):
+            _check_sum_graph(random_integer_set(rng, rng.randint(2, 10), -80, 80),
+                             random_integer_set(rng, rng.randint(1, 8), -80, 80))
+
+
+class TestTranslatePairsByDifference:
+    def test_pair_counts_sum_to_the_crossing_count(self):
+        # f(b' - b) of every translate pair, read off two-translate graphs,
+        # adds up to the crossings of the whole sum graph
+        rng = random.Random(55)
+        instances = [(random_integer_set(rng, rng.randint(2, 12), -90, 90),
+                      random_integer_set(rng, rng.randint(2, 10), -90, 90))
+                     for _ in range(15)]
+        instances.append(coprime_construction(1)[:2])
+        for A, B in instances:
+            pairs = sum(max_translate_pair_crossings(
+                            build_sum_graph(A, IntegerSet((b, c))))
+                        for i, b in enumerate(B) for c in B[i + 1:])
+            assert pairs == count_crossings_fast(build_sum_graph(A, B))
+
+    def test_lemma_on_the_constructions(self):
+        # two translates of a dcd set cross at most 2|A| - 1 times
+        cases = [coprime_construction(t)[:2] for t in (1, 2, 3)]
+        seeded = sidon_seed_construction(REFERENCE_SEED, 1)
+        cases.append((seeded, seeded))
+        found = []
+        for A, B in cases:
+            assert is_dcd(A)
+            found.append(max_translate_pair_crossings(build_sum_graph(A, B)))
+            assert found[-1] <= 2 * len(A) - 1
+        assert found[0] == 104 and found[3] == 81
+
+    def test_rejects_translates_that_are_not_shifted_copies(self):
+        # translate 1 runs 2-4-5, which is not translate 0's 0-1-3 shifted
+        g = ArcGraph(tuple(range(6)), u=[0, 1, 2, 4], v=[1, 3, 4, 5],
+                     gap=[0, 1, 0, 1], translate=[0, 0, 1, 1])
+        with pytest.raises(ValueError):
+            max_translate_pair_crossings(g)
+
+    def test_rejects_labels_of_other_shapes(self):
+        shapes = [
+            # translates of different lengths
+            dict(u=[0, 1, 2], v=[1, 3, 4], gap=[0, 1, 0], translate=[0, 0, 1]),
+            # a gap label missing from translate 1
+            dict(u=[0, 1, 2, 3], v=[1, 3, 3, 5], gap=[0, 1, 0, 2],
+                 translate=[0, 0, 1, 1]),
+            # translate 1 starts 2-3-5 like translate 0's 0-1-3, but its
+            # first edge ends at 4: not a path
+            dict(u=[0, 1, 2, 3], v=[1, 3, 4, 5], gap=[0, 1, 0, 1],
+                 translate=[0, 0, 1, 1]),
+        ]
+        for columns in shapes:
+            with pytest.raises(ValueError):
+                max_translate_pair_crossings(ArcGraph(tuple(range(6)), **columns))
+
+    def test_label_order_does_not_matter(self):
+        g = build_sum_graph(iset(0, 1, 3, 7), iset(0, 2, 5))
+        order = np.random.default_rng(56).permutation(g.num_edges)
+        shuffled = ArcGraph(g.positions, u=g.u[order], v=g.v[order],
+                            gap=g.gap[order], translate=5 * g.translate[order])
+        assert (max_translate_pair_crossings(shuffled)
+                == max_translate_pair_crossings(g))
+
+
+def test_peak_memory():
+    """Each counter stays within the peak memory the README states for it,
+    measured with tracemalloc (numpy reports its buffers there); 64 KB
+    covers fixed-size allocations."""
+    from sumcross.arcgraph import _DELTA_BATCH_ELEMENTS
+
+    def peak(f, *args):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - base - (1 << 16)
+
+    for t in (1, 2):
+        A, B, _ = coprime_construction(t)
+        candidates = sum(1 for i, b in enumerate(B) for c in B[i + 1:]
+                         if c - b < A.max - A.min)
+        tracemalloc.start()
+        try:
+            built = peak(build_sum_graph, A, B)
+            g = build_sum_graph(A, B)
+            m, n = g.num_edges, g.num_vertices
+            assert built <= 64 * m + 64 * n
+            assert peak(count_crossings_fast, g) <= 96 * m + 16 * n
+            assert peak(count_intersections, g) <= 96 * m + 16 * n
+            assert peak(has_parallel_edges, g) <= 32 * m
+            assert peak(degree_sequence, g) <= 64 * n
+            assert (peak(max_translate_pair_crossings, g)
+                    <= 64 * m + 64 * n + 72 * candidates
+                    + 48 * _DELTA_BATCH_ELEMENTS)
+        finally:
+            tracemalloc.stop()

@@ -5,7 +5,6 @@ import pytest
 
 from sumcross import (
     ArcGraph,
-    Edge,
     IntegerSet,
     build_sum_graph,
     check_bipartite_crossing,
@@ -30,6 +29,9 @@ from sumcross import (
     REFERENCE_TOUR,
 )
 from helpers import (
+    crossings_by_definition,
+    edge_pairs,
+    random_arcgraph,
     random_dcd_set,
     random_doubling_dcd_set,
     random_integer_set,
@@ -132,7 +134,7 @@ class TestDegreeWeightedCrossing:
         assert r.satisfied and r.rhs < 0
 
     def test_edgeless(self):
-        g = ArcGraph(tuple(range(5)), ())
+        g = ArcGraph(tuple(range(5)), u=[], v=[])
         r = check_degree_weighted_crossing(g)
         assert r.satisfied and r.lhs == 0
 
@@ -155,12 +157,12 @@ class TestBipartiteCrossing:
         assert r.mode == "report"
 
     def test_single_cross_edge(self):
-        g = ArcGraph(tuple(range(4)), (Edge(0, 1),))
+        g = ArcGraph(tuple(range(4)), u=[0], v=[1])
         r = check_bipartite_crossing(g, {0})
         assert r.mode == "report" and r.lhs == 0
 
     def test_everything_on_one_side(self):
-        g = ArcGraph(tuple(range(4)), (Edge(0, 1), Edge(1, 3)))
+        g = ArcGraph(tuple(range(4)), u=[0, 1], v=[1, 3])
         r = check_bipartite_crossing(g, range(4))
         assert r.context["crossEdges"] == 0 and r.satisfied
 
@@ -170,10 +172,25 @@ class TestBipartiteCrossing:
         assert r.mode == "assert" and r.satisfied
         assert r.context["hypothesisMet"]
 
+    def test_cross_edge_count_matches_definition(self):
+        rng = random.Random(13)
+        for _ in range(30):
+            g = random_arcgraph(rng, max_n=20, max_m=60)
+            part = set(rng.sample(range(g.num_vertices),
+                                  rng.randint(0, g.num_vertices)))
+            pairs = [(u, v) for u, v in edge_pairs(g) if (u in part) != (v in part)]
+            cross = ArcGraph(g.positions, u=[u for u, _ in pairs],
+                             v=[v for _, v in pairs])
+            r = check_bipartite_crossing(g, part)
+            assert r.context["crossEdges"] == len(pairs)
+            assert r.lhs == crossings_by_definition(cross)
+            assert r.context["uSize"] == len(part)
+
     def test_rejects_bad_indices(self):
-        g = ArcGraph(tuple(range(4)), (Edge(0, 1),))
-        with pytest.raises(ValueError):
-            check_bipartite_crossing(g, {9})
+        g = ArcGraph(tuple(range(4)), u=[0], v=[1])
+        for part in ({9}, {-1}, [0, 4]):
+            with pytest.raises(ValueError):
+                check_bipartite_crossing(g, part)
 
 
 class TestEnergyLower:
@@ -296,7 +313,7 @@ class TestIntersectionLower:
         assert r.mode == "report"
 
     def test_edgeless(self):
-        g = ArcGraph(tuple(range(4)), ())
+        g = ArcGraph(tuple(range(4)), u=[], v=[])
         r = check_intersection_lower(g)
         assert r.mode == "report" and r.lhs == 0
 

@@ -115,6 +115,18 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert ":2:" in err and "duplicate" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "crossings", "check"])
+    def test_unreadable_file_exit_code(self, tmp_path, capsys, command):
+        # a missing file and a directory both raise OSError: exit 2, one line
+        good = write_set(tmp_path / "good.txt", [0, 1])
+        which = ["all"] if command == "check" else []
+        for path in (tmp_path / "missing.txt", tmp_path):
+            assert run(command, *which, "--a", path, "--b", good,
+                       "--outdir", tmp_path) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(path) in err
+
 
 class TestCrossings:
     def test_stats_payload(self, tmp_path, capsys):

@@ -26,6 +26,7 @@ from sumcross import (
     sumset,
     sumset_size,
 )
+from sumcross import sets as sets_module
 from helpers import additive_quadruples, pairwise_sums_distinct, random_integer_set
 
 int_sets = st.sets(st.integers(-10**6, 10**6), min_size=1, max_size=30).map(
@@ -286,6 +287,37 @@ class TestSumsetSize:
         B = IntegerSet.of(shift * 3 + x for x in (0, 2, 9))
         expected = len({a + b for a in A for b in B})
         assert sumset_size(A, B, method="stream") == expected
+
+    def test_stream_path_near_the_int64_limits(self):
+        # every |value| < 2**62 but the summed spans exceed 2**63: x - a
+        # wraps in int64 unless the sets are shifted and the span guarded
+        A = IntegerSet.of([-(2**62 - 5), 0, 2**62 - 7])
+        B = IntegerSet.of([-(2**62 - 9), 3, 2**62 - 11])
+        assert sumset_size(A, B, method="stream") == 9
+        rng = random.Random(31)
+        for _ in range(40):
+            A = IntegerSet.of(rng.randrange(-2**62, 2**62) for _ in range(6))
+            B = IntegerSet.of(rng.randrange(-2**62, 2**62) for _ in range(6))
+            expected = len({a + b for a in A for b in B})
+            assert sumset_size(A, B, method="stream", chunk_elements=4) == expected
+
+    def test_stream_span_boundary(self, monkeypatch):
+        # summed spans up to 2**63 - 2 stay on the int64 chunked path, even
+        # with values beyond 2**62; from 2**63 - 1 on the Python-int merge
+        # takes over; both count exactly
+        merged = []
+        original = sets_module._sumset_size_merged
+        monkeypatch.setattr(sets_module, "_sumset_size_merged",
+                            lambda A, B: merged.append(1) or original(A, B))
+        for total in (2**63 - 3, 2**63 - 2, 2**63 - 1, 2**63):
+            A = IntegerSet.of([-(2**61), -(2**61) + 1, 2**61 + 5])
+            span_b = total - (A.max - A.min)
+            B = IntegerSet.of([2**62, 2**62 + 7, 2**62 + span_b // 2 + 1,
+                               2**62 + span_b])
+            expected = len({a + b for a in A for b in B})
+            assert sumset_size(A, B, method="stream", chunk_elements=3) == expected
+            assert len(merged) == (total >= 2**63 - 1)
+            merged.clear()
 
     def test_method_validation(self):
         A = iset(0, 1)
