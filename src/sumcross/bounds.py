@@ -39,7 +39,7 @@ from .sets import (
     consecutive_difference_multiplicity,
     representation_profile,
     satisfies_doubling,
-    sumset,
+    sumset_size,
 )
 
 __all__ = [
@@ -102,7 +102,7 @@ def _ratio(lhs, rhs) -> Optional[float]:
 
 
 def _sumset_size(A, B, cached=None) -> int:
-    return cached if cached is not None else len(sumset(A, B))
+    return cached if cached is not None else sumset_size(A, B)
 
 
 def check_sumset_lower(A: IntegerSet, B: IntegerSet, *,

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .sets import IntegerSet, difference_set, is_sidon, sumset
+from .sets import IntegerSet, is_sidon
+from .sidon import seed_stats
 
 __all__ = [
     "CoprimeParams",
@@ -281,14 +282,8 @@ def sidon_seed_construction(seed: IntegerSet, depth: int,
 
 def construction_exponent(seed: IntegerSet) -> float:
     """log(|S-S| / |S+S|) / log(|S-S|): the sub-quadratic savings rate the
-    recursive construction achieves from this seed."""
-    if not is_sidon(seed):
-        raise ValueError("seed must be a Sidon set")
-    diffs = len(difference_set(seed, seed))
-    if diffs == 1:
-        raise ValueError("singleton seed has no usable difference set")
-    sums = len(sumset(seed, seed))
-    return math.log(diffs / sums) / math.log(diffs)
+    recursive construction achieves from this seed (its Sidon seed score)."""
+    return seed_stats(seed).score
 
 
 # ---------------------------------------------------------------------------

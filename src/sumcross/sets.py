@@ -43,16 +43,6 @@ __all__ = [
 
 _INT_LINE = re.compile(r"-?[0-9]+")
 
-# Above this many pairs the value-partitioned counting path is preferred
-# over materializing one big hash set.
-_STREAM_PAIR_THRESHOLD = 1 << 27
-
-# The chunked counter works on A and B shifted to minimum 0, where every sum
-# lies in [0, span(A) + span(B)] and every search bound x - a in
-# [-span(A), span(A) + span(B) + 1]; both fit int64 while the summed spans
-# stay below this.
-_INT64_SAFE_SPAN = (1 << 63) - 1
-
 
 class SetFileError(ValueError):
     """Malformed set file; message carries ``path:line``."""
@@ -256,31 +246,93 @@ def level_set_size(profile: RepProfile, t: int) -> int:
 # ---------------------------------------------------------------------------
 # Exact |A+B| without materializing the sumset.
 
+# Pairs per chunk by default: 64 MiB of pair-sized arrays at 16 bytes a pair.
+_CHUNK_ELEMENTS = 1 << 22
 
-def sumset_size(A: IntegerSet, B: IntegerSet, *, method: str = "auto",
-                chunk_elements: int = 1 << 24) -> int:
-    """Exact number of distinct pairwise sums.
+# A and B are shifted to minimum 0 and held as uint64, so every sum lies in
+# [0, span(A) + span(B)] and every chunk bound in [0, span(A) + span(B) + 1];
+# both fit uint64 while the summed spans stay below this.
+_UINT64_SPAN_LIMIT = (1 << 64) - 1
 
-    ``method`` selects the strategy:
 
-    * ``"hash"``    - one big set; memory proportional to |A+B|.
-    * ``"stream"``  - value-partitioned counting with bounded memory
-      (``chunk_elements`` sums per chunk); meant for pair counts around
-      1e9 where a hash set would not fit.
-    * ``"auto"``    - hash below ~1.3e8 pairs, stream above.
+def sumset_size(A: IntegerSet, B: IntegerSet, *,
+                chunk_elements: int = _CHUNK_ELEMENTS) -> int:
+    """Exact number of distinct pairwise sums, without building the sumset.
 
-    All strategies return identical values.
+    The sum values are cut into consecutive ranges (chunks) holding at most
+    ``chunk_elements`` pairs each, or the pairs of a single sum value when
+    more share it; the sums of each chunk are gathered, sorted and counted.
+    Peak memory is 16 bytes per pair of a chunk plus 64 bytes per element
+    of A and B.  When A == B only the pairs a_i + a_j with i <= j are
+    gathered.  Sets whose summed spans reach 2**64 - 1 are counted by an
+    exact merge over Python integers instead.
     """
-    if method not in ("auto", "hash", "stream"):
-        raise ValueError(f"unknown method {method!r}")
-    pairs = len(A) * len(B)
-    if method == "hash" or (method == "auto" and pairs < _STREAM_PAIR_THRESHOLD):
-        ae = A.elements
-        be = B.elements
-        return len({a + b for a in ae for b in be})
-    if (A.max - A.min) + (B.max - B.min) >= _INT64_SAFE_SPAN:
+    if chunk_elements < 1:
+        raise ValueError(f"chunk_elements must be >= 1, got {chunk_elements}")
+    if (A.max - A.min) + (B.max - B.min) >= _UINT64_SPAN_LIMIT:
         return _sumset_size_merged(A, B)
-    return _sumset_size_chunked(A, B, chunk_elements)
+    # |A+B| is translation invariant: count (A - min A) + (B - min B)
+    a = np.array([x - A.min for x in A.elements], dtype=np.uint64)
+    b = np.array([x - B.min for x in B.elements], dtype=np.uint64)
+    # row i pairs a_i with b_j for first[i] <= j
+    if A.elements == B.elements:
+        first = np.arange(len(a))
+    else:
+        first = np.zeros(len(a), dtype=np.intp)
+    pairs = len(a) * len(b) - int(first.sum())
+    if pairs <= chunk_elements:
+        return _distinct_sums(a, b, first, np.full(len(a), len(b)))
+
+    total = 0
+    starts = first
+    done = int(starts.sum())
+    lo, top = 0, int(a[-1]) + int(b[-1])
+    while lo <= top:
+        # Largest hi in (lo, top + 1] whose chunk [lo, hi) holds at most
+        # chunk_elements pairs; lo + 1 when the pairs of sum lo alone exceed it.
+        hi_lo, hi_hi = lo + 1, top + 1
+        while hi_lo < hi_hi:
+            mid = (hi_lo + hi_hi + 1) // 2
+            if int(_rows_below(a, b, first, mid).sum()) - done <= chunk_elements:
+                hi_lo = mid
+            else:
+                hi_hi = mid - 1
+        stops = _rows_below(a, b, first, hi_lo)
+        total += _distinct_sums(a, b, starts, stops)
+        starts, done, lo = stops, int(stops.sum()), hi_lo
+    return total
+
+
+def _rows_below(a: np.ndarray, b: np.ndarray, first: np.ndarray,
+                x: int) -> np.ndarray:
+    """Per row i, the end of the admissible j >= first[i] with a_i + b_j < x."""
+    bound = np.uint64(x) - a  # wraps where a_i > x; no b_j is below there
+    bound[a > np.uint64(x)] = 0
+    return np.maximum(np.searchsorted(b, bound, side="left"), first)
+
+
+def _distinct_sums(a: np.ndarray, b: np.ndarray, starts: np.ndarray,
+                   stops: np.ndarray) -> int:
+    """Distinct values among a_i + b_j for starts[i] <= j < stops[i]: gather,
+    sort in place, count the steps."""
+    counts = stops - starts
+    rows = np.flatnonzero(counts)
+    if not len(rows):  # a gap between sums each too many for one chunk
+        return 0
+    counts = counts[rows]
+    # flat position k of row r reads b[k - shift[r]], where shift[r] is the
+    # number of positions before row r minus starts[r]
+    shift = np.cumsum(counts)
+    shift -= counts
+    shift -= starts[rows]
+    index = np.arange(int(counts.sum()))
+    index -= np.repeat(shift, counts)
+    del shift
+    sums = b[index]
+    del index
+    sums += np.repeat(a[rows], counts)
+    sums.sort()
+    return 1 + int(np.count_nonzero(sums[1:] != sums[:-1]))
 
 
 def _sumset_size_merged(A: IntegerSet, B: IntegerSet) -> int:
@@ -302,59 +354,6 @@ def _sumset_size_merged(A: IntegerSet, B: IntegerSet) -> int:
             count += 1
             last = value
     return count
-
-
-def _pairs_below(a: np.ndarray, b: np.ndarray, x: int, symmetric: bool) -> int:
-    # Number of admissible pairs with a_i + b_j < x; for the symmetric case
-    # only j >= i counts so A+A work is halved.
-    idx = np.searchsorted(b, x - a, side="left")
-    if symmetric:
-        idx = np.maximum(idx - np.arange(len(a)), 0)
-    return int(idx.sum())
-
-
-def _sumset_size_chunked(A: IntegerSet, B: IntegerSet, chunk_elements: int) -> int:
-    """Partition the sum-value range into chunks of at most ``chunk_elements``
-    pairs each (binary search on the pair-counting function), then count
-    distinct sums per chunk with a vectorized gather + unique."""
-    # |A+B| is translation invariant: count (A - min A) + (B - min B)
-    a = np.array([x - A.min for x in A.elements], dtype=np.int64)
-    b = np.array([x - B.min for x in B.elements], dtype=np.int64)
-    symmetric = A.elements == B.elements
-    n = len(a)
-    rows = np.arange(n)
-
-    lo = int(a[0] + b[0])
-    top = int(a[-1]) + int(b[-1])
-    done_below = _pairs_below(a, b, lo, symmetric)  # == 0
-    total = 0
-    while lo <= top:
-        # Largest hi in (lo, top+1] whose chunk [lo, hi) holds few enough pairs.
-        hi_lo, hi_hi = lo + 1, top + 1
-        while hi_lo < hi_hi:
-            mid = (hi_lo + hi_hi + 1) // 2
-            if _pairs_below(a, b, mid, symmetric) - done_below <= chunk_elements:
-                hi_lo = mid
-            else:
-                hi_hi = mid - 1
-        hi = hi_lo
-        starts = np.searchsorted(b, lo - a, side="left")
-        stops = np.searchsorted(b, hi - a, side="left")
-        if symmetric:
-            starts = np.maximum(starts, rows)
-        lens = np.maximum(stops - starts, 0)
-        m = int(lens.sum())
-        if m:
-            nz = lens > 0
-            counts = lens[nz]
-            ends = np.cumsum(counts)
-            row_of = np.repeat(np.arange(len(counts)), counts)
-            offset = np.arange(m) - np.repeat(ends - counts, counts)
-            sums = a[nz][row_of] + b[starts[nz][row_of] + offset]
-            total += len(np.unique(sums))
-        done_below += m
-        lo = hi
-    return total
 
 
 # ---------------------------------------------------------------------------

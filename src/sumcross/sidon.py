@@ -80,7 +80,7 @@ def seed_stats(S: IntegerSet) -> SeedScore:
     diffs = len(difference_set(S, S))
     if diffs == 1:
         raise ValueError("singleton seed has no score")
-    return SeedScore(sums, diffs, math.log(diffs / sums) / math.log(diffs))
+    return SeedScore(sums, diffs, _exponent(diffs, sums))
 
 
 def objective_f(x: float) -> float:
@@ -89,8 +89,11 @@ def objective_f(x: float) -> float:
     seed score."""
     if x <= 1:
         raise ValueError("x must exceed 1")
-    diffs = x * (x - 1) + 1
-    sums = x * (x - 1) / 2.0 + x
+    return _exponent(x * (x - 1) + 1, x * (x - 1) / 2.0 + x)
+
+
+def _exponent(diffs: float, sums: float) -> float:
+    """log(diffs/sums)/log(diffs), the one copy of the exponent formula."""
     return math.log(diffs / sums) / math.log(diffs)
 
 

@@ -135,6 +135,11 @@ def translate_pair_crossings_by_definition(A: IntegerSet, b: int, c: int) -> int
     return total
 
 
+def sumset_size_by_definition(A: IntegerSet, B: IntegerSet) -> int:
+    """|A+B| from a Python set of every pairwise sum, over Python ints."""
+    return len({a + b for a in A for b in B})
+
+
 def additive_quadruples(A: IntegerSet, B: IntegerSet) -> int:
     """Literal count of (a, a', b, b') with a + b == a' + b'."""
     total = 0

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -27,12 +28,19 @@ from sumcross import (
     sumset_size,
 )
 from sumcross import sets as sets_module
-from helpers import additive_quadruples, pairwise_sums_distinct, random_integer_set
+from helpers import (additive_quadruples, pairwise_sums_distinct,
+                     random_integer_set, sumset_size_by_definition)
 
 int_sets = st.sets(st.integers(-10**6, 10**6), min_size=1, max_size=30).map(
     IntegerSet.of)
 small_sets = st.sets(st.integers(-50, 50), min_size=1, max_size=12).map(
     IntegerSet.of)
+chunk_sizes = st.sampled_from([1, 2, 3, 64, 1 << 22])
+# values within 3 of -2**63, 0, 2**63 - 1 and 2**63, and anywhere between
+int64_edges = st.one_of(
+    st.sampled_from([c + d for c in (-2**63, 0, 2**63 - 1, 2**63)
+                     for d in range(-3, 4)]),
+    st.integers(-2**63, 2**63))
 
 
 def iset(*values):
@@ -267,62 +275,161 @@ class TestSumsetSize:
             B = random_integer_set(rng, rng.randint(1, 60), -5000, 5000)
             expected = len({a + b for a in A for b in B})
             assert sumset_size(A, B) == expected
-            assert sumset_size(A, B, method="stream") == expected
+            assert sumset_size(A, B, chunk_elements=64) == expected
 
     def test_symmetric_stream_path(self):
         rng = random.Random(29)
         A = random_integer_set(rng, 80, 0, 10**6)
         expected = len({x + y for x in A for y in A})
-        assert sumset_size(A, A, method="stream", chunk_elements=512) == expected
+        assert sumset_size(A, A, chunk_elements=512) == expected
 
     def test_small_chunks_force_many_partitions(self):
         A = IntegerSet.of(range(0, 200, 3))
         B = IntegerSet.of(range(0, 50, 7))
         expected = len({a + b for a in A for b in B})
-        assert sumset_size(A, B, method="stream", chunk_elements=16) == expected
+        assert sumset_size(A, B, chunk_elements=16) == expected
 
     def test_bigint_fallback(self):
         shift = 1 << 70
         A = IntegerSet.of(shift + x for x in (0, 1, 3, 7, 12))
         B = IntegerSet.of(shift * 3 + x for x in (0, 2, 9))
         expected = len({a + b for a in A for b in B})
-        assert sumset_size(A, B, method="stream") == expected
+        assert sumset_size(A, B) == expected
 
     def test_stream_path_near_the_int64_limits(self):
         # every |value| < 2**62 but the summed spans exceed 2**63: x - a
         # wraps in int64 unless the sets are shifted and the span guarded
         A = IntegerSet.of([-(2**62 - 5), 0, 2**62 - 7])
         B = IntegerSet.of([-(2**62 - 9), 3, 2**62 - 11])
-        assert sumset_size(A, B, method="stream") == 9
+        assert sumset_size(A, B) == 9
         rng = random.Random(31)
         for _ in range(40):
             A = IntegerSet.of(rng.randrange(-2**62, 2**62) for _ in range(6))
             B = IntegerSet.of(rng.randrange(-2**62, 2**62) for _ in range(6))
             expected = len({a + b for a in A for b in B})
-            assert sumset_size(A, B, method="stream", chunk_elements=4) == expected
+            assert sumset_size(A, B, chunk_elements=4) == expected
 
     def test_stream_span_boundary(self, monkeypatch):
-        # summed spans up to 2**63 - 2 stay on the int64 chunked path, even
-        # with values beyond 2**62; from 2**63 - 1 on the Python-int merge
+        # summed spans up to 2**64 - 2 stay on the uint64 chunked path, even
+        # with values beyond 2**63; from 2**64 - 1 on the Python-int merge
         # takes over; both count exactly
         merged = []
         original = sets_module._sumset_size_merged
         monkeypatch.setattr(sets_module, "_sumset_size_merged",
                             lambda A, B: merged.append(1) or original(A, B))
-        for total in (2**63 - 3, 2**63 - 2, 2**63 - 1, 2**63):
+        for total in (2**63 - 3, 2**63 - 2, 2**63 - 1, 2**63,
+                      2**64 - 3, 2**64 - 2, 2**64 - 1, 2**64):
             A = IntegerSet.of([-(2**61), -(2**61) + 1, 2**61 + 5])
             span_b = total - (A.max - A.min)
             B = IntegerSet.of([2**62, 2**62 + 7, 2**62 + span_b // 2 + 1,
                                2**62 + span_b])
             expected = len({a + b for a in A for b in B})
-            assert sumset_size(A, B, method="stream", chunk_elements=3) == expected
-            assert len(merged) == (total >= 2**63 - 1)
+            assert sumset_size(A, B, chunk_elements=3) == expected
+            assert len(merged) == (total >= 2**64 - 1)
             merged.clear()
 
-    def test_method_validation(self):
+    def test_chunk_elements_validation(self):
         A = iset(0, 1)
-        with pytest.raises(ValueError):
-            sumset_size(A, A, method="magic")
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                sumset_size(A, A, chunk_elements=bad)
+        assert sumset_size(A, A, chunk_elements=1) == 3
+
+    @given(st.integers(2**64 - 3, 2**64 + 1), st.data())
+    @settings(max_examples=60)
+    def test_summed_spans_at_the_uint64_limit(self, total, data):
+        span_a = data.draw(st.integers(1, total - 1))
+        span_b = total - span_a
+        lo_a = data.draw(st.integers(-2**64, 2**64))
+        lo_b = data.draw(st.integers(-2**64, 2**64))
+        A = IntegerSet.of([lo_a, lo_a + span_a] + data.draw(
+            st.lists(st.integers(lo_a, lo_a + span_a), max_size=4)))
+        B = IntegerSet.of([lo_b, lo_b + span_b] + data.draw(
+            st.lists(st.integers(lo_b, lo_b + span_b), max_size=4)))
+        chunk = data.draw(chunk_sizes)
+        assert sumset_size(A, B, chunk_elements=chunk) == \
+            sumset_size_by_definition(A, B)
+
+    @given(st.sets(int64_edges, min_size=1, max_size=8),
+           st.sets(int64_edges, min_size=1, max_size=8), chunk_sizes)
+    @settings(max_examples=80)
+    def test_values_at_the_int64_limits(self, xs, ys, chunk):
+        A, B = IntegerSet.of(xs), IntegerSet.of(ys)
+        expected = sumset_size_by_definition(A, B)
+        assert sumset_size(A, B, chunk_elements=chunk) == expected
+        assert sumset_size(A, A, chunk_elements=chunk) == \
+            sumset_size_by_definition(A, A)
+
+    @given(int_sets, st.integers(-2**70, 2**70), chunk_sizes)
+    def test_singletons(self, A, x, chunk):
+        X = IntegerSet((x,))
+        assert sumset_size(A, X, chunk_elements=chunk) == len(A)
+        assert sumset_size(X, A, chunk_elements=chunk) == len(A)
+        assert sumset_size(X, X, chunk_elements=chunk) == 1
+
+    @given(small_sets)
+    def test_symmetric_with_one_pair_per_chunk(self, A):
+        assert sumset_size(A, A, chunk_elements=1) == \
+            sumset_size_by_definition(A, A)
+
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+           st.integers(1, 40), st.integers(1, 40), st.integers(1, 10**4),
+           st.sampled_from([1, 2, 3]), chunk_sizes)
+    def test_arithmetic_progressions(self, start_a, start_b, k, l, step,
+                                     ratio, chunk):
+        # many pairs share each sum; equal steps meet the |A|+|B|-1 floor
+        A = IntegerSet.of(range(start_a, start_a + k * step, step))
+        B = IntegerSet.of(range(start_b, start_b + l * ratio * step,
+                                ratio * step))
+        expected = sumset_size_by_definition(A, B)
+        if ratio == 1:
+            assert expected == k + l - 1
+        assert sumset_size(A, B, chunk_elements=chunk) == expected
+        assert sumset_size(A, A, chunk_elements=chunk) == 2 * k - 1
+
+    @given(st.sets(st.integers(2**64, 2**64 + 10**6), min_size=1, max_size=10),
+           st.sets(st.integers(-2**80, 2**80), min_size=1, max_size=6),
+           chunk_sizes)
+    @settings(max_examples=60)
+    def test_bigints_past_2_64(self, xs, ys, chunk):
+        # large values with a small span stay on the uint64 path; wide
+        # spans go to the merge
+        A, B = IntegerSet.of(xs), IntegerSet.of(ys)
+        for X, Y in ((A, A), (A, B), (B, B)):
+            assert sumset_size(X, Y, chunk_elements=chunk) == \
+                sumset_size_by_definition(X, Y)
+
+    def test_peak_memory(self):
+        """Peak memory within the bound the README states: 16 bytes per
+        pair of a chunk plus 64 per element of A and B, measured with
+        tracemalloc (numpy reports its buffers there); 64 KB covers
+        fixed-size allocations."""
+        rng = random.Random(37)
+
+        def peak(A, B, chunk):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sumset_size(A, B, chunk_elements=chunk)
+            return tracemalloc.get_traced_memory()[1] - base - (1 << 16)
+
+        wide = random_integer_set(rng, 700, 10**14, 10**15)
+        # span 2**63 - 1: far + far sums span 2**64 - 2, the widest in uint64
+        far = IntegerSet.of([-(2**63), -1]
+                            + [rng.randrange(-(2**63), 0) for _ in range(600)])
+        cases = [(wide, far, 1 << 22), (wide, wide, 1 << 22),
+                 (wide, far, 4096), (far, far, 8000),
+                 (random_integer_set(rng, 800, 0, 10**6), iset(7), 1),
+                 (iset(7), random_integer_set(rng, 5000, 0, 10**6), 64)]
+        tracemalloc.start()
+        try:
+            for A, B, chunk in cases:
+                pairs = (len(A) * (len(A) + 1) // 2 if A == B
+                         else len(A) * len(B))
+                chunk_pairs = min(pairs, max(chunk, min(len(A), len(B))))
+                assert (peak(A, B, chunk)
+                        <= 16 * chunk_pairs + 64 * (len(A) + len(B)))
+        finally:
+            tracemalloc.stop()
 
 
 class TestSetFiles:
