@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .sets import IntegerSet
+from .sets import _INT64_SPAN, IntegerSet, _offsets, _PairSums, _sorted_pair_sums
 
 __all__ = [
     "ArcGraph",
@@ -33,12 +33,13 @@ __all__ = [
     "crossing_stats",
 ]
 
-# Values whose span stays below this fit int64 once shifted to start at 0.
-_INT64_SPAN = 1 << 63
-
 # Points of A + delta evaluated per numpy call in max_translate_pair_crossings:
 # at 48 bytes per point, that counter's working memory beyond its inputs.
 _DELTA_BATCH_ELEMENTS = 1 << 18
+
+# _strict_inversions compares every pair directly inside blocks of this
+# many (a power of two) and merges from there up.
+_BASE_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,31 +107,26 @@ class CrossingStats:
         }
 
 
-def _offsets(values: Sequence[int], dtype) -> np.ndarray:
-    """values - values[0] as an array of ``dtype``."""
-    base = values[0]
-    return np.array([x - base for x in values], dtype=dtype)
-
-
-def build_sum_graph(A: IntegerSet, B: IntegerSet) -> ArcGraph:
+def build_sum_graph(A: IntegerSet, B: IntegerSet, *,
+                    pair_sums: _PairSums | None = None) -> ArcGraph:
     """The sum graph of (A, B): one vertex per value of A+B and, for every
     b in B, a path through a_1+b, ..., a_k+b.  Edge ``j*(|A|-1) + i`` joins
     a_i+b_j to a_{i+1}+b_j and carries gap i and translate j.  When A does
     not have distinct consecutive differences the same vertex pair can
     occur twice; such parallel edges are retained.
 
-    Sums are formed from A and B shifted to start at 0: in int64 when
-    span(A) + span(B) < 2**63, otherwise in Python ints (object arrays).
+    The vertices and endpoints come from one stable sort of the pair sums
+    (``sets._sorted_pair_sums``), the same one behind
+    ``representation_profile``; ``pair_sums`` is that sort when the caller
+    already made it.
     """
     if len(A) < 2:
         raise ValueError("A must have at least two elements")
     k, l = len(A), len(B)
-    dtype = np.int64 if (A.max - A.min) + (B.max - B.min) < _INT64_SPAN else object
-    sums = _offsets(A.elements, dtype)[None, :] + _offsets(B.elements, dtype)[:, None]
-    values = _distinct(sums)
-    index = np.searchsorted(values, sums).astype(np.int64, copy=False)
-    base = A.min + B.min
-    positions = tuple(map(base.__add__, values.tolist()))
+    if pair_sums is None:
+        pair_sums = _sorted_pair_sums(A, B)
+    index = pair_sums.rank.T
+    positions = tuple(map(pair_sums.base.__add__, pair_sums.values.tolist()))
     return ArcGraph(positions,
                     u=index[:, :-1].ravel(), v=index[:, 1:].ravel(),
                     gap=np.tile(np.arange(k - 1, dtype=np.int64), l),
@@ -153,28 +149,48 @@ def _pairs_within(counts: np.ndarray) -> int:
 
 def _strict_inversions(x: np.ndarray) -> int:
     """Pairs i < j with x[i] > x[j] for nonnegative x, by a bottom-up merge
-    sort.  At level s the array is a row of sorted blocks of 2**s; each
-    pair of blocks is merged by one sort of keys (pair, value, side), the
-    side bit putting left before right on equal values.  A right element
-    moves left past exactly the left elements of its pair greater than it,
-    so the level's inversions are the right elements' summed moves.  Keys
+    sort.  Inside each block of ``_BASE_BLOCK`` the pairs are compared
+    directly, at every distance (the last block padded with max(x) + 1,
+    which never counts), and the blocks are sorted.  At each level s above
+    that the array is a row of sorted blocks of 2**s; each pair of blocks
+    is merged by one stable sort of keys (pair, value, side), the side bit
+    putting left before right on equal values; timsort finds the two
+    sorted runs of every pair and merges them in linear time.  A right
+    element moves left past exactly the left elements of its pair greater
+    than it, so the level's inversions are the right elements' summed
+    moves: their positions before the sort minus those after it.  Keys
     stay below 2 * len(x) * (max(x) + 1), far from 2**63 for any array
     that fits in memory."""
     m = len(x)
     if m < 2:
         return 0
     top = int(x.max()) + 1
-    index = np.arange(m, dtype=np.int64)
-    values = x
+    blocks = np.full(-(-m // _BASE_BLOCK) * _BASE_BLOCK, top, dtype=np.int64)
+    blocks[:m] = x
+    blocks = blocks.reshape(-1, _BASE_BLOCK)
     total = 0
-    shift = 0
+    for d in range(1, _BASE_BLOCK):
+        total += int(np.count_nonzero(blocks[:, :-d] > blocks[:, d:]))
+    blocks.sort(axis=1)
+    values = blocks.ravel()[:m]
+    index = np.arange(m, dtype=np.int64)
+    side, tag, keys = (np.empty(m, dtype=np.int64) for _ in range(3))
+    shift = _BASE_BLOCK.bit_length() - 1
     while (1 << shift) < m:
-        side = (index >> shift) & 1
-        tag = (index >> (shift + 1)) * top
-        keys = (tag + values) * 2 + side
-        keys.sort()
-        total += int(index @ (side - (keys & 1)))
-        values = (keys >> 1) - tag
+        np.right_shift(index, shift, out=side)
+        side &= 1
+        np.right_shift(index, shift + 1, out=tag)
+        tag *= top
+        np.add(tag, values, out=keys)
+        keys <<= 1
+        keys |= side
+        keys.sort(kind="stable")
+        total += int(index @ side)
+        np.bitwise_and(keys, 1, out=side)
+        total -= int(index @ side)
+        keys >>= 1
+        keys -= tag
+        values, keys = keys, values
         shift += 1
     return total
 

@@ -18,6 +18,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -37,6 +38,7 @@ from .sets import (
     is_dcd,
     level_set_size,
     consecutive_difference_multiplicity,
+    _sorted_pair_sums,
     representation_profile,
     satisfies_doubling,
     sumset_size,
@@ -178,8 +180,12 @@ def check_degree_weighted_crossing(graph: ArcGraph, *,
     if crossings is None:
         crossings = count_crossings_fast(graph)
     n = graph.num_vertices
-    degrees = degree_sequence(graph)
-    weighted = sum(i * d**3 for i, d in enumerate(degrees, start=1))
+    # sum of i * d_i^3: the c vertices of degree d after the first `before`
+    # hold places before + 1 .. before + c
+    weighted = before = 0
+    for d, c in sorted(Counter(degree_sequence(graph)).items(), reverse=True):
+        weighted += d**3 * (c * before + c * (c + 1) // 2)
+        before += c
     # 4.01 n^2 = 144360 n^3 / (36000 n); compare integers, no floats
     satisfied = 36000 * n * crossings >= weighted - 144360 * n**3
     rhs = weighted / (36000.0 * n) - 4.01 * n * n
@@ -250,24 +256,25 @@ def check_heavy_subset(A: IntegerSet, B: IntegerSet, S: IntegerSet, *,
     if profile is None:
         profile = representation_profile(A, B)
     counts = profile.counts
-    missing = [x for x in S if x not in counts]
-    if missing:
-        raise ValueError(f"{missing[0]} is not in the sumset")
+    if not all(map(counts.__contains__, S.elements)):
+        missing = next(x for x in S if x not in counts)
+        raise ValueError(f"{missing} is not in the sumset")
     k, l = len(A), len(B)
-    mass = sum(counts[x] for x in S)
+    mass = sum(map(counts.__getitem__, S.elements))
     size_s = len(S)
     s = len(counts)
+    pre = is_dcd(A)
     delta = (k * l) / mass
     # rhs = mass^3 / (8 k l^2 |S|) after substituting Delta
     satisfied = 8 * k * l * l * size_s * s >= mass**3
     rhs = mass**3 / (8.0 * k * l * l * size_s)
     return BoundReport(
         "heavy_subset_ge", float(s), rhs,
-        ASSERT if is_dcd(A) else REPORT, satisfied, _ratio(s, rhs),
+        ASSERT if pre else REPORT, satisfied, _ratio(s, rhs),
         {"aSize": k, "bSize": l, "sumsetSize": s, "subsetSize": size_s,
          "subsetMass": mass, "delta": delta,
          "secondCaseHypothesisHeld": k * l * l >= 6 * s,
-         "preconditionDcd": is_dcd(A)})
+         "preconditionDcd": pre})
 
 
 def check_level_set_count(A: IntegerSet, B: IntegerSet, t: int, *,
@@ -282,13 +289,14 @@ def check_level_set_count(A: IntegerSet, B: IntegerSet, t: int, *,
     k, l = len(A), len(B)
     s = len(profile.counts)
     size_t = level_set_size(profile, t) if level_size is None else level_size
+    pre = is_dcd(A)
     satisfied = size_t * size_t * t**3 < 9 * s * k * l * l
     rhs = 3.0 * math.sqrt(s * k) * l / t**1.5
     return BoundReport(
         "level_set_count_lt", float(size_t), rhs,
-        ASSERT if is_dcd(A) else REPORT, satisfied, _ratio(size_t, rhs),
+        ASSERT if pre else REPORT, satisfied, _ratio(size_t, rhs),
         {"aSize": k, "bSize": l, "sumsetSize": s, "t": t,
-         "levelSetSize": size_t, "preconditionDcd": is_dcd(A)})
+         "levelSetSize": size_t, "preconditionDcd": pre})
 
 
 def check_multiplicity_lower(A: IntegerSet, B: IntegerSet, *,
@@ -350,7 +358,9 @@ def check_doubling_lower(A: IntegerSet, B: IntegerSet, *,
 
 def _argmax_value(profile: RepProfile) -> int:
     # deterministic: largest count, ties broken by the smaller sum value
-    return min(profile.counts, key=lambda x: (-profile.counts[x], x))
+    counts = profile.counts
+    top = max(counts.values())
+    return min(compress(counts, map(top.__eq__, counts.values())))
 
 
 def run_all_checks(A: IntegerSet, B: IntegerSet, *,
@@ -362,15 +372,20 @@ def run_all_checks(A: IntegerSet, B: IntegerSet, *,
     when the sum graph has at most ``oracle_edge_limit`` edges; everything
     else scales to millions of edges.
     """
-    profile = representation_profile(A, B)
+    # one sort of the pair sums serves the profile and the sum graph; it
+    # holds an int64 rank per pair, so it goes once both are built
+    pair_sums = _sorted_pair_sums(A, B)
+    profile = representation_profile(A, B, pair_sums=pair_sums)
+    graph = (build_sum_graph(A, B, pair_sums=pair_sums) if len(A) >= 2
+             else None)
+    del pair_sums
     s = len(profile.counts)
     reports = [
         check_sumset_lower(A, B, sumset_size=s),
         check_multiplicity_lower(A, B, sumset_size=s) if len(A) >= 2 else None,
         check_doubling_lower(A, B, sumset_size=s),
     ]
-    if len(A) >= 2:
-        graph = build_sum_graph(A, B)
+    if graph is not None:
         crossings = count_crossings_fast(graph)
         reports.append(check_crossing_upper(A, B, crossings=crossings))
         reports.append(check_crossing_lower(A, B, crossings=crossings,

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import reduce
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,13 +63,13 @@ class IntegerSet:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.elements:
+        e = self.elements
+        if not e:
             raise ValueError("integer set must contain at least one element")
-        for x, y in zip(self.elements, self.elements[1:]):
-            if x >= y:
-                raise ValueError(
-                    f"elements must be strictly increasing, got {x} before {y}"
-                )
+        if not all(map(operator.lt, e, e[1:])):
+            x, y = next((x, y) for x, y in zip(e, e[1:]) if x >= y)
+            raise ValueError(
+                f"elements must be strictly increasing, got {x} before {y}")
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "IntegerSet":
@@ -97,7 +100,7 @@ class IntegerSet:
     def gaps(self) -> tuple[int, ...]:
         """Consecutive differences, length ``len(self) - 1``."""
         e = self.elements
-        return tuple(e[i + 1] - e[i] for i in range(len(e) - 1))
+        return tuple(map(operator.sub, e[1:], e))
 
 
 @dataclass(frozen=True)
@@ -110,12 +113,14 @@ class RepProfile:
 
     def __post_init__(self):
         ka, kb = self.source_sizes
-        if sum(self.counts.values()) != ka * kb:
+        counts = self.counts.values()
+        if sum(counts) != ka * kb:
             raise ValueError("representation counts must sum to |A|*|B|")
         cap = min(ka, kb)
-        for x, c in self.counts.items():
-            if not 1 <= c <= cap:
-                raise ValueError(f"count {c} for {x} outside [1, min(|A|,|B|)]")
+        if counts and not 1 <= min(counts) <= max(counts) <= cap:
+            x, c = next((x, c) for x, c in self.counts.items()
+                        if not 1 <= c <= cap)
+            raise ValueError(f"count {c} for {x} outside [1, min(|A|,|B|)]")
 
     def support(self) -> IntegerSet:
         return IntegerSet(tuple(sorted(self.counts)))
@@ -146,29 +151,87 @@ def difference_set(A: IntegerSet, B: IntegerSet) -> IntegerSet:
     return IntegerSet(tuple(sorted({a - b for a in ae for b in be})))
 
 
-def representation_profile(A: IntegerSet, B: IntegerSet) -> RepProfile:
-    """Multiplicity of every sum value; totals |A|*|B| by construction."""
-    ae = A.elements
-    be = B.elements
-    counts = Counter()
-    for a in ae:
-        counts.update(a + b for b in be)
-    return RepProfile(dict(counts), (len(ae), len(be)))
+# Values whose span stays below this fit int64 once shifted to start at 0.
+_INT64_SPAN = 1 << 63
+
+
+def _offsets(values: Sequence[int], dtype) -> np.ndarray:
+    """values - values[0] as an array of ``dtype``."""
+    base = values[0]
+    return np.array([x - base for x in values], dtype=dtype)
+
+
+class _PairSums(NamedTuple):
+    """The pair sums a_i + b_j of (A, B), sorted once.  Sums are kept as
+    offsets from ``base``: in int64 when span(A) + span(B) < 2**63, as
+    Python ints in object arrays otherwise."""
+
+    base: int  # A.min + B.min
+    values: np.ndarray  # the distinct sums minus base, increasing
+    rank: np.ndarray  # shape (|A|, |B|): a_i + b_j is values[rank[i, j]]
+    counts: np.ndarray  # pairs per distinct sum
+    first_seen: np.ndarray  # indices into values, in order of appearance
+
+
+def _sorted_pair_sums(A: IntegerSet, B: IntegerSet) -> _PairSums:
+    """One stable argsort of the pair sums, a outer and b inner; with it
+    the first pair of each run of equal sums is the sum's first
+    appearance.  :func:`representation_profile` and
+    ``arcgraph.build_sum_graph`` both build on it."""
+    dtype = np.int64 if (A.max - A.min) + (B.max - B.min) < _INT64_SPAN else object
+    sums = (_offsets(A.elements, dtype)[:, None]
+            + _offsets(B.elements, dtype)[None, :]).ravel()
+    order = np.argsort(sums, kind="stable")
+    sums = sums[order]
+    new = np.empty(len(sums), dtype=bool)
+    new[0] = True
+    np.not_equal(sums[1:], sums[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    values = sums[starts]
+    del sums
+    rank = np.empty(len(order), dtype=np.int64)
+    ranked = np.cumsum(new, dtype=np.int64)
+    ranked -= 1
+    rank[order] = ranked
+    del ranked
+    return _PairSums(A.min + B.min, values, rank.reshape(len(A), len(B)),
+                     np.diff(starts, append=len(order)),
+                     np.argsort(order[starts]))
+
+
+def representation_profile(A: IntegerSet, B: IntegerSet, *,
+                           pair_sums: _PairSums | None = None) -> RepProfile:
+    """Multiplicity of every sum value; totals |A|*|B| by construction.
+
+    The sums appear in ``counts`` in the order in which they first occur
+    as a runs over A and, inside, b over B.  ``pair_sums`` is the sort of
+    the pair sums of (A, B) when the caller already made it.
+    """
+    if pair_sums is None:
+        pair_sums = _sorted_pair_sums(A, B)
+    first = pair_sums.first_seen
+    sums = map(pair_sums.base.__add__, pair_sums.values[first].tolist())
+    return RepProfile(dict(zip(sums, pair_sums.counts[first].tolist())),
+                      (len(A), len(B)))
 
 
 def energy(profile: RepProfile, alpha: float) -> EnergyValue:
     """Sum of counts**alpha over the sumset support.
 
     Integer alpha is evaluated exactly over Python integers; fractional
-    alpha uses double precision (relative error <= 1e-12 per term).
+    alpha uses double precision (relative error <= 1e-12 per term), with
+    the terms added one by one in the order of ``profile.counts``: the
+    builtin ``sum`` compensates float rounding from Python 3.12 on, which
+    would make the value depend on the interpreter.
     """
     if alpha <= 1:
         raise ValueError("alpha must be > 1")
+    counts = profile.counts.values()
     if float(alpha).is_integer():
         e = int(alpha)
-        value: int | float = sum(c**e for c in profile.counts.values())
+        value: int | float = sum(c**e for c in counts)
     else:
-        value = sum(c**alpha for c in profile.counts.values())
+        value = reduce(operator.add, map(pow, counts, repeat(alpha)), 0.0)
     return EnergyValue(float(alpha), value)
 
 
@@ -279,27 +342,11 @@ def sumset_size(A: IntegerSet, B: IntegerSet, *,
         first = np.arange(len(a))
     else:
         first = np.zeros(len(a), dtype=np.intp)
-    pairs = len(a) * len(b) - int(first.sum())
-    if pairs <= chunk_elements:
-        return _distinct_sums(a, b, first, np.full(len(a), len(b)))
-
     total = 0
     starts = first
-    done = int(starts.sum())
-    lo, top = 0, int(a[-1]) + int(b[-1])
-    while lo <= top:
-        # Largest hi in (lo, top + 1] whose chunk [lo, hi) holds at most
-        # chunk_elements pairs; lo + 1 when the pairs of sum lo alone exceed it.
-        hi_lo, hi_hi = lo + 1, top + 1
-        while hi_lo < hi_hi:
-            mid = (hi_lo + hi_hi + 1) // 2
-            if int(_rows_below(a, b, first, mid).sum()) - done <= chunk_elements:
-                hi_lo = mid
-            else:
-                hi_hi = mid - 1
-        stops = _rows_below(a, b, first, hi_lo)
+    for _, stops in _chunks(a, b, first, chunk_elements):
         total += _distinct_sums(a, b, starts, stops)
-        starts, done, lo = stops, int(stops.sum()), hi_lo
+        starts = stops
     return total
 
 
@@ -311,14 +358,66 @@ def _rows_below(a: np.ndarray, b: np.ndarray, first: np.ndarray,
     return np.maximum(np.searchsorted(b, bound, side="left"), first)
 
 
-def _distinct_sums(a: np.ndarray, b: np.ndarray, starts: np.ndarray,
-                   stops: np.ndarray) -> int:
-    """Distinct values among a_i + b_j for starts[i] <= j < stops[i]: gather,
-    sort in place, count the steps."""
+def _chunks(a: np.ndarray, b: np.ndarray, first: np.ndarray,
+            chunk_elements: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The chunks [lo, hi) of sum values, in order, as (hi, stops) with
+    ``stops = _rows_below(a, b, first, hi)``.  Each hi is the largest in
+    (lo, end] whose chunk holds at most ``chunk_elements`` admissible
+    pairs, or lo + 1 when the pairs of sum lo alone exceed that; ``end``
+    is one past the largest sum.
+
+    Short of ``end``, that hi is the admissible sum of rank
+    ``chunk_elements`` (from 0) among those at or above lo, when it
+    exceeds lo.  The search probes lo plus the previous chunk's width,
+    gallops out from there in steps doubling from a sixteenth of that
+    width until a bracket [good, bad) holds the sum, bisects the bracket
+    until it holds at most min(|A| + |B|, ``chunk_elements``) pairs, then
+    gathers them and selects the sum by rank.
+    """
+    def below(x: int) -> int:  # admissible pairs below x, plus sum(first)
+        return int(_rows_below(a, b, first, x).sum())
+
+    end = int(a[-1]) + int(b[-1]) + 1
+    done, last = int(first.sum()), len(a) * len(b)  # below(lo), below(end)
+    limit = min(len(a) + len(b), chunk_elements)
+    lo = 0
+    width = max(1, end * chunk_elements // (last - done))  # as if even
+    while lo < end:
+        target = done + chunk_elements
+        if last <= target:  # the rest fits, with no search
+            yield end, np.full(len(a), len(b))
+            return
+        # invariant: below(good) <= target < below(bad)
+        good, n_good, bad, n_bad = lo, done, end, last
+        step = max(1, width >> 4)
+        x = lo + width
+        while n_bad - n_good > limit and bad - good > 1:
+            x = max(good + 1, min(x, bad - 1))
+            n = below(x)
+            if n <= target:
+                good, n_good = x, n
+                x = good + step if bad == end else (good + bad) // 2
+            else:
+                bad, n_bad = x, n
+                x = bad - step if good == lo else (good + bad) // 2
+            step *= 2
+        if bad - good > 1:
+            sums = _gather(a, b, _rows_below(a, b, first, good),
+                           _rows_below(a, b, first, bad))
+            rank = target - n_good
+            good = int(np.partition(sums, rank)[rank])
+            del sums
+        hi = max(lo + 1, good)
+        stops = _rows_below(a, b, first, hi)
+        yield hi, stops
+        done, width, lo = int(stops.sum()), hi - lo, hi
+
+
+def _gather(a: np.ndarray, b: np.ndarray, starts: np.ndarray,
+            stops: np.ndarray) -> np.ndarray:
+    """The sums a_i + b_j for starts[i] <= j < stops[i], row by row."""
     counts = stops - starts
     rows = np.flatnonzero(counts)
-    if not len(rows):  # a gap between sums each too many for one chunk
-        return 0
     counts = counts[rows]
     # flat position k of row r reads b[k - shift[r]], where shift[r] is the
     # number of positions before row r minus starts[r]
@@ -331,6 +430,16 @@ def _distinct_sums(a: np.ndarray, b: np.ndarray, starts: np.ndarray,
     sums = b[index]
     del index
     sums += np.repeat(a[rows], counts)
+    return sums
+
+
+def _distinct_sums(a: np.ndarray, b: np.ndarray, starts: np.ndarray,
+                   stops: np.ndarray) -> int:
+    """Distinct values among a_i + b_j for starts[i] <= j < stops[i]: gather,
+    sort in place, count the steps."""
+    sums = _gather(a, b, starts, stops)
+    if not len(sums):  # a gap between sums each too many for one chunk
+        return 0
     sums.sort()
     return 1 + int(np.count_nonzero(sums[1:] != sums[:-1]))
 

@@ -6,6 +6,8 @@ checked against something that cannot share their bugs.
 """
 
 import random
+from bisect import bisect_left
+from collections import Counter
 
 from sumcross import ArcGraph, IntegerSet
 
@@ -41,12 +43,14 @@ def random_integer_set(rng: random.Random, size: int, lo: int = -1000,
 
 
 def random_arcgraph(rng: random.Random, max_n: int = 60,
-                    max_m: int = 300) -> ArcGraph:
-    """Random positions and random index pairs; parallel edges and heavy
-    endpoint sharing are allowed on purpose."""
+                    max_m: int = 300, m: int | None = None) -> ArcGraph:
+    """Random positions and random index pairs (``m`` of them, or a random
+    number up to ``max_m``); parallel edges and heavy endpoint sharing are
+    allowed on purpose."""
     n = rng.randint(2, max_n)
     positions = tuple(sorted(rng.sample(range(-10 * max_n, 10 * max_n), n)))
-    m = rng.randint(0, max_m)
+    if m is None:
+        m = rng.randint(0, max_m)
     us, vs = [], []
     for _ in range(m):
         u = rng.randrange(n - 1)
@@ -112,6 +116,13 @@ def intersections_by_definition(graph: ArcGraph) -> int:
     return total
 
 
+def strict_inversions_by_definition(x) -> int:
+    """Pairs i < j with x[i] > x[j], by testing every pair."""
+    x = list(x)
+    return sum(1 for i in range(len(x)) for j in range(i + 1, len(x))
+               if x[i] > x[j])
+
+
 def sum_graph_by_definition(A: IntegerSet, B: IntegerSet):
     """(positions, [(u, v, gap, translate), ...]) of the sum graph, built
     with Python ints and a dict, edges in translate-then-gap order."""
@@ -138,6 +149,50 @@ def translate_pair_crossings_by_definition(A: IntegerSet, b: int, c: int) -> int
 def sumset_size_by_definition(A: IntegerSet, B: IntegerSet) -> int:
     """|A+B| from a Python set of every pairwise sum, over Python ints."""
     return len({a + b for a in A for b in B})
+
+
+def representation_profile_by_definition(A: IntegerSet,
+                                         B: IntegerSet) -> Counter:
+    """Pairs per sum value in a Counter filled with a outer and b inner, so
+    its keys are in order of first appearance."""
+    counts = Counter()
+    for a in A:
+        for b in B:
+            counts[a + b] += 1
+    return counts
+
+
+def energy_by_definition(counts: Counter, alpha: float) -> float:
+    """Sum of count**alpha, added left to right in the order of the keys."""
+    total = 0.0
+    for c in counts.values():
+        total = total + c**alpha
+    return total
+
+
+def chunk_ends_by_bisection(a: list[int], b: list[int], first: list[int],
+                            chunk_elements: int) -> list[int]:
+    """The ends hi of the chunks [lo, hi) of the sum values a_i + b_j with
+    j >= first[i] (a and b sorted lists of Python ints), each found by a
+    plain bisection: the largest hi in (lo, max sum + 1] whose chunk holds
+    at most chunk_elements pairs, or lo + 1 when none does."""
+    def below(x: int) -> int:
+        return sum(max(bisect_left(b, x - ai), f) for ai, f in zip(a, first))
+
+    ends = []
+    lo, top = 0, a[-1] + b[-1]
+    done = sum(first)
+    while lo <= top:
+        good, bad = lo + 1, top + 1
+        while good < bad:
+            mid = (good + bad + 1) // 2
+            if below(mid) - done <= chunk_elements:
+                good = mid
+            else:
+                bad = mid - 1
+        ends.append(good)
+        lo, done = good, below(good)
+    return ends
 
 
 def additive_quadruples(A: IntegerSet, B: IntegerSet) -> int:

@@ -27,9 +27,11 @@ from helpers import (
     random_arcgraph,
     random_dcd_set,
     random_integer_set,
+    strict_inversions_by_definition,
     sum_graph_by_definition,
     translate_pair_crossings_by_definition,
 )
+from sumcross.arcgraph import _strict_inversions
 
 
 def iset(*values):
@@ -149,6 +151,40 @@ class TestCrossingCounts:
                 tuple(2 * p**3 + 5 for p in g.positions), u=g.u, v=g.v)
             assert count_crossings_fast(warped) == count_crossings_fast(g)
             assert count_intersections(warped) == count_intersections(g)
+
+
+class TestStrictInversions:
+    """The merge counter against every pair compared, around the blocks of
+    32 counted directly and the first merge levels above them."""
+
+    LENGTHS = (0, 1, 2, 31, 32, 33, 63, 64, 65)
+
+    @pytest.mark.parametrize("m", LENGTHS)
+    def test_all_equal(self, m):
+        x = np.full(m, 7, dtype=np.int64)
+        assert _strict_inversions(x) == 0 == strict_inversions_by_definition(x)
+
+    @pytest.mark.parametrize("m", LENGTHS)
+    def test_strictly_decreasing(self, m):
+        x = np.arange(m, dtype=np.int64)[::-1].copy()
+        assert _strict_inversions(x) == m * (m - 1) // 2
+        assert strict_inversions_by_definition(x) == m * (m - 1) // 2
+
+    @pytest.mark.parametrize("m", LENGTHS + (200, 1000))
+    def test_tie_heavy_random(self, m):
+        rng = np.random.default_rng(m)
+        for top in (2, 5, m + 1):
+            x = rng.integers(0, top, m)
+            assert _strict_inversions(x) == strict_inversions_by_definition(x)
+
+    def test_fast_counts_near_the_block_size(self):
+        rng = random.Random(47)
+        for m in (30, 31, 32, 33, 34, 63, 64, 65, 66, 127, 128, 129):
+            for _ in range(6):
+                g = random_arcgraph(rng, max_n=rng.choice([6, 20, 60]), m=m)
+                assert count_crossings_fast(g) == crossings_by_definition(g)
+                assert (count_intersections(g)
+                        == intersections_by_definition(g))
 
 
 class TestIntersections:

@@ -28,6 +28,7 @@ from sumcross import (
     REFERENCE_SEED,
     REFERENCE_TOUR,
 )
+from sumcross.bounds import _argmax_value
 from helpers import (
     crossings_by_definition,
     edge_pairs,
@@ -149,6 +150,18 @@ class TestDegreeWeightedCrossing:
         r = check_degree_weighted_crossing(g)
         assert r.mode == "assert" and r.satisfied
 
+    def test_weighted_cubes_by_enumeration(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            A = random_dcd_set(rng, rng.randint(2, 25))
+            B = random_integer_set(rng, rng.randint(1, 25), 0, 300)
+            g = build_sum_graph(A, B)
+            degrees = sorted(((g.u.tolist() + g.v.tolist()).count(i)
+                              for i in range(g.num_vertices)), reverse=True)
+            expected = sum(i * d**3 for i, d in enumerate(degrees, start=1))
+            r = check_degree_weighted_crossing(g)
+            assert r.context["weightedDegreeCubes"] == expected
+
 
 class TestBipartiteCrossing:
     def test_sparse_split_reports(self):
@@ -252,6 +265,18 @@ class TestHeavySubset:
     def test_rejects_foreign_subset(self):
         with pytest.raises(ValueError):
             check_heavy_subset(iset(0, 1), iset(0, 1), iset(7))
+        with pytest.raises(ValueError, match="^5 is not in the sumset$"):
+            check_heavy_subset(iset(0, 1), iset(0, 1), iset(1, 5, 9))
+
+    def test_argmax_value_breaks_ties_toward_the_smaller_sum(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            A = random_integer_set(rng, rng.randint(1, 12), -30, 30)
+            B = random_integer_set(rng, rng.randint(1, 12), -30, 30)
+            counts = representation_profile(A, B).counts
+            top = max(counts.values())
+            expected = min(x for x, c in counts.items() if c == top)
+            assert _argmax_value(representation_profile(A, B)) == expected
 
     def test_records_second_case_hypothesis(self):
         r = check_heavy_subset(iset(0, 1), iset(0, 1), iset(1))

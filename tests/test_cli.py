@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
-from sumcross import IntegerSet, load_set, save_set
+from sumcross import (REFERENCE_SEED, IntegerSet, coprime_construction,
+                      load_set, save_set, sidon_seed_construction)
 from sumcross.cli import main
 
 
@@ -168,6 +170,41 @@ class TestCheck:
                    "--outdir", tmp_path) == 1
         err = capsys.readouterr().err
         assert "synthetic_ge" in err
+
+
+class TestGoldenBytes:
+    """SHA-256 of JSON outputs pinned from an earlier release, so that a
+    faster path can never change a byte.  Seeded depth 1 has A == B, so its
+    reports carry the float energy15."""
+
+    @staticmethod
+    def instance(tmp_path, name):
+        if name == "coprime_t1":
+            A, B, _ = coprime_construction(1)
+        else:
+            A = B = sidon_seed_construction(REFERENCE_SEED, 1)
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_set(a, A)
+        save_set(b, B)
+        return a, b
+
+    @pytest.mark.parametrize("command, name, digest", [
+        ("check", "coprime_t1",
+         "4abda535e2b40ea7ac1c3a03e14ea8f4df2d991d69df899dbdc9bdaf72abc20c"),
+        ("check", "seeded_depth1",
+         "d3128a820d356c5d98769103f69e7f9eb787c7ff1b42fa0de3a9f7916911e151"),
+        ("analyze", "coprime_t1",
+         "254a79cd0fffbacc580128ab6b97bd2afb1244b65d8e47c589c36141d9f5a60f"),
+    ])
+    def test_json_digest(self, tmp_path, capsys, command, name, digest):
+        a, b = self.instance(tmp_path, name)
+        out = tmp_path / "out.json"
+        argv = ["check", "all"] if command == "check" else ["analyze"]
+        assert run(*argv, "--a", a, "--b", b, "--json", out,
+                   "--outdir", tmp_path) == 0
+        if name == "seeded_depth1":
+            assert '"energy15"' in out.read_text()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSidonCli:

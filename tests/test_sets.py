@@ -2,8 +2,9 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumcross import (
@@ -12,6 +13,7 @@ from sumcross import (
     RepProfile,
     SetFileError,
     consecutive_difference_multiplicity,
+    coprime_construction,
     difference_set,
     energy,
     high_multiplicity_set,
@@ -28,8 +30,10 @@ from sumcross import (
     sumset_size,
 )
 from sumcross import sets as sets_module
-from helpers import (additive_quadruples, pairwise_sums_distinct,
-                     random_integer_set, sumset_size_by_definition)
+from helpers import (additive_quadruples, chunk_ends_by_bisection,
+                     energy_by_definition, pairwise_sums_distinct,
+                     random_integer_set, representation_profile_by_definition,
+                     sumset_size_by_definition)
 
 int_sets = st.sets(st.integers(-10**6, 10**6), min_size=1, max_size=30).map(
     IntegerSet.of)
@@ -41,6 +45,15 @@ int64_edges = st.one_of(
     st.sampled_from([c + d for c in (-2**63, 0, 2**63 - 1, 2**63)
                      for d in range(-3, 4)]),
     st.integers(-2**63, 2**63))
+
+
+# small values, values within 5 of +-2**62 (summed spans near 2**63 and
+# past it, where the pair sums leave int64) and anything up to +-2**64
+profile_values = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-2**62 - 5, -2**62 + 5),
+    st.integers(2**62 - 5, 2**62 + 5),
+    st.integers(-2**64, 2**64))
 
 
 def iset(*values):
@@ -60,6 +73,10 @@ class TestIntegerSet:
     def test_constructor_rejects_empty(self):
         with pytest.raises(ValueError):
             IntegerSet(())
+
+    def test_rejection_names_the_first_bad_pair(self):
+        with pytest.raises(ValueError, match="got 3 before 2$"):
+            IntegerSet((0, 1, 3, 2, 2, -1))
 
     def test_container_protocol(self):
         s = iset(5, -1, 9)
@@ -124,6 +141,62 @@ class TestRepresentationProfile:
             RepProfile({0: 1}, (2, 2))
         with pytest.raises(ValueError):
             RepProfile({0: 3, 1: 1}, (2, 2))
+
+    def test_validation_names_the_first_bad_count(self):
+        with pytest.raises(ValueError, match=r"^count 0 for 5 outside"):
+            RepProfile({4: 1, 5: 0, 6: 3, 7: 0}, (2, 2))
+        with pytest.raises(ValueError, match=r"^count 3 for 6 outside"):
+            RepProfile({4: 1, 6: 3}, (2, 2))
+
+    @given(st.sets(profile_values, min_size=1, max_size=12),
+           st.sets(profile_values, min_size=1, max_size=12), st.booleans())
+    @example({0}, {1, 2, 4}, False)
+    @example({-3, 1, 2, 9}, {5}, False)
+    @example({-2**62, 0, 1, 2**62}, set(), True)
+    @example({-(2**62) - 1, 2**62}, {0, 2**62}, False)
+    @example({2**64, -2**64, 3}, {-2**62, 2**62 + 5}, False)
+    def test_matches_definition_in_first_appearance_order(self, xs, ys, same):
+        A = IntegerSet.of(xs)
+        B = A if same or not ys else IntegerSet.of(ys)
+        profile = representation_profile(A, B)
+        oracle = representation_profile_by_definition(A, B)
+        assert list(profile.counts.items()) == list(oracle.items())
+        # the fractional energy adds floats in key order: bit for bit
+        assert (energy(profile, 1.5).value.hex()
+                == energy_by_definition(oracle, 1.5).hex())
+
+    def test_peak_memory(self):
+        """Peak memory within the bound the README states: 40 bytes per
+        pair plus 192 per distinct sum while the sums fit int64, measured
+        with tracemalloc (numpy reports its buffers there); 64 KB covers
+        fixed-size allocations."""
+        rng = random.Random(43)
+        cases = [coprime_construction(1)[:2], coprime_construction(2)[:2],
+                 (random_integer_set(rng, 500, 0, 10**6),
+                  random_integer_set(rng, 300, 0, 10**6)),
+                 (IntegerSet.of(range(0, 3000, 3)),
+                  IntegerSet.of(range(0, 900, 3)))]
+        tracemalloc.start()
+        try:
+            for A, B in cases:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                profile = representation_profile(A, B)
+                peak = tracemalloc.get_traced_memory()[1] - base - (1 << 16)
+                assert peak <= 40 * len(A) * len(B) + 192 * len(profile.counts)
+                del profile
+        finally:
+            tracemalloc.stop()
+
+    def test_both_sort_paths(self):
+        # summed spans 2**63 - 1 keep the pair sums in int64; 2**63 does not
+        for span_b, dtype in ((2**62 - 1, np.int64), (2**62, object)):
+            A = iset(-2**62, -1, 0)
+            B = iset(0, 1, 2, span_b - 1, span_b)
+            assert sets_module._sorted_pair_sums(A, B).values.dtype == dtype
+            profile = representation_profile(A, B)
+            oracle = representation_profile_by_definition(A, B)
+            assert list(profile.counts.items()) == list(oracle.items())
 
 
 class TestEnergy:
@@ -327,6 +400,52 @@ class TestSumsetSize:
             assert sumset_size(A, B, chunk_elements=3) == expected
             assert len(merged) == (total >= 2**64 - 1)
             merged.clear()
+
+    def test_chunk_ends_match_bisection(self):
+        # the galloping search starts from the previous chunk's width; its
+        # chunks must be those of a plain bisection on every instance
+        rng = random.Random(41)
+        multi = 0
+        for _ in range(60):
+            span = rng.choice([60, 10**4, 10**12, 2**62])
+            A = random_integer_set(rng, rng.randint(1, 40), 0, span)
+            B = (A if rng.random() < 0.3
+                 else random_integer_set(rng, rng.randint(1, 40), 0, span))
+            a, b = [x - A.min for x in A], [x - B.min for x in B]
+            first = list(range(len(a))) if A == B else [0] * len(a)
+            chunk = rng.choice([1, 2, 5, 17, 100])
+            got = sets_module._chunks(np.array(a, dtype=np.uint64),
+                                      np.array(b, dtype=np.uint64),
+                                      np.array(first), chunk)
+            ends = chunk_ends_by_bisection(a, b, first, chunk)
+            assert [hi for hi, _ in got] == ends
+            assert (sumset_size(A, B, chunk_elements=chunk)
+                    == sumset_size_by_definition(A, B))
+            multi += len(ends) > 1
+        assert multi >= 40
+
+    def test_gathers_stay_within_a_chunk(self, monkeypatch):
+        # no sum has more than min(|A|, |B|) pairs, so with at least that
+        # many per chunk neither a chunk nor the pairs gathered to select
+        # a chunk's end may exceed chunk_elements
+        gathered = []
+        gather = sets_module._gather
+
+        def recorded(*args):
+            sums = gather(*args)
+            gathered.append(len(sums))
+            return sums
+
+        monkeypatch.setattr(sets_module, "_gather", recorded)
+        rng = random.Random(43)
+        for _ in range(20):
+            A = random_integer_set(rng, rng.randint(20, 200), 0, 10**9)
+            B = random_integer_set(rng, rng.randint(20, 200), 0, 10**9)
+            chunk = rng.randint(min(len(A), len(B)), 400)
+            gathered.clear()
+            assert (sumset_size(A, B, chunk_elements=chunk)
+                    == sumset_size_by_definition(A, B))
+            assert len(gathered) > 1 and max(gathered) <= chunk
 
     def test_chunk_elements_validation(self):
         A = iset(0, 1)
