@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from pathlib import Path
 
 from . import __version__
@@ -25,6 +27,7 @@ from .construct import (
     REFERENCE_SEED,
     REFERENCE_TOUR,
     REFERENCE_WALK_VALUES,
+    assemble_increasing,
     coprime_construction,
     construction_exponent,
     default_encoding_base,
@@ -55,31 +58,26 @@ def _dump_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _write_manifest(outdir: Path, manifest_path, command: str,
-                    parameters: dict, inputs: list[str],
-                    outputs: list[str]) -> Path:
-    path = Path(manifest_path) if manifest_path else outdir / f"{command}-manifest.json"
-    manifest = {
+def _write_outputs(args, command: str, parameters: dict, payload, *,
+                   inputs: Sequence[str] = (), outputs: Sequence[str] = (),
+                   default_json: Path | None = None) -> Path | str | None:
+    """Write ``payload`` to ``--json`` (else ``default_json``, if given), then
+    the run manifest.  A defaulted JSON path is listed normalised by ``Path``,
+    a ``--json`` without default as given.  Returns the JSON path."""
+    json_path = Path(args.json or default_json) if default_json else args.json
+    if json_path:
+        _dump_json(Path(json_path), payload)
+        outputs = [*outputs, str(json_path)]
+    manifest = args.manifest or Path(args.outdir) / f"{command}-manifest.json"
+    _dump_json(Path(manifest), {
         "command": command,
         "parameters": parameters,
-        "inputHashes": {p: _sha256(p) for p in sorted(inputs)},
+        "inputHashes": {p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                        for p in sorted(inputs)},
         "outputs": sorted(outputs),
         "toolVersion": __version__,
-    }
-    _dump_json(path, manifest)
-    return path
-
-
-def _load_pair(args) -> tuple[IntegerSet, IntegerSet]:
-    return load_set(args.a), load_set(args.b)
-
-
-def _resolve_seed(spec: str) -> IntegerSet:
-    return REFERENCE_SEED if spec == "paper" else load_set(spec)
+    })
+    return json_path
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +90,6 @@ def cmd_construct_coprime(args) -> int:
     A, B, p = coprime_construction(args.t)
     out_a = Path(args.out_a) if args.out_a else outdir / f"coprime_t{args.t}_a.txt"
     out_b = Path(args.out_b) if args.out_b else outdir / f"coprime_t{args.t}_b.txt"
-    out_json = Path(args.json) if args.json else outdir / f"coprime_t{args.t}.json"
     save_set(out_a, A)
     save_set(out_b, B)
     sums = sumset(A, B)
@@ -114,10 +111,9 @@ def cmd_construct_coprime(args) -> int:
         "allSumsDivisible": all(
             any(x % q == 0 for q in seeds) for x in sums),
     }
-    _dump_json(out_json, sidecar)
-    _write_manifest(outdir, args.manifest, "construct-coprime",
-                    {"t": args.t}, [],
-                    [str(out_a), str(out_b), str(out_json)])
+    _write_outputs(args, "construct-coprime", {"t": args.t}, sidecar,
+                   outputs=[str(out_a), str(out_b)],
+                   default_json=outdir / f"coprime_t{args.t}.json")
     print(f"wrote {out_a} ({len(A)} elements), {out_b} ({len(B)} elements)")
     return 0
 
@@ -125,14 +121,13 @@ def cmd_construct_coprime(args) -> int:
 def cmd_construct_sidon_seed(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    seed = _resolve_seed(args.seed)
+    seed = REFERENCE_SEED if args.seed == "paper" else load_set(args.seed)
     if args.paper_tour and seed != REFERENCE_SEED:
         raise ValueError("--paper-tour requires --seed paper")
     tour = REFERENCE_TOUR if args.paper_tour else None
     base = args.base if args.base else default_encoding_base(seed)
     A = sidon_seed_construction(seed, args.k, base=base, tour=tour)
     out = Path(args.out) if args.out else outdir / f"sidon_seed_k{args.k}.txt"
-    out_json = Path(args.json) if args.json else outdir / f"sidon_seed_k{args.k}.json"
     save_set(out, A)
     pairs = len(A) * len(A)
     heavy_ok = args.heavy or pairs <= _LIGHT_PAIR_LIMIT
@@ -150,19 +145,19 @@ def cmd_construct_sidon_seed(args) -> int:
         "sumsetBound": bound,
         "withinBound": (exact <= bound) if exact is not None else None,
     }
-    _dump_json(out_json, sidecar)
-    inputs = [] if args.seed == "paper" else [args.seed]
-    _write_manifest(outdir, args.manifest, "construct-sidon-seed",
-                    {"seed": args.seed, "k": args.k, "base": base,
-                     "paperTour": bool(args.paper_tour),
-                     "heavy": bool(args.heavy)},
-                    inputs, [str(out), str(out_json)])
+    _write_outputs(args, "construct-sidon-seed",
+                   {"seed": args.seed, "k": args.k, "base": base,
+                    "paperTour": bool(args.paper_tour),
+                    "heavy": bool(args.heavy)},
+                   sidecar, inputs=[] if args.seed == "paper" else [args.seed],
+                   outputs=[str(out)],
+                   default_json=outdir / f"sidon_seed_k{args.k}.json")
     print(f"wrote {out} ({len(A)} elements)")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    A, B = _load_pair(args)
+    A, B = load_set(args.a), load_set(args.b)
     profile = representation_profile(A, B)
     histogram = Counter(profile.counts.values())
     result = {
@@ -175,50 +170,35 @@ def cmd_analyze(args) -> int:
         "multiplicityHistogram": {str(r): histogram[r] for r in sorted(histogram)},
     }
     print(json.dumps(result, indent=2))
-    outputs = []
-    if args.json:
-        _dump_json(Path(args.json), result)
-        outputs.append(args.json)
     if args.csv:
         path = Path(args.csv)
         path.parent.mkdir(parents=True, exist_ok=True)
         lines = ["multiplicity,count"]
         lines += [f"{r},{histogram[r]}" for r in sorted(histogram)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        outputs.append(args.csv)
-    _write_manifest(Path(args.outdir), args.manifest, "analyze",
-                    {"a": args.a, "b": args.b}, [args.a, args.b], outputs)
+    _write_outputs(args, "analyze", {"a": args.a, "b": args.b}, result,
+                   inputs=[args.a, args.b], outputs=[args.csv] if args.csv else [])
     return 0
 
 
 def cmd_crossings(args) -> int:
-    A, B = _load_pair(args)
-    stats = crossing_stats(build_sum_graph(A, B)).as_dict()
+    graph = build_sum_graph(load_set(args.a), load_set(args.b))
+    stats = crossing_stats(graph).as_dict()
     print(json.dumps(stats, indent=2))
-    outputs = []
-    if args.json:
-        _dump_json(Path(args.json), stats)
-        outputs.append(args.json)
-    _write_manifest(Path(args.outdir), args.manifest, "crossings",
-                    {"a": args.a, "b": args.b}, [args.a, args.b], outputs)
+    _write_outputs(args, "crossings", {"a": args.a, "b": args.b}, stats,
+                   inputs=[args.a, args.b])
     return 0
 
 
 def cmd_check(args) -> int:
-    A, B = _load_pair(args)
-    reports = run_all_checks(A, B)
-    payload = reports_to_jsonable(reports)
+    reports = run_all_checks(load_set(args.a), load_set(args.b))
     failures = [r for r in reports if r.mode == "assert" and not r.satisfied]
     for r in reports:
         flag = "ok" if r.satisfied else ("FAIL" if r.mode == "assert" else "miss")
         print(f"{flag:4} {r.mode:6} {r.name:28} lhs={r.lhs:.6g} rhs={r.rhs:.6g}")
-    outputs = []
-    if args.json:
-        _dump_json(Path(args.json), payload)
-        outputs.append(args.json)
-    _write_manifest(Path(args.outdir), args.manifest, "check",
-                    {"a": args.a, "b": args.b, "which": args.which},
-                    [args.a, args.b], outputs)
+    _write_outputs(args, "check",
+                   {"a": args.a, "b": args.b, "which": args.which},
+                   reports_to_jsonable(reports), inputs=[args.a, args.b])
     if failures:
         print("assert-mode failures:", file=sys.stderr)
         print(json.dumps(reports_to_jsonable(failures), indent=2),
@@ -236,12 +216,8 @@ def cmd_sidon_search(args) -> int:
         "sets": [list(s.elements) for s in sets],
     }
     print(json.dumps(result, indent=2))
-    outputs = []
-    if args.json:
-        _dump_json(Path(args.json), result)
-        outputs.append(args.json)
-    _write_manifest(Path(args.outdir), args.manifest, "sidon-search",
-                    {"size": args.size, "max": args.max}, [], outputs)
+    _write_outputs(args, "sidon-search", {"size": args.size, "max": args.max},
+                   result)
     return 0
 
 
@@ -250,12 +226,7 @@ def cmd_sidon_optimize(args) -> int:
     result = {"xStar": res.x_star, "fStar": res.f_star,
               "iterations": res.iterations}
     print(json.dumps(result, indent=2))
-    outputs = []
-    if args.json:
-        _dump_json(Path(args.json), result)
-        outputs.append(args.json)
-    _write_manifest(Path(args.outdir), args.manifest, "sidon-optimize",
-                    {}, [], outputs)
+    _write_outputs(args, "sidon-optimize", {}, result)
     return 0
 
 
@@ -263,18 +234,15 @@ def cmd_sidon_optimize(args) -> int:
 # reproduce-paper: recompute every published reference value and compare.
 
 
+_COMPARISONS = {"eq": operator.eq, "le": operator.le, "lt": operator.lt}
+
+
 def _row(name: str, expected, actual, comparison: str = "eq",
          tolerance: float | None = None) -> dict:
-    if comparison == "eq":
-        match = actual == expected
-    elif comparison == "le":
-        match = actual <= expected
-    elif comparison == "lt":
-        match = actual < expected
-    elif comparison == "abs":
+    if comparison == "abs":
         match = abs(actual - expected) <= tolerance
     else:
-        raise ValueError(comparison)
+        match = _COMPARISONS[comparison](actual, expected)
     return {"name": name, "expected": expected, "actual": actual,
             "comparison": comparison, "tolerance": tolerance, "match": match}
 
@@ -313,7 +281,7 @@ def _reference_rows(heavy: bool) -> list[dict]:
         if depth > 1:
             seq = extend_walk(seq, walk)
         codes = encode_vectors(seq, base)
-        A = sidon_seed_construction(seed, depth, base=base, tour=REFERENCE_TOUR)
+        A = assemble_increasing(codes, base, depth)
         rows.append(_row(f"depth{depth}_size", walk_len**depth, len(A)))
         rows.append(_row(f"depth{depth}_distinct_gaps", True, is_dcd(A)))
         if depth <= 2:
@@ -348,27 +316,19 @@ def cmd_reproduce(args) -> int:
     rows = _reference_rows(args.heavy)
     table = {"rows": rows, "allMatch": all(r["match"] for r in rows),
              "heavy": bool(args.heavy)}
-    out_json = Path(args.json) if args.json else outdir / "reproduce_paper.json"
-    _dump_json(out_json, table)
+    out_json = _write_outputs(args, "reproduce-paper", {"heavy": bool(args.heavy)},
+                              table, default_json=outdir / "reproduce_paper.json")
     width = max(len(r["name"]) for r in rows)
     for r in rows:
         status = "ok  " if r["match"] else "FAIL"
         print(f"{status} {r['name']:{width}} expected "
               f"{r['comparison']} {r['expected']}  actual {r['actual']}")
     print(f"-> {out_json} ({'all match' if table['allMatch'] else 'MISMATCH'})")
-    _write_manifest(outdir, args.manifest, "reproduce-paper",
-                    {"heavy": bool(args.heavy)}, [], [str(out_json)])
     return 0 if table["allMatch"] else 1
 
 
 # ---------------------------------------------------------------------------
 # Parser wiring.
-
-
-def _add_common(p) -> None:
-    p.add_argument("--outdir", default=".", help="directory for outputs")
-    p.add_argument("--manifest", default=None,
-                   help="run manifest path (default: <command>-manifest.json)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,18 +339,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # every subcommand writes JSON and a run manifest
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", default=None, help="JSON output path")
+    common.add_argument("--outdir", default=".", help="directory for outputs")
+    common.add_argument("--manifest", default=None,
+                        help="run manifest path (default: <command>-manifest.json)")
+    pair = argparse.ArgumentParser(add_help=False, parents=[common])
+    pair.add_argument("--a", required=True, help="set file for A")
+    pair.add_argument("--b", required=True, help="set file for B")
+
     construct = sub.add_parser("construct", help="generate a set family")
     fam = construct.add_subparsers(dest="family", required=True)
 
-    cop = fam.add_parser("coprime", help="coprime pair (A, B)")
+    cop = fam.add_parser("coprime", parents=[common], help="coprime pair (A, B)")
     cop.add_argument("--t", type=int, required=True)
     cop.add_argument("--out-a", default=None)
     cop.add_argument("--out-b", default=None)
-    cop.add_argument("--json", default=None)
-    _add_common(cop)
     cop.set_defaults(func=cmd_construct_coprime)
 
-    sid = fam.add_parser("sidon-seed", help="Sidon-seeded recursive set")
+    sid = fam.add_parser("sidon-seed", parents=[common],
+                         help="Sidon-seeded recursive set")
     sid.add_argument("--seed", required=True,
                      help="'paper' for the built-in 7-element seed, or a set file")
     sid.add_argument("--k", type=int, required=True, help="recursion depth")
@@ -400,54 +369,36 @@ def build_parser() -> argparse.ArgumentParser:
     sid.add_argument("--heavy", action="store_true",
                      help="compute the exact sumset size even at depth 3")
     sid.add_argument("--out", default=None)
-    sid.add_argument("--json", default=None)
-    _add_common(sid)
     sid.set_defaults(func=cmd_construct_sidon_seed)
 
-    ana = sub.add_parser("analyze", help="sumset statistics for a pair of set files")
-    ana.add_argument("--a", required=True)
-    ana.add_argument("--b", required=True)
-    ana.add_argument("--json", default=None)
+    ana = sub.add_parser("analyze", parents=[pair],
+                         help="sumset statistics for a pair of set files")
     ana.add_argument("--csv", default=None,
                      help="write the multiplicity histogram as CSV")
-    _add_common(ana)
     ana.set_defaults(func=cmd_analyze)
 
-    cro = sub.add_parser("crossings", help="crossing statistics of the sum graph")
-    cro.add_argument("--a", required=True)
-    cro.add_argument("--b", required=True)
-    cro.add_argument("--json", default=None)
-    _add_common(cro)
+    cro = sub.add_parser("crossings", parents=[pair],
+                         help="crossing statistics of the sum graph")
     cro.set_defaults(func=cmd_crossings)
 
-    chk = sub.add_parser("check", help="run the bound checkers")
+    chk = sub.add_parser("check", parents=[pair], help="run the bound checkers")
     chk.add_argument("which", choices=["all"])
-    chk.add_argument("--a", required=True)
-    chk.add_argument("--b", required=True)
-    chk.add_argument("--json", default=None)
-    _add_common(chk)
     chk.set_defaults(func=cmd_check)
 
     sidon = sub.add_parser("sidon", help="Sidon search and seed optimization")
     mode = sidon.add_subparsers(dest="mode", required=True)
-    sea = mode.add_parser("search")
+    sea = mode.add_parser("search", parents=[common])
     sea.add_argument("--size", type=int, required=True)
     sea.add_argument("--max", type=int, required=True)
-    sea.add_argument("--json", default=None)
-    _add_common(sea)
     sea.set_defaults(func=cmd_sidon_search)
-    opt = mode.add_parser("optimize")
-    opt.add_argument("--json", default=None)
-    _add_common(opt)
+    opt = mode.add_parser("optimize", parents=[common])
     opt.set_defaults(func=cmd_sidon_optimize)
 
     rep = sub.add_parser(
-        "reproduce-paper",
+        "reproduce-paper", parents=[common],
         help="recompute all published reference values and compare")
     rep.add_argument("--heavy", action="store_true",
                      help="include the depth-3 exact sumset count")
-    rep.add_argument("--json", default=None)
-    _add_common(rep)
     rep.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -402,11 +402,15 @@ class TestSuiteRunner:
                          "context"] for k in keys)
 
     def test_oracle_gate_skips_quadratic_checks(self):
-        A, B, _ = coprime_construction(1)
-        reports = run_all_checks(A, B, oracle_edge_limit=10)
-        names = {r.name for r in reports}
-        assert "intersection_lower_ge" not in names
-        assert "bipartite_crossing_ge" not in names
+        # (k - 1) * l edges: 2,500 keeps both reports, 2,501 drops them
+        for k, l, edges in ((51, 50, 2500), (42, 61, 2501)):
+            A = IntegerSet(tuple(range(k)))
+            B = IntegerSet(tuple(range(0, 1000 * l, 1000)))
+            assert build_sum_graph(A, B).num_edges == edges
+            names = {r.name for r in run_all_checks(A, B)}
+            present = edges == 2500
+            assert ("bipartite_crossing_ge" in names) is present
+            assert ("intersection_lower_ge" in names) is present
 
     def test_singleton_a(self):
         reports = run_all_checks(iset(5), iset(0, 1))

@@ -254,3 +254,85 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# name: (argv, digest of exit code, stdout, stderr and files)
+GOLDEN_RUNS = {
+    "coprime-default": (
+        "construct coprime --t 1",
+        "c60eaf8b745fb84c5c47919b1cb8cbc2c77d94f52d1e18d43bb80d4044071a4d"),
+    "coprime-missing-out-dir": (
+        "construct coprime --t 1 --out-a ./d/x.txt --json ./d//c.json "
+        "--manifest d/m.json",
+        "78a9e8df92f9228e2966bb65a127d2b609210551e1b505944453d5df65bd3b8b"),
+    "coprime-paths": (
+        "construct coprime --t 1 --out-a ./d/x.txt --json ./d//c.json "
+        "--manifest d/m.json --outdir d",
+        "d6bc0da0fc99d94ab186486e85a04ae57e263f3314057d206d88bab0f6cd949a"),
+    "coprime-bad-t": (
+        "construct coprime --t 0",
+        "a9db7ec5fbcb954ba517ecbfd85f0aad7eabd4ae8e45056fe220b369c8e9f87b"),
+    "sidon-seed-paper": (
+        "construct sidon-seed --seed paper --k 1 --paper-tour",
+        "d176b646d838637cd446b67899535fdccfcb8870e5fa062c07c2e7cbcf15034a"),
+    "sidon-seed-file": (
+        "construct sidon-seed --seed seed.txt --k 2 --outdir o",
+        "0ba7ae779033ae427102ede90852782023f69a44ad49e0c22aaba107f72b5c1f"),
+    "analyze-json-csv": (
+        "analyze --a a.txt --b b.txt --json ./o//an.json --csv o/h.csv",
+        "75d89f4ddb1ca7650644a66f7f1452f3df78aec22306571fa920ce9da977683b"),
+    "analyze-missing-file": (
+        "analyze --a missing.txt --b b.txt",
+        "682b1b50af31863e948d1df5ae69fbaa6893452fc00786ecb1c4a690d1c9f6ec"),
+    "crossings": (
+        "crossings --a a.txt --b b.txt --json cr.json --outdir o",
+        "63640cf2d450d76e74bbfee2afa3999a3e434b3640fce55ee917f28ebb87f162"),
+    "check": (
+        "check all --a a.txt --b b.txt --json ./o2//ch.json --manifest "
+        "o2/m.json",
+        "334360c9a8e843757294d89b646a0b8f10807bba3bc316379b4e86a02fec1187"),
+    "sidon-search": (
+        "sidon search --size 3 --max 3 --json s.json",
+        "0d83dc6faf56cfb88391bfad1c6c3602414cce58fd687b257e67d7c77416eea6"),
+    "sidon-optimize": (
+        "sidon optimize --json o/opt.json",
+        "bf13aefc9cdf796e09b9d2a6481c0400539586a2601c147215718fb3b0677018"),
+    "reproduce-default": (
+        "reproduce-paper",
+        "5a667267f09ad9a397779905002fe03942aeed4933700b2bc82ad3f34a3f32a2"),
+    "reproduce-json": (
+        "reproduce-paper --json ./d//t.json --outdir o",
+        "f84bc7fd950e155a6fb3a92150839660836f689f9a98a80a39a5e9de302468db"),
+}
+
+
+def _write_inputs(root):
+    save_set(root / "a.txt", IntegerSet.of([0, 1, 3, 7]))
+    save_set(root / "b.txt", IntegerSet.of([0, 2, 9]))
+    save_set(root / "seed.txt", IntegerSet.of([0, 1, 3]))
+
+
+class TestGoldenRuns:
+    """Every subcommand run from inside a fresh directory with relative
+    paths, so that manifests hold no absolute path.  One digest covers the
+    exit code, stdout, stderr and every file under the directory: set
+    files, sidecars, CSV and manifests.  Pinned before the CLI's output
+    code was shared between subcommands."""
+
+    @staticmethod
+    def digest(rc, out, err, root) -> str:
+        files = {p.relative_to(root).as_posix():
+                 hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in sorted(root.rglob("*")) if p.is_file()}
+        record = {"exit": rc, "stdout": out, "stderr": err, "files": files}
+        return hashlib.sha256(
+            json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+    @pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+    def test_run_digest(self, tmp_path, capsys, monkeypatch, name):
+        argv, expected = GOLDEN_RUNS[name]
+        monkeypatch.chdir(tmp_path)
+        _write_inputs(tmp_path)
+        rc = main(argv.split())
+        out, err = capsys.readouterr()
+        assert self.digest(rc, out, err, tmp_path) == expected
