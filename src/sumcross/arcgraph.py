@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .sets import _INT64_SPAN, IntegerSet, _offsets, _PairSums, _sorted_pair_sums
+from .sets import IntegerSet, _pair_offsets, _PairSums, _sorted_pair_sums
 
 __all__ = [
     "ArcGraph",
@@ -44,10 +43,8 @@ _BASE_BLOCK = 32
 
 @dataclass(frozen=True, eq=False)
 class ArcGraph:
-    """Vertex positions (strictly increasing Python ints) plus one int64
-    column per edge attribute: the endpoints ``u < v`` as vertex indices
-    and, for sum graphs, the ``gap`` and ``translate`` index that produced
-    each edge (both None for hand-built graphs).
+    """Vertex positions (strictly increasing Python ints) plus the edge
+    endpoints ``u < v`` as vertex indices, one int64 column each.
 
     Columns may be passed as any integer sequence; they are stored as
     read-only int64 arrays.  An int64 array is stored without a copy and
@@ -57,28 +54,19 @@ class ArcGraph:
     positions: tuple[int, ...]
     u: np.ndarray
     v: np.ndarray
-    gap: Optional[np.ndarray] = None
-    translate: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if (self.gap is None) != (self.translate is None):
-            raise ValueError("gap and translate labels go together")
-        m = None
-        for name in ("u", "v", "gap", "translate"):
-            column = getattr(self, name)
-            if column is None:
-                continue
-            column = np.asarray(column, dtype=np.int64)
-            if column.ndim != 1 or (m is not None and len(column) != m):
+        for name in ("u", "v"):
+            column = np.asarray(getattr(self, name), dtype=np.int64)
+            if column.ndim != 1 or len(column) != len(self.u):
                 raise ValueError(f"column {name} must be 1-D with one entry per edge")
-            m = len(column)
             column.setflags(write=False)
             object.__setattr__(self, name, column)
         p = self.positions
         if not all(map(operator.lt, p, p[1:])):
             raise ValueError("positions must be strictly increasing")
-        if m and not (np.all(self.u >= 0) and np.all(self.u < self.v)
-                      and np.all(self.v < len(p))):
+        if len(self.u) and not (np.all(self.u >= 0) and np.all(self.u < self.v)
+                                and np.all(self.v < len(p))):
             raise ValueError("edges must satisfy 0 <= u < v < number of vertices")
 
     @property
@@ -94,7 +82,7 @@ class ArcGraph:
 class CrossingStats:
     crossings: int
     intersections: int
-    max_translate_pair_crossings: Optional[int]
+    max_translate_pair_crossings: int
     degree_sequence: tuple[int, ...]
 
     def as_dict(self) -> dict:
@@ -111,9 +99,9 @@ def build_sum_graph(A: IntegerSet, B: IntegerSet, *,
                     pair_sums: _PairSums | None = None) -> ArcGraph:
     """The sum graph of (A, B): one vertex per value of A+B and, for every
     b in B, a path through a_1+b, ..., a_k+b.  Edge ``j*(|A|-1) + i`` joins
-    a_i+b_j to a_{i+1}+b_j and carries gap i and translate j.  When A does
-    not have distinct consecutive differences the same vertex pair can
-    occur twice; such parallel edges are retained.
+    a_i+b_j to a_{i+1}+b_j.  When A does not have distinct consecutive
+    differences the same vertex pair can occur twice; such parallel edges
+    are retained.
 
     The vertices and endpoints come from one stable sort of the pair sums
     (``sets._sorted_pair_sums``), the same one behind
@@ -122,15 +110,11 @@ def build_sum_graph(A: IntegerSet, B: IntegerSet, *,
     """
     if len(A) < 2:
         raise ValueError("A must have at least two elements")
-    k, l = len(A), len(B)
     if pair_sums is None:
         pair_sums = _sorted_pair_sums(A, B)
     index = pair_sums.rank.T
     positions = tuple(map(pair_sums.base.__add__, pair_sums.values.tolist()))
-    return ArcGraph(positions,
-                    u=index[:, :-1].ravel(), v=index[:, 1:].ravel(),
-                    gap=np.tile(np.arange(k - 1, dtype=np.int64), l),
-                    translate=np.repeat(np.arange(l, dtype=np.int64), k - 1))
+    return ArcGraph(positions, u=index[:, :-1].ravel(), v=index[:, 1:].ravel())
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -236,35 +220,6 @@ def count_intersections(graph: ArcGraph) -> int:
     return crossings + nestings
 
 
-def _translate_paths(graph: ArcGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(A - min A, B - min B) read back from a labeled graph's columns.
-    Raises ValueError unless every translate is a path with the same gap
-    labels 0..k-2 as translate 0, shifted along the line."""
-    if graph.translate is None:
-        raise ValueError("edges must carry (gap, translate) labels")
-    m = graph.num_edges
-    order = np.lexsort((graph.gap, graph.translate))
-    translate = graph.translate[order]
-    l = 1 + int(np.count_nonzero(np.diff(translate)))
-    k = m // l + 1
-    shaped = (l, k - 1)
-    if m % l or np.any(translate.reshape(shaped) != translate[::k - 1, None]):
-        raise ValueError("translates differ in their number of edges")
-    u = graph.u[order].reshape(shaped)
-    v = graph.v[order].reshape(shaped)
-    if (np.any(graph.gap[order].reshape(shaped) != np.arange(k - 1))
-            or np.any(u[:, 1:] != v[:, :-1])):
-        raise ValueError("translates are not paths with gaps 0..k-2")
-    p = graph.positions
-    dtype = np.int64 if p[-1] - p[0] < _INT64_SPAN else object
-    values = _offsets(p, dtype)[np.hstack((u, v[:, -1:]))]
-    shape = values - values[:, :1]
-    if np.any(shape != shape[0]):
-        raise ValueError("translates are not shifted copies of translate 0")
-    b = np.sort(values[:, 0])
-    return shape[0], b - b[0]
-
-
 def _candidate_differences(b: np.ndarray, below: int) -> np.ndarray:
     """Distinct values b[j] - b[i] with 0 < b[j] - b[i] < below, b sorted."""
     l = len(b)
@@ -301,18 +256,18 @@ def _crossings_by_difference(a: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     return found
 
 
-def max_translate_pair_crossings(graph: ArcGraph) -> int:
-    """Largest crossing count between the edge sets of two translates,
-    maximized over unordered translate pairs.  Requires labeled edges.
+def max_translate_pair_crossings(A: IntegerSet, B: IntegerSet) -> int:
+    """Largest crossing count between the paths through two translates
+    A + b and A + b' of the sum graph of (A, B), over b < b' in B.
 
-    Two translates A + b and A + b' (b < b') cross as A and A + delta with
-    delta = b' - b, and never once delta >= span(A), so this is the largest
-    f(delta) over the distinct such delta in B - B; each f takes one
-    ``searchsorted`` of |A| points.
+    Those cross as A and A + delta with delta = b' - b, and never once
+    delta >= span(A), so this is the largest f(delta) over the distinct
+    such delta in B - B; each f takes one ``searchsorted`` of |A| points.
+    Offsets are int64 below summed spans of 2**63, Python ints above.
     """
-    if graph.num_edges == 0:
+    if len(A) < 2 or len(B) < 2:
         return 0
-    a, b = _translate_paths(graph)
+    a, b = _pair_offsets(A, B)
     deltas = _candidate_differences(b, a[-1])
     if not len(deltas):
         return 0
@@ -332,13 +287,14 @@ def has_parallel_edges(graph: ArcGraph) -> bool:
     return len(_distinct(keys)) < len(keys)
 
 
-def crossing_stats(graph: ArcGraph) -> CrossingStats:
-    """All counting statistics for one graph in one bundle."""
+def crossing_stats(A: IntegerSet, B: IntegerSet) -> CrossingStats:
+    """All counting statistics of the sum graph of (A, B) in one bundle,
+    from one crossings-and-nestings pass."""
+    graph = build_sum_graph(A, B)
+    crossings, nestings = _crossings_and_nestings(graph)
     return CrossingStats(
-        crossings=count_crossings_fast(graph),
-        intersections=count_intersections(graph),
-        max_translate_pair_crossings=(
-            max_translate_pair_crossings(graph)
-            if graph.translate is not None else None),
+        crossings=crossings,
+        intersections=crossings + nestings,
+        max_translate_pair_crossings=max_translate_pair_crossings(A, B),
         degree_sequence=degree_sequence(graph),
     )

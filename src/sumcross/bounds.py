@@ -123,16 +123,13 @@ def check_sumset_lower(A: IntegerSet, B: IntegerSet, *,
 
 
 def check_crossing_upper(A: IntegerSet, B: IntegerSet, *,
-                         crossings: int | None = None,
-                         graph: ArcGraph | None = None) -> BoundReport:
+                         crossings: int | None = None) -> BoundReport:
     """Crossings of the sum graph are at most C(|B|,2)(2|A|-1), hence at
     most |B|^2 |A|.  Both forms are required for a pass; the weaker one is
     the recorded lhs, the sharp one sits in the context."""
     k, l = len(A), len(B)
     if crossings is None:
-        if graph is None:
-            graph = build_sum_graph(A, B)
-        crossings = count_crossings_fast(graph)
+        crossings = count_crossings_fast(build_sum_graph(A, B))
     pre = is_dcd(A)
     sharp = (l * (l - 1) // 2) * (2 * k - 1)
     weak = l * l * k
@@ -147,7 +144,6 @@ def check_crossing_upper(A: IntegerSet, B: IntegerSet, *,
 
 def check_crossing_lower(A: IntegerSet, B: IntegerSet, *,
                          crossings: int | None = None,
-                         graph: ArcGraph | None = None,
                          sumset_size: int | None = None) -> BoundReport:
     """One-page drawing lower bound cr >= e^3 / (27 n^2) with e = |B|(|A|-1)
     edges and n = |A+B| vertices.  Report-only: the cited bound speaks about
@@ -157,9 +153,7 @@ def check_crossing_lower(A: IntegerSet, B: IntegerSet, *,
         raise ValueError("A must have at least two elements")
     k, l = len(A), len(B)
     if crossings is None:
-        if graph is None:
-            graph = build_sum_graph(A, B)
-        crossings = count_crossings_fast(graph)
+        crossings = count_crossings_fast(build_sum_graph(A, B))
     s = _sumset_size(A, B, sumset_size)
     e = l * (k - 1)
     satisfied = 27 * s * s * crossings >= e**3

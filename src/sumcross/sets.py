@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
+from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -161,6 +162,13 @@ def _offsets(values: Sequence[int], dtype) -> np.ndarray:
     return np.array([x - base for x in values], dtype=dtype)
 
 
+def _pair_offsets(A: IntegerSet, B: IntegerSet) -> tuple[np.ndarray, np.ndarray]:
+    """(A - min A, B - min B) in int64 when span(A) + span(B) < 2**63, so
+    that every pair sum fits, else as Python ints in object arrays."""
+    dtype = np.int64 if (A.max - A.min) + (B.max - B.min) < _INT64_SPAN else object
+    return _offsets(A.elements, dtype), _offsets(B.elements, dtype)
+
+
 class _PairSums(NamedTuple):
     """The pair sums a_i + b_j of (A, B), sorted once.  Sums are kept as
     offsets from ``base``: in int64 when span(A) + span(B) < 2**63, as
@@ -178,9 +186,8 @@ def _sorted_pair_sums(A: IntegerSet, B: IntegerSet) -> _PairSums:
     the first pair of each run of equal sums is the sum's first
     appearance.  :func:`representation_profile` and
     ``arcgraph.build_sum_graph`` both build on it."""
-    dtype = np.int64 if (A.max - A.min) + (B.max - B.min) < _INT64_SPAN else object
-    sums = (_offsets(A.elements, dtype)[:, None]
-            + _offsets(B.elements, dtype)[None, :]).ravel()
+    a, b = _pair_offsets(A, B)
+    sums = (a[:, None] + b[None, :]).ravel()
     order = np.argsort(sums, kind="stable")
     sums = sums[order]
     new = np.empty(len(sums), dtype=bool)
@@ -494,6 +501,8 @@ def load_set(path) -> IntegerSet:
 
 
 def save_set(path, A: IntegerSet) -> None:
+    """One value per line, creating the parent directory if missing."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for value in A.elements:
             fh.write(f"{value}\n")

@@ -124,12 +124,12 @@ def strict_inversions_by_definition(x) -> int:
 
 
 def sum_graph_by_definition(A: IntegerSet, B: IntegerSet):
-    """(positions, [(u, v, gap, translate), ...]) of the sum graph, built
-    with Python ints and a dict, edges in translate-then-gap order."""
+    """(positions, [(u, v), ...]) of the sum graph, built with Python ints
+    and a dict, edges in translate-then-gap order."""
     positions = tuple(sorted({a + b for a in A for b in B}))
     index = {x: i for i, x in enumerate(positions)}
-    edges = [(index[A[i] + b], index[A[i + 1] + b], i, j)
-             for j, b in enumerate(B) for i in range(len(A) - 1)]
+    edges = [(index[A[i] + b], index[A[i + 1] + b])
+             for b in B for i in range(len(A) - 1)]
     return positions, edges
 
 

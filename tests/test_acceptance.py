@@ -165,7 +165,7 @@ def test_criterion_6_crossing_upper_suite():
         k, l = len(A), len(B)
         assert crossings <= (l * (l - 1) // 2) * (2 * k - 1)
         assert crossings <= l * l * k
-        assert max_translate_pair_crossings(g) <= 2 * k - 1
+        assert max_translate_pair_crossings(A, B) <= 2 * k - 1
     _stamp(6, 60.0, started, "crossing upper bounds on 100 dcd instances")
 
 

@@ -71,11 +71,6 @@ class TestBuildSumGraph:
         assert g.num_edges == 4
         assert set(edge_pairs(g)) == {(0, 1), (1, 3), (1, 2), (2, 4)}
 
-    def test_labels_carry_gap_and_translate(self):
-        g = build_sum_graph(iset(0, 1, 3), iset(0, 1))
-        labels = zip(g.gap.tolist(), g.translate.tolist())
-        assert sorted(labels) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
     def test_edge_count_with_multiplicity(self):
         rng = random.Random(1)
         for _ in range(20):
@@ -211,25 +206,23 @@ class TestIntersections:
 
 class TestTranslatePairs:
     def test_single_translate(self):
-        g = build_sum_graph(iset(0, 1, 3), iset(5))
-        assert max_translate_pair_crossings(g) == 0
+        assert max_translate_pair_crossings(iset(0, 1, 3), iset(5)) == 0
+
+    def test_single_point_a(self):
+        # |A| = 1: no arcs, so no crossings, whatever B is
+        assert max_translate_pair_crossings(iset(7), iset(0, 1, 4)) == 0
+        assert max_translate_pair_crossings(iset(-(2**70)),
+                                            iset(0, 2**70)) == 0
 
     def test_two_translate_example(self):
-        g = build_sum_graph(iset(0, 1, 3), iset(0, 1))
-        assert max_translate_pair_crossings(g) == 1
-
-    def test_requires_labels(self):
-        g = graph_of(range(4), [(0, 2), (1, 3)])
-        with pytest.raises(ValueError):
-            max_translate_pair_crossings(g)
+        assert max_translate_pair_crossings(iset(0, 1, 3), iset(0, 1)) == 1
 
     def test_bounded_by_translate_structure(self):
         rng = random.Random(46)
         for _ in range(30):
             A = random_dcd_set(rng, rng.randint(2, 12))
             B = random_integer_set(rng, rng.randint(2, 10), 0, 300)
-            g = build_sum_graph(A, B)
-            assert max_translate_pair_crossings(g) <= 2 * len(A) - 1
+            assert max_translate_pair_crossings(A, B) <= 2 * len(A) - 1
 
 
 class TestDegrees:
@@ -255,8 +248,7 @@ class TestDegrees:
 
 
 def test_crossing_stats_bundle():
-    g = build_sum_graph(iset(0, 1, 3), iset(0, 1))
-    stats = crossing_stats(g)
+    stats = crossing_stats(iset(0, 1, 3), iset(0, 1))
     assert stats.crossings == 1
     assert stats.intersections == 1
     assert stats.max_translate_pair_crossings == 1
@@ -266,9 +258,22 @@ def test_crossing_stats_bundle():
                        "maxTranslatePairCrossings", "degreeSequence"]
 
 
-def test_crossing_stats_without_labels():
-    g = graph_of(range(4), [(0, 2), (1, 3)])
-    assert crossing_stats(g).max_translate_pair_crossings is None
+def test_crossing_stats_matches_the_separate_counters():
+    rng = random.Random(49)
+    cases = [(random_integer_set(rng, rng.randint(2, 12), -90, 90),
+              random_integer_set(rng, rng.randint(1, 10), -90, 90))
+             for _ in range(20)]
+    cases.append((IntegerSet((0, 2**70, 2**71 + 3)),
+                  IntegerSet((-(2**80), 5, 2**70))))
+    cases.append(coprime_construction(1)[:2])
+    for A, B in cases:
+        g = build_sum_graph(A, B)
+        stats = crossing_stats(A, B)
+        assert stats.crossings == count_crossings_fast(g)
+        assert stats.intersections == count_intersections(g)
+        assert (stats.max_translate_pair_crossings
+                == max_translate_pair_crossings(A, B))
+        assert stats.degree_sequence == degree_sequence(g)
 
 
 def test_sum_graph_positions_follow_any_dcd_input():
@@ -284,18 +289,15 @@ def test_sum_graph_positions_follow_any_dcd_input():
 class TestColumns:
     def test_columns_are_read_only_int64(self):
         g = build_sum_graph(iset(0, 1, 3), iset(0, 1))
-        for column in (g.u, g.v, g.gap, g.translate):
+        for column in (g.u, g.v):
             assert column.dtype == np.int64
             assert not column.flags.writeable
-        assert graph_of(range(3), [(0, 1)]).gap is None
 
     def test_rejects_mismatched_columns(self):
-        with pytest.raises(ValueError):
-            ArcGraph((0, 1, 2), u=[0, 1], v=[1])
-        with pytest.raises(ValueError):
-            ArcGraph((0, 1, 2), u=[0], v=[1], gap=[0])
-        with pytest.raises(ValueError):
-            ArcGraph((0, 1, 2), u=[0], v=[1], gap=[0, 1], translate=[0, 0])
+        # broadcasting the shorter column would make the last two valid
+        for u, v in (([0, 1], [1]), ([0, 0], [1]), ([0], [1, 2])):
+            with pytest.raises(ValueError, match="one entry per edge"):
+                ArcGraph((0, 1, 2), u=u, v=v)
 
 
 def _check_against_oracles(g):
@@ -315,13 +317,11 @@ def _check_sum_graph(A, B):
     positions, edges = sum_graph_by_definition(A, B)
     assert g.positions == positions
     assert all(type(x) is int for x in g.positions)
-    columns = zip(g.u.tolist(), g.v.tolist(), g.gap.tolist(),
-                  g.translate.tolist())
-    assert list(columns) == edges
+    assert edge_pairs(g) == edges
     _check_against_oracles(g)
     expected = max((translate_pair_crossings_by_definition(A, b, c)
                     for i, b in enumerate(B) for c in B[i + 1:]), default=0)
-    assert max_translate_pair_crossings(g) == expected
+    assert max_translate_pair_crossings(A, B) == expected
     return g
 
 
@@ -333,8 +333,6 @@ class TestEdgeCases:
             assert count_intersections(g) == 0
             assert not has_parallel_edges(g)
         assert degree_sequence(graph_of(range(3), [])) == (0, 0, 0)
-        labeled = ArcGraph((0, 1), u=[], v=[], gap=[], translate=[])
-        assert max_translate_pair_crossings(labeled) == 0
 
     def test_parallel_edges_against_oracles(self):
         # few vertices and many edges: heavy parallel multiplicities
@@ -348,10 +346,10 @@ class TestEdgeCases:
         for _ in range(20):
             _check_sum_graph(random_integer_set(rng, 2, -50, 50),
                              random_integer_set(rng, rng.randint(1, 12), -50, 50))
-            g = _check_sum_graph(random_integer_set(rng, rng.randint(2, 12), -50, 50),
-                                 random_integer_set(rng, 1, -50, 50))
-            assert count_crossings_fast(g) == 0
-            assert max_translate_pair_crossings(g) == 0
+            A = random_integer_set(rng, rng.randint(2, 12), -50, 50)
+            B = random_integer_set(rng, 1, -50, 50)
+            assert count_crossings_fast(_check_sum_graph(A, B)) == 0
+            assert max_translate_pair_crossings(A, B) == 0
 
     def test_values_near_the_int64_limits(self):
         # spans near 2**63 but summed below it: the int64 build
@@ -386,7 +384,7 @@ class TestEdgeCases:
 
 class TestTranslatePairsByDifference:
     def test_pair_counts_sum_to_the_crossing_count(self):
-        # f(b' - b) of every translate pair, read off two-translate graphs,
+        # f(b' - b) of every translate pair, read off two-translate sets B,
         # adds up to the crossings of the whole sum graph
         rng = random.Random(55)
         instances = [(random_integer_set(rng, rng.randint(2, 12), -90, 90),
@@ -394,8 +392,7 @@ class TestTranslatePairsByDifference:
                      for _ in range(15)]
         instances.append(coprime_construction(1)[:2])
         for A, B in instances:
-            pairs = sum(max_translate_pair_crossings(
-                            build_sum_graph(A, IntegerSet((b, c))))
+            pairs = sum(max_translate_pair_crossings(A, IntegerSet((b, c)))
                         for i, b in enumerate(B) for c in B[i + 1:])
             assert pairs == count_crossings_fast(build_sum_graph(A, B))
 
@@ -407,40 +404,9 @@ class TestTranslatePairsByDifference:
         found = []
         for A, B in cases:
             assert is_dcd(A)
-            found.append(max_translate_pair_crossings(build_sum_graph(A, B)))
+            found.append(max_translate_pair_crossings(A, B))
             assert found[-1] <= 2 * len(A) - 1
         assert found[0] == 104 and found[3] == 81
-
-    def test_rejects_translates_that_are_not_shifted_copies(self):
-        # translate 1 runs 2-4-5, which is not translate 0's 0-1-3 shifted
-        g = ArcGraph(tuple(range(6)), u=[0, 1, 2, 4], v=[1, 3, 4, 5],
-                     gap=[0, 1, 0, 1], translate=[0, 0, 1, 1])
-        with pytest.raises(ValueError):
-            max_translate_pair_crossings(g)
-
-    def test_rejects_labels_of_other_shapes(self):
-        shapes = [
-            # translates of different lengths
-            dict(u=[0, 1, 2], v=[1, 3, 4], gap=[0, 1, 0], translate=[0, 0, 1]),
-            # a gap label missing from translate 1
-            dict(u=[0, 1, 2, 3], v=[1, 3, 3, 5], gap=[0, 1, 0, 2],
-                 translate=[0, 0, 1, 1]),
-            # translate 1 starts 2-3-5 like translate 0's 0-1-3, but its
-            # first edge ends at 4: not a path
-            dict(u=[0, 1, 2, 3], v=[1, 3, 4, 5], gap=[0, 1, 0, 1],
-                 translate=[0, 0, 1, 1]),
-        ]
-        for columns in shapes:
-            with pytest.raises(ValueError):
-                max_translate_pair_crossings(ArcGraph(tuple(range(6)), **columns))
-
-    def test_label_order_does_not_matter(self):
-        g = build_sum_graph(iset(0, 1, 3, 7), iset(0, 2, 5))
-        order = np.random.default_rng(56).permutation(g.num_edges)
-        shuffled = ArcGraph(g.positions, u=g.u[order], v=g.v[order],
-                            gap=g.gap[order], translate=5 * g.translate[order])
-        assert (max_translate_pair_crossings(shuffled)
-                == max_translate_pair_crossings(g))
 
 
 def test_peak_memory():
@@ -464,13 +430,14 @@ def test_peak_memory():
             built = peak(build_sum_graph, A, B)
             g = build_sum_graph(A, B)
             m, n = g.num_edges, g.num_vertices
-            assert built <= 64 * m + 64 * n
+            assert built <= 48 * m + 64 * n
+            assert g.u.nbytes + g.v.nbytes == 16 * m
             assert peak(count_crossings_fast, g) <= 96 * m + 16 * n
             assert peak(count_intersections, g) <= 96 * m + 16 * n
             assert peak(has_parallel_edges, g) <= 32 * m
             assert peak(degree_sequence, g) <= 64 * n
-            assert (peak(max_translate_pair_crossings, g)
-                    <= 64 * m + 64 * n + 72 * candidates
+            assert (peak(max_translate_pair_crossings, A, B)
+                    <= 64 * (len(A) + len(B)) + 72 * candidates
                     + 48 * _DELTA_BATCH_ELEMENTS)
         finally:
             tracemalloc.stop()

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from sumcross import (REFERENCE_SEED, IntegerSet, coprime_construction,
-                      load_set, save_set, sidon_seed_construction)
+                      difference_set, load_set, save_set,
+                      sidon_seed_construction)
 from sumcross.cli import main
 
 
@@ -99,6 +101,24 @@ class TestAnalyze:
         assert data["sumsetSize"] == 6 and data["differenceSize"] == 7
         assert data["energy2"] == 15
         assert csv.read_text() == "multiplicity,count\n1,3\n2,3\n"
+
+    def test_difference_size_matches_difference_set(self, tmp_path, capsys):
+        rng = random.Random(60)
+        cases = [(REFERENCE_SEED, REFERENCE_SEED),
+                 (IntegerSet((5,)), IntegerSet((-3,)))]
+        for _ in range(8):
+            A = IntegerSet.of(rng.sample(range(-300, 300), rng.randint(1, 25)))
+            B = IntegerSet.of(rng.sample(range(-300, 300), rng.randint(1, 25)))
+            cases += [(A, B), (A, A)]
+        cases.append((IntegerSet((-(2**62), 0, 2**62)),
+                      IntegerSet((-(2**62), 7))))
+        for A, B in cases:
+            save_set(tmp_path / "a.txt", A)
+            save_set(tmp_path / "b.txt", B)
+            assert run("analyze", "--a", tmp_path / "a.txt", "--b",
+                       tmp_path / "b.txt", "--outdir", tmp_path) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["differenceSize"] == len(difference_set(A, B))
 
     def test_byte_stable_across_runs(self, tmp_path):
         a = write_set(tmp_path / "a.txt", [0, 1, 3, 7])
@@ -261,10 +281,11 @@ GOLDEN_RUNS = {
     "coprime-default": (
         "construct coprime --t 1",
         "c60eaf8b745fb84c5c47919b1cb8cbc2c77d94f52d1e18d43bb80d4044071a4d"),
+    # save_set creates the missing d/, so this run writes x.txt and exits 0
     "coprime-missing-out-dir": (
         "construct coprime --t 1 --out-a ./d/x.txt --json ./d//c.json "
         "--manifest d/m.json",
-        "78a9e8df92f9228e2966bb65a127d2b609210551e1b505944453d5df65bd3b8b"),
+        "66be7c2b3bd121eafdc55ef205577aa0008a1423751694dc9be317d57f549511"),
     "coprime-paths": (
         "construct coprime --t 1 --out-a ./d/x.txt --json ./d//c.json "
         "--manifest d/m.json --outdir d",

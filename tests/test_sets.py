@@ -558,6 +558,11 @@ class TestSetFiles:
         save_set(path, original)
         assert load_set(path) == original
 
+    def test_save_creates_missing_directories(self, tmp_path):
+        path = tmp_path / "new" / "deeper" / "s.txt"
+        save_set(path, iset(1, 2))
+        assert load_set(path) == iset(1, 2)
+
     def test_blank_lines_and_unsorted_input(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("7\n\n-2\n\n0\n")
