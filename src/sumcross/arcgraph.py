@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import IntegerSet, _pair_offsets, _PairSums, _sorted_pair_sums
+from .sets import IntegerSet, _gather, _pair_offsets, _PairSums, _sorted_pair_sums
 
 __all__ = [
     "ArcGraph",
@@ -32,9 +32,8 @@ __all__ = [
     "crossing_stats",
 ]
 
-# Points of A + delta evaluated per numpy call in max_translate_pair_crossings:
-# at 48 bytes per point, that counter's working memory beyond its inputs.
-_DELTA_BATCH_ELEMENTS = 1 << 18
+# Arc pairs per numpy call in max_translate_pair_crossings, 32 bytes each.
+_ARC_PAIR_BLOCK = 1 << 18
 
 # _strict_inversions compares every pair directly inside blocks of this
 # many (a power of two) and merges from there up.
@@ -221,39 +220,38 @@ def count_intersections(graph: ArcGraph) -> int:
 
 
 def _candidate_differences(b: np.ndarray, below: int) -> np.ndarray:
-    """Distinct values b[j] - b[i] with 0 < b[j] - b[i] < below, b sorted."""
-    l = len(b)
+    """Distinct b[j] - b[i] < below over j > i, b strictly increasing."""
     stop = np.searchsorted(b, b + below, side="left")
-    counts = stop - np.arange(l) - 1
-    first = np.repeat(np.arange(l), counts)
-    offset = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-    deltas = _distinct(b[first + 1 + offset] - b[first])
-    return deltas[deltas > 0]
+    return _distinct(_gather(-b, b, np.arange(1, len(b) + 1), stop))
 
 
 def _crossings_by_difference(a: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """f(delta) for each delta > 0: crossings between the path through the
-    sorted points a and the path through a + delta.
+    """f(delta) for each of the sorted deltas > 0: crossings between the
+    path through the sorted points a and the path through a + delta.
 
-    With h the index of the last point of a at or below x = a + delta, arc
-    (x_r, x_r+1) crosses the arc of a holding x_r strictly inside when that
-    arc ends strictly before x_r+1, and the arc of a holding x_r+1 strictly
-    inside when that arc starts after x_r; no other arc of a can cross it.
+    For consecutive points p < q and r < s of a, arcs (p, q) and
+    (r + delta, s + delta) cross exactly when p - s < delta < q - r and
+    delta lies outside [min(p - r, q - s), max(p - r, q - s)].  So f steps
+    up past p - s and past the max, and down from the min and from q - r
+    on: a running sum over the sorted deltas of steps placed by
+    ``searchsorted``, the arc pairs taken in blocks of ``_ARC_PAIR_BLOCK``.
     """
-    k = len(a)
-    found = np.empty(len(deltas), dtype=np.int64)
-    step = max(1, _DELTA_BATCH_ELEMENTS // k)
-    for lo in range(0, len(deltas), step):
-        x = a[None, :] + deltas[lo:lo + step, None]
-        h = np.searchsorted(a, x, side="right") - 1
-        on = a[h] == x
-        h0, h1, on0, on1 = h[:, :-1], h[:, 1:], on[:, :-1], on[:, 1:]
-        spread = h1 > h0
-        ends_inside = spread & ~on0 & ~((h1 == h0 + 1) & on1)
-        starts_inside = spread & ~on1 & (h1 <= k - 2)
-        found[lo:lo + step] = (np.count_nonzero(ends_inside, axis=1)
-                               + np.count_nonzero(starts_inside, axis=1))
-    return found
+    p, q = a[:-1], a[1:]
+    steps = np.zeros(len(deltas) + 1, dtype=np.int64)
+
+    def placed(bounds, side):
+        return np.bincount(np.searchsorted(deltas, bounds.ravel(), side),
+                           minlength=len(steps))
+
+    rows = max(1, _ARC_PAIR_BLOCK // len(p))
+    for lo in range(0, len(p), rows):
+        pi, qi = p[lo:lo + rows, None], q[lo:lo + rows, None]
+        steps += placed(pi - q, "right")
+        steps -= placed(qi - p, "left")
+        near, far = pi - p, qi - q
+        steps -= placed(np.minimum(near, far), "left")
+        steps += placed(np.maximum(near, far, out=near), "right")
+    return np.cumsum(steps[:-1])
 
 
 def max_translate_pair_crossings(A: IntegerSet, B: IntegerSet) -> int:
@@ -262,8 +260,8 @@ def max_translate_pair_crossings(A: IntegerSet, B: IntegerSet) -> int:
 
     Those cross as A and A + delta with delta = b' - b, and never once
     delta >= span(A), so this is the largest f(delta) over the distinct
-    such delta in B - B; each f takes one ``searchsorted`` of |A| points.
-    Offsets are int64 below summed spans of 2**63, Python ints above.
+    such delta in B - B.  Offsets are int64 below summed spans of 2**63,
+    Python ints above.
     """
     if len(A) < 2 or len(B) < 2:
         return 0
@@ -275,10 +273,11 @@ def max_translate_pair_crossings(A: IntegerSet, B: IntegerSet) -> int:
 
 
 def degree_sequence(graph: ArcGraph) -> tuple[int, ...]:
-    """Vertex degrees sorted nonincreasing; parallel edges count twice."""
-    n = graph.num_vertices
-    degrees = (np.bincount(graph.u, minlength=n)
-               + np.bincount(graph.v, minlength=n))
+    """Vertex degrees sorted nonincreasing; parallel edges count twice.
+    Counted with ``np.add.at``: ``np.bincount`` copies read-only columns."""
+    degrees = np.zeros(graph.num_vertices, dtype=np.int64)
+    np.add.at(degrees, graph.u, 1)
+    np.add.at(degrees, graph.v, 1)
     return tuple(np.sort(degrees)[::-1].tolist())
 
 

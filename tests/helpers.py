@@ -9,6 +9,8 @@ import random
 from bisect import bisect_left
 from collections import Counter
 
+import numpy as np
+
 from sumcross import ArcGraph, IntegerSet
 
 
@@ -144,6 +146,34 @@ def translate_pair_crossings_by_definition(A: IntegerSet, b: int, c: int) -> int
             if p < r < q < s or r < p < s < q:
                 total += 1
     return total
+
+
+def crossings_by_difference_per_delta(a: np.ndarray,
+                                      deltas: np.ndarray) -> np.ndarray:
+    """f(delta) for each delta > 0, one delta at a time: crossings between
+    the path through the sorted points a and the path through a + delta.
+
+    With h the index of the last point of a at or below x = a + delta, arc
+    (x_r, x_r+1) crosses the arc of a holding x_r strictly inside when that
+    arc ends strictly before x_r+1, and the arc of a holding x_r+1 strictly
+    inside when that arc starts after x_r; no other arc of a can cross it.
+    Each delta takes one ``searchsorted`` of |A| points, 2**18 points per
+    numpy call.
+    """
+    k = len(a)
+    found = np.empty(len(deltas), dtype=np.int64)
+    step = max(1, (1 << 18) // k)
+    for lo in range(0, len(deltas), step):
+        x = a[None, :] + deltas[lo:lo + step, None]
+        h = np.searchsorted(a, x, side="right") - 1
+        on = a[h] == x
+        h0, h1, on0, on1 = h[:, :-1], h[:, 1:], on[:, :-1], on[:, 1:]
+        spread = h1 > h0
+        ends_inside = spread & ~on0 & ~((h1 == h0 + 1) & on1)
+        starts_inside = spread & ~on1 & (h1 <= k - 2)
+        found[lo:lo + step] = (np.count_nonzero(ends_inside, axis=1)
+                               + np.count_nonzero(starts_inside, axis=1))
+    return found
 
 
 def sumset_size_by_definition(A: IntegerSet, B: IntegerSet) -> int:

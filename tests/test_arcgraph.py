@@ -22,6 +22,7 @@ from sumcross import (
 from helpers import (
     count_crossings_oracle,
     crossings_by_definition,
+    crossings_by_difference_per_delta,
     edge_pairs,
     intersections_by_definition,
     random_arcgraph,
@@ -31,7 +32,12 @@ from helpers import (
     sum_graph_by_definition,
     translate_pair_crossings_by_definition,
 )
-from sumcross.arcgraph import _strict_inversions
+from sumcross.arcgraph import (
+    _candidate_differences,
+    _crossings_by_difference,
+    _strict_inversions,
+)
+from sumcross.sets import _pair_offsets
 
 
 def iset(*values):
@@ -382,6 +388,19 @@ class TestEdgeCases:
                              random_integer_set(rng, rng.randint(1, 8), -80, 80))
 
 
+def _f_against_the_per_delta_count(A, B):
+    """f over the candidate deltas of (A, B), from the step count and from
+    the per-delta oracle, which must agree value for value; the candidates
+    themselves against a Python set."""
+    a, b = _pair_offsets(A, B)
+    deltas = _candidate_differences(b, a[-1])
+    assert deltas.tolist() == sorted({c - x for i, x in enumerate(B) for c in B[i + 1:]
+                                      if c - x < A.max - A.min})
+    found = _crossings_by_difference(a, deltas)
+    assert found.tolist() == crossings_by_difference_per_delta(a, deltas).tolist()
+    return a, found
+
+
 class TestTranslatePairsByDifference:
     def test_pair_counts_sum_to_the_crossing_count(self):
         # f(b' - b) of every translate pair, read off two-translate sets B,
@@ -398,22 +417,66 @@ class TestTranslatePairsByDifference:
 
     def test_lemma_on_the_constructions(self):
         # two translates of a dcd set cross at most 2|A| - 1 times
+        cases = {("coprime", t): coprime_construction(t)[:2] for t in (1, 2, 3, 5)}
+        for k in (1, 2):
+            seeded = sidon_seed_construction(REFERENCE_SEED, k)
+            cases["seeded", k] = (seeded, seeded)
+        found = {}
+        for name, (A, B) in cases.items():
+            assert is_dcd(A)
+            found[name] = max_translate_pair_crossings(A, B)
+            assert found[name] <= 2 * len(A) - 1
+        assert found["coprime", 1] == 104 and found["seeded", 1] == 81
+        assert found["coprime", 5] == 1976 and found["seeded", 2] == 3693
+
+    def test_step_count_on_random_pairs(self):
+        rng = random.Random(56)
+        for _ in range(60):
+            _f_against_the_per_delta_count(
+                random_integer_set(rng, rng.randint(2, 30), -200, 200),
+                random_integer_set(rng, rng.randint(2, 20), -200, 200))
+
+    def test_step_count_on_the_constructions(self):
         cases = [coprime_construction(t)[:2] for t in (1, 2, 3)]
         seeded = sidon_seed_construction(REFERENCE_SEED, 1)
         cases.append((seeded, seeded))
-        found = []
         for A, B in cases:
-            assert is_dcd(A)
-            found.append(max_translate_pair_crossings(A, B))
-            assert found[-1] <= 2 * len(A) - 1
-        assert found[0] == 104 and found[3] == 81
+            _, found = _f_against_the_per_delta_count(A, B)
+            assert found.max() == max_translate_pair_crossings(A, B)
+
+    def test_step_count_on_python_ints(self):
+        rng = random.Random(57)
+        for _ in range(20):
+            A = IntegerSet.of([-(2**62) + rng.randrange(9), 2**62 - rng.randrange(9)]
+                              + rng.sample(range(-300, 300), rng.randint(1, 20)))
+            B = IntegerSet.of([-(2**62) - rng.randrange(9), 2**62 + rng.randrange(9)]
+                              + rng.sample(range(-300, 300), rng.randint(1, 15)))
+            a, _ = _f_against_the_per_delta_count(A, B)
+            assert a.dtype == object
+
+    def test_deltas_on_every_breakpoint_kind(self):
+        # For arcs (p, q) and (r, s) of A, f changes only where delta meets
+        # p - s, q - r, p - r or q - s.  A has even points, so the even
+        # deltas below span(A) land on every breakpoint of every kind and
+        # the odd ones fall strictly between them; the second A repeats a
+        # gap, so p - r == q - s for some arc pairs.
+        for A in (iset(0, 2, 6, 14, 24), iset(0, 4, 8, 14, 18)):
+            a = np.array(A.elements, dtype=np.int64)
+            deltas = np.arange(1, A.max - A.min, dtype=np.int64)
+            assert (_crossings_by_difference(a, deltas).tolist()
+                    == [translate_pair_crossings_by_definition(A, 0, d)
+                        for d in deltas.tolist()])
 
 
 def test_peak_memory():
     """Each counter stays within the peak memory the README states for it,
     measured with tracemalloc (numpy reports its buffers there); 64 KB
-    covers fixed-size allocations."""
-    from sumcross.arcgraph import _DELTA_BATCH_ELEMENTS
+    covers fixed-size allocations.  Coprime t=4 fills several blocks of
+    the translate-pair count.  The sum graph of pairs with summed spans of
+    2**63 or more, whose pair sums are Python ints, is held to the bound
+    for that path on random values within +-2**62 (nearly every sum
+    distinct) and on an arithmetic progression (few distinct sums)."""
+    from sumcross.arcgraph import _ARC_PAIR_BLOCK
 
     def peak(f, *args):
         tracemalloc.reset_peak()
@@ -421,7 +484,7 @@ def test_peak_memory():
         f(*args)
         return tracemalloc.get_traced_memory()[1] - base - (1 << 16)
 
-    for t in (1, 2):
+    for t in (1, 2, 4):
         A, B, _ = coprime_construction(t)
         candidates = sum(1 for i, b in enumerate(B) for c in B[i + 1:]
                          if c - b < A.max - A.min)
@@ -438,6 +501,21 @@ def test_peak_memory():
             assert peak(degree_sequence, g) <= 64 * n
             assert (peak(max_translate_pair_crossings, A, B)
                     <= 64 * (len(A) + len(B)) + 72 * candidates
-                    + 48 * _DELTA_BATCH_ELEMENTS)
+                    + 48 * _ARC_PAIR_BLOCK)
         finally:
             tracemalloc.stop()
+
+    rng = random.Random(58)
+    cases = [(IntegerSet.of(rng.randrange(-2**62, 2**62) for _ in range(300)),
+              IntegerSet.of(rng.randrange(-2**62, 2**62) for _ in range(200))),
+             (IntegerSet.of(k << 55 for k in range(-150, 150)),
+              IntegerSet.of(k << 55 for k in range(-100, 100)))]
+    for A, B in cases:
+        assert (A.max - A.min) + (B.max - B.min) >= 2**63
+        tracemalloc.start()
+        try:
+            built = peak(build_sum_graph, A, B)
+        finally:
+            tracemalloc.stop()
+        n = build_sum_graph(A, B).num_vertices
+        assert built <= 64 * len(A) * len(B) + 128 * n
