@@ -125,6 +125,15 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
+def _occurrences(values: np.ndarray, n: int) -> np.ndarray:
+    """How often each of 0..n-1 occurs in values.  Counted with
+    ``np.add.at``: ``np.bincount`` copies a read-only input such as the
+    graph's columns."""
+    counts = np.zeros(n, dtype=np.int64)
+    np.add.at(counts, values, 1)
+    return counts
+
+
 def _pairs_within(counts: np.ndarray) -> int:
     """Sum of C(c, 2) over the counts."""
     return int((counts * (counts - 1) // 2).sum())
@@ -194,12 +203,13 @@ def _crossings_and_nestings(graph: ArcGraph) -> tuple[int, int]:
     n = graph.num_vertices
     u, v = graph.u, graph.v
     starts_below = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(u, minlength=n), out=starts_below[1:])
+    np.cumsum(_occurrences(u, n), out=starts_below[1:])
     overlapping = int((starts_below[v] - starts_below[u + 1]).sum())
     keys = np.sort(u * n + v)
     run_ends = np.flatnonzero(np.diff(keys)) + 1
     parallel_runs = np.diff(np.concatenate(([0], run_ends, [m])))
-    shared_right = _pairs_within(np.bincount(v)) - _pairs_within(parallel_runs)
+    shared_right = (_pairs_within(_occurrences(v, n))
+                    - _pairs_within(parallel_runs))
     nestings = _strict_inversions(keys % n)
     return overlapping - nestings - shared_right, nestings
 
@@ -273,11 +283,9 @@ def max_translate_pair_crossings(A: IntegerSet, B: IntegerSet) -> int:
 
 
 def degree_sequence(graph: ArcGraph) -> tuple[int, ...]:
-    """Vertex degrees sorted nonincreasing; parallel edges count twice.
-    Counted with ``np.add.at``: ``np.bincount`` copies read-only columns."""
-    degrees = np.zeros(graph.num_vertices, dtype=np.int64)
-    np.add.at(degrees, graph.u, 1)
-    np.add.at(degrees, graph.v, 1)
+    """Vertex degrees sorted nonincreasing; parallel edges count twice."""
+    n = graph.num_vertices
+    degrees = _occurrences(graph.u, n) + _occurrences(graph.v, n)
     return tuple(np.sort(degrees)[::-1].tolist())
 
 

@@ -324,6 +324,9 @@ _CHUNK_ELEMENTS = 1 << 22
 # both fit uint64 while the summed spans stay below this.
 _UINT64_SPAN_LIMIT = (1 << 64) - 1
 
+# A chunk [lo, hi) no wider than this is counted as uint32 offsets from lo.
+_UINT32_SPAN = 1 << 32
+
 
 def sumset_size(A: IntegerSet, B: IntegerSet, *,
                 chunk_elements: int = _CHUNK_ELEMENTS) -> int:
@@ -331,11 +334,13 @@ def sumset_size(A: IntegerSet, B: IntegerSet, *,
 
     The sum values are cut into consecutive ranges (chunks) holding at most
     ``chunk_elements`` pairs each, or the pairs of a single sum value when
-    more share it; the sums of each chunk are gathered, sorted and counted.
-    Peak memory is 16 bytes per pair of a chunk plus 64 bytes per element
-    of A and B.  When A == B only the pairs a_i + a_j with i <= j are
-    gathered.  Sets whose summed spans reach 2**64 - 1 are counted by an
-    exact merge over Python integers instead.
+    more share it; the sums of each chunk are gathered, sorted and counted
+    as offsets from the chunk's lower end, in uint32 when the chunk spans at
+    most 2**32 values and in uint64 otherwise.  Peak memory is 16 bytes per
+    pair of a chunk plus 64 bytes per element of A and B.  When A == B only
+    the pairs a_i + a_j with i <= j are gathered.  Sets whose summed spans
+    reach 2**64 - 1 are counted by an exact merge over Python integers
+    instead.
     """
     if chunk_elements < 1:
         raise ValueError(f"chunk_elements must be >= 1, got {chunk_elements}")
@@ -349,11 +354,11 @@ def sumset_size(A: IntegerSet, B: IntegerSet, *,
         first = np.arange(len(a))
     else:
         first = np.zeros(len(a), dtype=np.intp)
-    total = 0
+    total = lo = 0
     starts = first
-    for _, stops in _chunks(a, b, first, chunk_elements):
-        total += _distinct_sums(a, b, starts, stops)
-        starts = stops
+    for hi, stops in _chunks(a, b, first, chunk_elements):
+        total += _distinct_sums(a, b, starts, stops, lo, hi)
+        lo, starts = hi, stops
     return total
 
 
@@ -441,10 +446,15 @@ def _gather(a: np.ndarray, b: np.ndarray, starts: np.ndarray,
 
 
 def _distinct_sums(a: np.ndarray, b: np.ndarray, starts: np.ndarray,
-                   stops: np.ndarray) -> int:
-    """Distinct values among a_i + b_j for starts[i] <= j < stops[i]: gather,
-    sort in place, count the steps."""
-    sums = _gather(a, b, starts, stops)
+                   stops: np.ndarray, lo: int, hi: int) -> int:
+    """Distinct values among a_i + b_j for starts[i] <= j < stops[i], all of
+    them in [lo, hi): gather the keys a_i + b_j - lo, sort in place, count
+    the steps.  The keys are uint32 when hi - lo <= 2**32, else uint64; each
+    lies in [0, hi - lo), so the sum of a_i - lo and b_j, both reduced
+    modulo the key width (a_i - lo wraps where a_i < lo), is the key."""
+    key = np.uint32 if hi - lo <= _UINT32_SPAN else np.uint64
+    sums = _gather((a - np.uint64(lo)).astype(key, copy=False),
+                   b.astype(key, copy=False), starts, stops)
     if not len(sums):  # a gap between sums each too many for one chunk
         return 0
     sums.sort()

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumcross import (
+    REFERENCE_SEED,
+    REFERENCE_TOUR,
     EnergyValue,
     IntegerSet,
     RepProfile,
@@ -26,6 +28,7 @@ from sumcross import (
     representation_profile,
     satisfies_doubling,
     save_set,
+    sidon_seed_construction,
     sumset,
     sumset_size,
 )
@@ -58,6 +61,35 @@ profile_values = st.one_of(
 
 def iset(*values):
     return IntegerSet.of(values)
+
+
+def gathered_arrays(monkeypatch) -> list[np.ndarray]:
+    """Wrap ``sets._gather``; the list returned collects every array it
+    gathers from then on."""
+    arrays = []
+    gather = sets_module._gather
+
+    def recorded(*args):
+        sums = gather(*args)
+        arrays.append(sums)
+        return sums
+
+    monkeypatch.setattr(sets_module, "_gather", recorded)
+    return arrays
+
+
+def dtypes(arrays: list[np.ndarray]) -> list[np.dtype]:
+    return [x.dtype for x in arrays]
+
+
+def chunk_bounds(A: IntegerSet, B: IntegerSet,
+                 chunk: int) -> list[tuple[int, int]]:
+    """The chunks [lo, hi) of sum offsets that ``sumset_size`` counts."""
+    a = np.array([x - A.min for x in A], dtype=np.uint64)
+    b = np.array([x - B.min for x in B], dtype=np.uint64)
+    first = np.arange(len(a)) if A == B else np.zeros(len(a), dtype=np.intp)
+    ends = [hi for hi, _ in sets_module._chunks(a, b, first, chunk)]
+    return list(zip([0] + ends[:-1], ends))
 
 
 class TestIntegerSet:
@@ -428,15 +460,7 @@ class TestSumsetSize:
         # no sum has more than min(|A|, |B|) pairs, so with at least that
         # many per chunk neither a chunk nor the pairs gathered to select
         # a chunk's end may exceed chunk_elements
-        gathered = []
-        gather = sets_module._gather
-
-        def recorded(*args):
-            sums = gather(*args)
-            gathered.append(len(sums))
-            return sums
-
-        monkeypatch.setattr(sets_module, "_gather", recorded)
+        gathered = gathered_arrays(monkeypatch)
         rng = random.Random(43)
         for _ in range(20):
             A = random_integer_set(rng, rng.randint(20, 200), 0, 10**9)
@@ -445,7 +469,81 @@ class TestSumsetSize:
             gathered.clear()
             assert (sumset_size(A, B, chunk_elements=chunk)
                     == sumset_size_by_definition(A, B))
-            assert len(gathered) > 1 and max(gathered) <= chunk
+            assert len(gathered) > 1 and max(map(len, gathered)) <= chunk
+
+    def test_key_width_at_the_uint32_limit(self, monkeypatch):
+        # one chunk [0, width) holds every sum, the largest being width - 1;
+        # keys are uint32 up to width 2**32, and uint32 keys at 2**32 + 1
+        # would fold the sums 0 and 2**32 into one
+        gathered = gathered_arrays(monkeypatch)
+        for width, key in ((2**32 - 1, np.uint32), (2**32, np.uint32),
+                           (2**32 + 1, np.uint64)):
+            top = width - 1
+            pairs = [(iset(-7, -6, -2, top - 16), iset(2**50, 2**50 + 2,
+                                                      2**50 + 9))]
+            if top % 2 == 0:
+                pairs.append((iset(3, 4, 7, top // 2 + 3),) * 2)
+            for A, B in pairs:
+                assert chunk_bounds(A, B, 1 << 22) == [(0, width)]
+                gathered.clear()
+                assert sumset_size(A, B) == sumset_size_by_definition(A, B)
+                assert dtypes(gathered) == [key]
+
+    def test_keys_wrap_below_the_chunk(self, monkeypatch):
+        # a chunk starting past 2**64 - 2**33 pairs a_0 = 0 with the far
+        # end of B: a_0 - lo wraps in uint64 before the cast to uint32;
+        # the keys are the offsets from lo
+        gathered = gathered_arrays(monkeypatch)
+        far = 2**64 - 2**33 + 3**20
+        A = iset(0, 1, 3, 2**32 + 5)
+        B = iset(0, 2, 7, far, far + 1, far + 4)
+        for chunk in (1, 2, 3, 5):
+            bounds = chunk_bounds(A, B, chunk)
+            narrow = [(lo, hi) for lo, hi in bounds if hi - lo <= 2**32]
+            assert any(lo > 2**64 - 2**33 for lo, _ in narrow)
+            gathered.clear()
+            assert (sumset_size(A, B, chunk_elements=chunk)
+                    == sumset_size_by_definition(A, B))
+            keys = [x for x in gathered if x.dtype == np.uint32]
+            assert len(keys) == len(narrow)
+            for (lo, hi), x in zip(narrow, keys):
+                assert len(x) and int(x.max()) < hi - lo
+
+    def test_one_call_mixes_key_widths(self, monkeypatch):
+        # narrow chunks among the sums near 0, 2**40 and 2**41 get uint32
+        # keys, the chunks across the gaps between them uint64; the chunk
+        # search gathers uint64 sums too
+        gathered = gathered_arrays(monkeypatch)
+        A = iset(0, 1, 3, 2**40, 2**40 + 2, 2**40 + 7)
+        B = iset(0, 2, 9, 2**41 + 1, 2**41 + 4)
+        for X, Y in ((A, B), (A, A), (B, B)):
+            for chunk in (1, 2, 3, 4, 7):
+                bounds = chunk_bounds(X, Y, chunk)
+                narrow = sum(hi - lo <= 2**32 for lo, hi in bounds)
+                assert 0 < narrow < len(bounds)
+                gathered.clear()
+                assert (sumset_size(X, Y, chunk_elements=chunk)
+                        == sumset_size_by_definition(X, Y))
+                assert dtypes(gathered).count(np.uint32) == narrow
+                assert (dtypes(gathered).count(np.uint64)
+                        >= len(bounds) - narrow)
+
+    def test_key_width_on_the_paper_sets(self, monkeypatch):
+        # summed spans: coprime t=3 and the depth-2 set stay below 2**32,
+        # two random 15-digit sets span about 2**51
+        gathered = gathered_arrays(monkeypatch)
+        rng = random.Random(53)
+        depth2 = sidon_seed_construction(REFERENCE_SEED, 2,
+                                         tour=REFERENCE_TOUR)
+        cases = [(coprime_construction(3)[:2], np.uint32),
+                 ((depth2, depth2), np.uint32),
+                 ((random_integer_set(rng, 300, 10**14, 10**15 - 1),
+                   random_integer_set(rng, 300, 10**14, 10**15 - 1)),
+                  np.uint64)]
+        for (A, B), key in cases:
+            gathered.clear()
+            assert sumset_size(A, B) == sumset_size_by_definition(A, B)
+            assert dtypes(gathered) == [key]
 
     def test_chunk_elements_validation(self):
         A = iset(0, 1)
@@ -538,7 +636,10 @@ class TestSumsetSize:
         cases = [(wide, far, 1 << 22), (wide, wide, 1 << 22),
                  (wide, far, 4096), (far, far, 8000),
                  (random_integer_set(rng, 800, 0, 10**6), iset(7), 1),
-                 (iset(7), random_integer_set(rng, 5000, 0, 10**6), 64)]
+                 (iset(7), random_integer_set(rng, 5000, 0, 10**6), 64),
+                 # uint32 keys over about 16 chunks
+                 (random_integer_set(rng, 2000, 0, 10**6 - 1),
+                  random_integer_set(rng, 2000, 0, 10**6 - 1), 1 << 18)]
         tracemalloc.start()
         try:
             for A, B, chunk in cases:
