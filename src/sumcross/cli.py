@@ -125,7 +125,7 @@ def cmd_construct_sidon_seed(args) -> int:
     if args.paper_tour and seed != REFERENCE_SEED:
         raise ValueError("--paper-tour requires --seed paper")
     tour = REFERENCE_TOUR if args.paper_tour else None
-    base = args.base if args.base else default_encoding_base(seed)
+    base = default_encoding_base(seed) if args.base is None else args.base
     A = sidon_seed_construction(seed, args.k, base=base, tour=tour)
     out = Path(args.out) if args.out else outdir / f"sidon_seed_k{args.k}.txt"
     save_set(out, A)

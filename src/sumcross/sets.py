@@ -332,15 +332,17 @@ def sumset_size(A: IntegerSet, B: IntegerSet, *,
                 chunk_elements: int = _CHUNK_ELEMENTS) -> int:
     """Exact number of distinct pairwise sums, without building the sumset.
 
-    The sum values are cut into consecutive ranges (chunks) holding at most
-    ``chunk_elements`` pairs each, or the pairs of a single sum value when
-    more share it; the sums of each chunk are gathered, sorted and counted
-    as offsets from the chunk's lower end, in uint32 when the chunk spans at
-    most 2**32 values and in uint64 otherwise.  Peak memory is 16 bytes per
-    pair of a chunk plus 64 bytes per element of A and B.  When A == B only
-    the pairs a_i + a_j with i <= j are gathered.  Sets whose summed spans
-    reach 2**64 - 1 are counted by an exact merge over Python integers
-    instead.
+    The sum values are cut into ranges (chunks), each starting at a sum
+    and holding at most ``chunk_elements`` pairs, or the pairs of a single
+    sum value when more share it; a probe loop sizes each chunk to about
+    7/8 of that from the pairs the last probe held, and a count that fits
+    one chunk makes no probe.  The sums of each chunk are gathered, sorted
+    and counted as offsets from the chunk's lower end, in uint32 when the
+    chunk spans at most 2**32 values and in uint64 otherwise.  Peak memory
+    is 16 bytes per pair of a chunk plus 64 bytes per element of A and B.
+    When A == B only the pairs a_i + a_j with i <= j are gathered.  Sets
+    whose summed spans reach 2**64 - 1 are counted by an exact merge over
+    Python integers instead.
     """
     if chunk_elements < 1:
         raise ValueError(f"chunk_elements must be >= 1, got {chunk_elements}")
@@ -354,11 +356,11 @@ def sumset_size(A: IntegerSet, B: IntegerSet, *,
         first = np.arange(len(a))
     else:
         first = np.zeros(len(a), dtype=np.intp)
-    total = lo = 0
+    total = 0
     starts = first
-    for hi, stops in _chunks(a, b, first, chunk_elements):
+    for lo, hi, stops in _chunks(a, b, first, chunk_elements):
         total += _distinct_sums(a, b, starts, stops, lo, hi)
-        lo, starts = hi, stops
+        starts = stops
     return total
 
 
@@ -371,58 +373,37 @@ def _rows_below(a: np.ndarray, b: np.ndarray, first: np.ndarray,
 
 
 def _chunks(a: np.ndarray, b: np.ndarray, first: np.ndarray,
-            chunk_elements: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The chunks [lo, hi) of sum values, in order, as (hi, stops) with
-    ``stops = _rows_below(a, b, first, hi)``.  Each hi is the largest in
-    (lo, end] whose chunk holds at most ``chunk_elements`` admissible
-    pairs, or lo + 1 when the pairs of sum lo alone exceed that; ``end``
-    is one past the largest sum.
+            chunk_elements: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The chunks [lo, hi) of sum values, in order, as (lo, hi, stops) with
+    ``stops = _rows_below(a, b, first, hi)``.  Each lo is an admissible
+    sum, the smallest at or above the previous hi, and each chunk holds at
+    most ``chunk_elements`` admissible pairs, or the pairs of the single
+    sum lo when more share it.
 
-    Short of ``end``, that hi is the admissible sum of rank
-    ``chunk_elements`` (from 0) among those at or above lo, when it
-    exceeds lo.  The search probes lo plus the previous chunk's width,
-    gallops out from there in steps doubling from a sixteenth of that
-    width until a bracket [good, bad) holds the sum, bisects the bracket
-    until it holds at most min(|A| + |B|, ``chunk_elements``) pairs, then
-    gathers them and selects the sum by rank.
+    One probe counts the pairs of [lo, lo + width), clipped to one past the
+    largest sum; the next width is the probe's width scaled by
+    (7/8 ``chunk_elements`` + 1) / (pairs + 1), aiming at a chunk 7/8 full.
+    A probe holding too many pairs is retried at that width unless it is
+    one value wide.  The first probe covers every sum.
     """
-    def below(x: int) -> int:  # admissible pairs below x, plus sum(first)
-        return int(_rows_below(a, b, first, x).sum())
-
     end = int(a[-1]) + int(b[-1]) + 1
-    done, last = int(first.sum()), len(a) * len(b)  # below(lo), below(end)
-    limit = min(len(a) + len(b), chunk_elements)
-    lo = 0
-    width = max(1, end * chunk_elements // (last - done))  # as if even
-    while lo < end:
-        target = done + chunk_elements
-        if last <= target:  # the rest fits, with no search
-            yield end, np.full(len(a), len(b))
+    fill = chunk_elements * 7 // 8 + 1
+    full = np.full(len(a), len(b))
+    # done: the admissible pairs below lo, plus sum(first)
+    lo, width, done = 0, end, int(first.sum())
+    while True:
+        hi = min(end, lo + width)
+        stops = _rows_below(a, b, first, hi) if hi < end else full
+        pairs = int(stops.sum()) - done
+        width = max(1, (hi - lo) * fill // (pairs + 1))
+        if pairs > chunk_elements and hi - lo > 1:
+            continue
+        yield lo, hi, stops
+        left = stops < len(b)  # rows with pairs at or above hi
+        if not left.any():
             return
-        # invariant: below(good) <= target < below(bad)
-        good, n_good, bad, n_bad = lo, done, end, last
-        step = max(1, width >> 4)
-        x = lo + width
-        while n_bad - n_good > limit and bad - good > 1:
-            x = max(good + 1, min(x, bad - 1))
-            n = below(x)
-            if n <= target:
-                good, n_good = x, n
-                x = good + step if bad == end else (good + bad) // 2
-            else:
-                bad, n_bad = x, n
-                x = bad - step if good == lo else (good + bad) // 2
-            step *= 2
-        if bad - good > 1:
-            sums = _gather(a, b, _rows_below(a, b, first, good),
-                           _rows_below(a, b, first, bad))
-            rank = target - n_good
-            good = int(np.partition(sums, rank)[rank])
-            del sums
-        hi = max(lo + 1, good)
-        stops = _rows_below(a, b, first, hi)
-        yield hi, stops
-        done, width, lo = int(stops.sum()), hi - lo, hi
+        lo = int((a[left] + b[stops[left]]).min())
+        done += pairs
 
 
 def _gather(a: np.ndarray, b: np.ndarray, starts: np.ndarray,
@@ -455,8 +436,6 @@ def _distinct_sums(a: np.ndarray, b: np.ndarray, starts: np.ndarray,
     key = np.uint32 if hi - lo <= _UINT32_SPAN else np.uint64
     sums = _gather((a - np.uint64(lo)).astype(key, copy=False),
                    b.astype(key, copy=False), starts, stops)
-    if not len(sums):  # a gap between sums each too many for one chunk
-        return 0
     sums.sort()
     return 1 + int(np.count_nonzero(sums[1:] != sums[:-1]))
 

@@ -6,7 +6,6 @@ checked against something that cannot share their bugs.
 """
 
 import random
-from bisect import bisect_left
 from collections import Counter
 
 import numpy as np
@@ -198,31 +197,6 @@ def energy_by_definition(counts: Counter, alpha: float) -> float:
     for c in counts.values():
         total = total + c**alpha
     return total
-
-
-def chunk_ends_by_bisection(a: list[int], b: list[int], first: list[int],
-                            chunk_elements: int) -> list[int]:
-    """The ends hi of the chunks [lo, hi) of the sum values a_i + b_j with
-    j >= first[i] (a and b sorted lists of Python ints), each found by a
-    plain bisection: the largest hi in (lo, max sum + 1] whose chunk holds
-    at most chunk_elements pairs, or lo + 1 when none does."""
-    def below(x: int) -> int:
-        return sum(max(bisect_left(b, x - ai), f) for ai, f in zip(a, first))
-
-    ends = []
-    lo, top = 0, a[-1] + b[-1]
-    done = sum(first)
-    while lo <= top:
-        good, bad = lo + 1, top + 1
-        while good < bad:
-            mid = (good + bad + 1) // 2
-            if below(mid) - done <= chunk_elements:
-                good = mid
-            else:
-                bad = mid - 1
-        ends.append(good)
-        lo, done = good, below(good)
-    return ends
 
 
 def additive_quadruples(A: IntegerSet, B: IntegerSet) -> int:

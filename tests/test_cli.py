@@ -80,6 +80,14 @@ class TestConstructSidonSeed:
                    "--paper-tour", "--outdir", tmp_path) == 2
         assert "paper" in capsys.readouterr().err
 
+    def test_base_zero_is_an_input_error(self, tmp_path, capsys):
+        # --base 0 is a base like any other, not a request for the default
+        assert run("construct", "sidon-seed", "--seed", "paper", "--k", 1,
+                   "--base", 0, "--outdir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "sidon_seed_k1.txt").exists()
+
 
 class TestAnalyze:
     def test_singleton_pair(self, tmp_path, capsys):

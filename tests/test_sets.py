@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -33,9 +34,9 @@ from sumcross import (
     sumset_size,
 )
 from sumcross import sets as sets_module
-from helpers import (additive_quadruples, chunk_ends_by_bisection,
-                     energy_by_definition, pairwise_sums_distinct,
-                     random_integer_set, representation_profile_by_definition,
+from helpers import (additive_quadruples, energy_by_definition,
+                     pairwise_sums_distinct, random_integer_set,
+                     representation_profile_by_definition,
                      sumset_size_by_definition)
 
 int_sets = st.sets(st.integers(-10**6, 10**6), min_size=1, max_size=30).map(
@@ -88,8 +89,7 @@ def chunk_bounds(A: IntegerSet, B: IntegerSet,
     a = np.array([x - A.min for x in A], dtype=np.uint64)
     b = np.array([x - B.min for x in B], dtype=np.uint64)
     first = np.arange(len(a)) if A == B else np.zeros(len(a), dtype=np.intp)
-    ends = [hi for hi, _ in sets_module._chunks(a, b, first, chunk)]
-    return list(zip([0] + ends[:-1], ends))
+    return [(lo, hi) for lo, hi, _ in sets_module._chunks(a, b, first, chunk)]
 
 
 class TestIntegerSet:
@@ -198,24 +198,38 @@ class TestRepresentationProfile:
                 == energy_by_definition(oracle, 1.5).hex())
 
     def test_peak_memory(self):
-        """Peak memory within the bound the README states: 40 bytes per
-        pair plus 192 per distinct sum while the sums fit int64, measured
-        with tracemalloc (numpy reports its buffers there); 64 KB covers
-        fixed-size allocations."""
+        """Peak memory within the bounds the README states, measured with
+        tracemalloc (numpy reports its buffers there); 64 KB covers
+        fixed-size allocations.  While the sums fit int64: 40 bytes per
+        pair plus 192 per distinct sum.  From summed spans of 2**63 on,
+        where the pair sums are Python ints, with values below 2**88 in
+        absolute value: 64 bytes per pair plus 192 per distinct sum, on
+        random values (nearly every sum distinct) and on an arithmetic
+        progression (few)."""
         rng = random.Random(43)
         cases = [coprime_construction(1)[:2], coprime_construction(2)[:2],
                  (random_integer_set(rng, 500, 0, 10**6),
                   random_integer_set(rng, 300, 0, 10**6)),
                  (IntegerSet.of(range(0, 3000, 3)),
-                  IntegerSet.of(range(0, 900, 3)))]
+                  IntegerSet.of(range(0, 900, 3))),
+                 (IntegerSet.of(rng.randrange(-2**62, 2**62)
+                                for _ in range(300)),
+                  IntegerSet.of(rng.randrange(-2**62, 2**62)
+                                for _ in range(200))),
+                 (IntegerSet.of(rng.randrange(-2**87, 2**87)
+                                for _ in range(250)),) * 2,
+                 (IntegerSet.of(k << 55 for k in range(-150, 150)),
+                  IntegerSet.of(k << 55 for k in range(-100, 100)))]
         tracemalloc.start()
         try:
             for A, B in cases:
+                wide = (A.max - A.min) + (B.max - B.min) >= 2**63
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
                 profile = representation_profile(A, B)
                 peak = tracemalloc.get_traced_memory()[1] - base - (1 << 16)
-                assert peak <= 40 * len(A) * len(B) + 192 * len(profile.counts)
+                assert peak <= ((64 if wide else 40) * len(A) * len(B)
+                                + 192 * len(profile.counts))
                 del profile
         finally:
             tracemalloc.stop()
@@ -433,9 +447,10 @@ class TestSumsetSize:
             assert len(merged) == (total >= 2**64 - 1)
             merged.clear()
 
-    def test_chunk_ends_match_bisection(self):
-        # the galloping search starts from the previous chunk's width; its
-        # chunks must be those of a plain bisection on every instance
+    def test_chunks_keep_their_invariant(self):
+        # the chunks increase and are disjoint; each starts at an admissible
+        # sum and holds at most chunk pairs or is one value wide; their
+        # stops end each row below hi, and together they hold every pair
         rng = random.Random(41)
         multi = 0
         for _ in range(60):
@@ -445,21 +460,47 @@ class TestSumsetSize:
                  else random_integer_set(rng, rng.randint(1, 40), 0, span))
             a, b = [x - A.min for x in A], [x - B.min for x in B]
             first = list(range(len(a))) if A == B else [0] * len(a)
+            sums = sorted(a[i] + b[j] for i in range(len(a))
+                          for j in range(first[i], len(b)))
             chunk = rng.choice([1, 2, 5, 17, 100])
-            got = sets_module._chunks(np.array(a, dtype=np.uint64),
-                                      np.array(b, dtype=np.uint64),
-                                      np.array(first), chunk)
-            ends = chunk_ends_by_bisection(a, b, first, chunk)
-            assert [hi for hi, _ in got] == ends
+            chunks = list(sets_module._chunks(np.array(a, dtype=np.uint64),
+                                              np.array(b, dtype=np.uint64),
+                                              np.array(first), chunk))
+            previous, counted = 0, 0
+            for lo, hi, stops in chunks:
+                assert previous <= lo < hi
+                assert lo in sums
+                inside = bisect_left(sums, hi) - bisect_left(sums, lo)
+                assert inside <= chunk or hi - lo == 1
+                assert stops.tolist() == [
+                    max(f, sum(ai + bj < hi for bj in b))
+                    for ai, f in zip(a, first)]
+                previous, counted = hi, counted + inside
+            assert counted == len(sums)
             assert (sumset_size(A, B, chunk_elements=chunk)
                     == sumset_size_by_definition(A, B))
-            multi += len(ends) > 1
+            multi += len(chunks) > 1
         assert multi >= 40
+
+    def test_one_probe_per_chunk_on_the_paper_set(self, monkeypatch):
+        # the depth-2 set (1,710,325 pairs i <= j) in chunks of 2**12 pairs
+        # gives the one-chunk count with fewer than two _rows_below calls
+        # per chunk
+        depth2 = sidon_seed_construction(REFERENCE_SEED, 2,
+                                         tour=REFERENCE_TOUR)
+        assert sumset_size(depth2, depth2) == 609_213
+        probes = []
+        rows_below = sets_module._rows_below
+        monkeypatch.setattr(sets_module, "_rows_below",
+                            lambda *args: probes.append(1)
+                            or rows_below(*args))
+        gathered = gathered_arrays(monkeypatch)
+        assert sumset_size(depth2, depth2, chunk_elements=2**12) == 609_213
+        assert len(gathered) > 1 and len(probes) < 2 * len(gathered)
 
     def test_gathers_stay_within_a_chunk(self, monkeypatch):
         # no sum has more than min(|A|, |B|) pairs, so with at least that
-        # many per chunk neither a chunk nor the pairs gathered to select
-        # a chunk's end may exceed chunk_elements
+        # many per chunk no chunk may gather more than chunk_elements
         gathered = gathered_arrays(monkeypatch)
         rng = random.Random(43)
         for _ in range(20):
@@ -511,11 +552,12 @@ class TestSumsetSize:
 
     def test_one_call_mixes_key_widths(self, monkeypatch):
         # narrow chunks among the sums near 0, 2**40 and 2**41 get uint32
-        # keys, the chunks across the gaps between them uint64; the chunk
-        # search gathers uint64 sums too
+        # keys; the sum of the two minima, 2**40 below the next, is a chunk
+        # of its own whose width the first probes leave above 2**32, so it
+        # gets uint64 keys
         gathered = gathered_arrays(monkeypatch)
-        A = iset(0, 1, 3, 2**40, 2**40 + 2, 2**40 + 7)
-        B = iset(0, 2, 9, 2**41 + 1, 2**41 + 4)
+        A = iset(-2**40, 0, 1, 3, 2**40, 2**40 + 2, 2**40 + 7)
+        B = iset(-2**40, 0, 2, 9, 2**41 + 1, 2**41 + 4)
         for X, Y in ((A, B), (A, A), (B, B)):
             for chunk in (1, 2, 3, 4, 7):
                 bounds = chunk_bounds(X, Y, chunk)
