@@ -139,24 +139,40 @@ def _pairs_within(counts: np.ndarray) -> int:
     return int((counts * (counts - 1) // 2).sum())
 
 
+def _merge_rows(rows: np.ndarray, h: int) -> int:
+    """Merge, in place, the sorted halves ``[:h]`` and ``[h:]`` of each row
+    and return the pairs of a left element greater than a right one.  Each
+    row is one stable sort of the keys 2x + side, side 1 on the right, which
+    puts left before right on equal values; timsort finds the two sorted
+    runs and merges them in linear time.  A right element moves left past
+    exactly the left elements greater than it, so the count is the right
+    elements' columns before the sort, columns h..w-1 of each row, minus
+    their columns after it."""
+    width = rows.shape[1]
+    keys = rows << 1
+    keys[:, h:] |= 1
+    keys.sort(axis=1, kind="stable")
+    np.right_shift(keys, 1, out=rows)
+    keys &= 1
+    before = len(rows) * (h + width - 1) * (width - h) // 2
+    return before - int((keys @ np.arange(width)).sum())
+
+
 def _strict_inversions(x: np.ndarray) -> int:
-    """Pairs i < j with x[i] > x[j] for nonnegative x, by a bottom-up merge
-    sort.  Inside each block of ``_BASE_BLOCK`` the pairs are compared
-    directly, at every distance (the last block padded with max(x) + 1,
-    which never counts), and the blocks are sorted.  At each level s above
-    that the array is a row of sorted blocks of 2**s; each pair of blocks
-    is merged by one stable sort of keys (pair, value, side), the side bit
-    putting left before right on equal values; timsort finds the two
-    sorted runs of every pair and merges them in linear time.  A right
-    element moves left past exactly the left elements of its pair greater
-    than it, so the level's inversions are the right elements' summed
-    moves: their positions before the sort minus those after it.  Keys
-    stay below 2 * len(x) * (max(x) + 1), far from 2**63 for any array
-    that fits in memory."""
+    """Pairs i < j with x[i] > x[j], by a bottom-up merge sort, for x in
+    [-2**62, 2**62) so that the merge keys 2x + 1 fit int64.  Inside each
+    block of ``_BASE_BLOCK`` the pairs are compared directly, at every
+    distance (the last block padded with max(x) + 1, which never counts),
+    and the blocks are sorted.  At each level of half-width h above that
+    every two sorted blocks form one row of width 2h, merged by
+    ``_merge_rows``; a ragged tail longer than h is a row of its own, and
+    one of at most h is a sorted block with nothing to merge."""
     m = len(x)
     if m < 2:
         return 0
     top = int(x.max()) + 1
+    if top > 1 << 62 or int(x.min()) < -(1 << 62):
+        raise ValueError("values must lie in [-2**62, 2**62)")
     blocks = np.full(-(-m // _BASE_BLOCK) * _BASE_BLOCK, top, dtype=np.int64)
     blocks[:m] = x
     blocks = blocks.reshape(-1, _BASE_BLOCK)
@@ -165,26 +181,23 @@ def _strict_inversions(x: np.ndarray) -> int:
         total += int(np.count_nonzero(blocks[:, :-d] > blocks[:, d:]))
     blocks.sort(axis=1)
     values = blocks.ravel()[:m]
-    index = np.arange(m, dtype=np.int64)
-    side, tag, keys = (np.empty(m, dtype=np.int64) for _ in range(3))
-    shift = _BASE_BLOCK.bit_length() - 1
-    while (1 << shift) < m:
-        np.right_shift(index, shift, out=side)
-        side &= 1
-        np.right_shift(index, shift + 1, out=tag)
-        tag *= top
-        np.add(tag, values, out=keys)
-        keys <<= 1
-        keys |= side
-        keys.sort(kind="stable")
-        total += int(index @ side)
-        np.bitwise_and(keys, 1, out=side)
-        total -= int(index @ side)
-        keys >>= 1
-        keys -= tag
-        values, keys = keys, values
-        shift += 1
+    h = _BASE_BLOCK
+    while h < m:
+        full = m - m % (2 * h)
+        total += _merge_rows(values[:full].reshape(-1, 2 * h), h)
+        if m - full > h:
+            total += _merge_rows(values[full:].reshape(1, -1), h)
+        h *= 2
     return total
+
+
+def _sorted_edge_keys(graph: ArcGraph) -> np.ndarray:
+    """The keys u * n + v of the edges, sorted: (u, v) order, parallel
+    edges adjacent."""
+    keys = graph.u * graph.num_vertices
+    keys += graph.v
+    keys.sort()
+    return keys
 
 
 def _crossings_and_nestings(graph: ArcGraph) -> tuple[int, int]:
@@ -205,12 +218,13 @@ def _crossings_and_nestings(graph: ArcGraph) -> tuple[int, int]:
     starts_below = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(_occurrences(u, n), out=starts_below[1:])
     overlapping = int((starts_below[v] - starts_below[u + 1]).sum())
-    keys = np.sort(u * n + v)
+    keys = _sorted_edge_keys(graph)
     run_ends = np.flatnonzero(np.diff(keys)) + 1
-    parallel_runs = np.diff(np.concatenate(([0], run_ends, [m])))
     shared_right = (_pairs_within(_occurrences(v, n))
-                    - _pairs_within(parallel_runs))
-    nestings = _strict_inversions(keys % n)
+                    - _pairs_within(np.diff(run_ends, prepend=0, append=m)))
+    del run_ends  # not held through the merge sort's peak
+    keys %= n
+    nestings = _strict_inversions(keys)
     return overlapping - nestings - shared_right, nestings
 
 
@@ -290,8 +304,8 @@ def degree_sequence(graph: ArcGraph) -> tuple[int, ...]:
 
 
 def has_parallel_edges(graph: ArcGraph) -> bool:
-    keys = graph.u * graph.num_vertices + graph.v
-    return len(_distinct(keys)) < len(keys)
+    keys = _sorted_edge_keys(graph)
+    return bool((keys[1:] == keys[:-1]).any())
 
 
 def crossing_stats(A: IntegerSet, B: IntegerSet) -> CrossingStats:

@@ -383,8 +383,9 @@ def _chunks(a: np.ndarray, b: np.ndarray, first: np.ndarray,
     One probe counts the pairs of [lo, lo + width), clipped to one past the
     largest sum; the next width is the probe's width scaled by
     (7/8 ``chunk_elements`` + 1) / (pairs + 1), aiming at a chunk 7/8 full.
-    A probe holding too many pairs is retried at that width unless it is
-    one value wide.  The first probe covers every sum.
+    A probe holding too many pairs is retried at that width, or at half its
+    own width if that is smaller, unless it is one value wide.  The first
+    probe covers every sum.
     """
     end = int(a[-1]) + int(b[-1]) + 1
     fill = chunk_elements * 7 // 8 + 1
@@ -397,6 +398,7 @@ def _chunks(a: np.ndarray, b: np.ndarray, first: np.ndarray,
         pairs = int(stops.sum()) - done
         width = max(1, (hi - lo) * fill // (pairs + 1))
         if pairs > chunk_elements and hi - lo > 1:
+            width = min(width, (hi - lo) // 2)
             continue
         yield lo, hi, stops
         left = stops < len(b)  # rows with pairs at or above hi

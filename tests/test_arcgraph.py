@@ -156,9 +156,13 @@ class TestCrossingCounts:
 
 class TestStrictInversions:
     """The merge counter against every pair compared, around the blocks of
-    32 counted directly and the first merge levels above them."""
+    32 counted directly and the first merge levels above them, and around
+    the ragged-tail rule: at each level of half-width h a tail of the array
+    longer than h is merged as a row of its own (95-97, 127-129, 191-193
+    and 4095-4097 put tails of h - 1, h and h + 1 at several levels)."""
 
-    LENGTHS = (0, 1, 2, 31, 32, 33, 63, 64, 65)
+    LENGTHS = (0, 1, 2, 31, 32, 33, 63, 64, 65, 95, 96, 97, 127, 128, 129,
+               191, 192, 193, 4095, 4096, 4097)
 
     @pytest.mark.parametrize("m", LENGTHS)
     def test_all_equal(self, m):
@@ -177,6 +181,18 @@ class TestStrictInversions:
         for top in (2, 5, m + 1):
             x = rng.integers(0, top, m)
             assert _strict_inversions(x) == strict_inversions_by_definition(x)
+
+    @pytest.mark.parametrize("m", (33, 97, 129, 4097))
+    def test_values_at_the_key_limits(self, m):
+        # the merge keys are 2x + side, so x must lie in [-2**62, 2**62)
+        low, high = -(2**62), 2**62 - 1
+        rng = np.random.default_rng(m)
+        x = rng.choice([low, low + 1, -1, 0, high - 1, high], m)
+        assert _strict_inversions(x) == strict_inversions_by_definition(x)
+        for bad in (high + 1, low - 1):
+            x[m // 2] = bad
+            with pytest.raises(ValueError):
+                _strict_inversions(x)
 
     def test_fast_counts_near_the_block_size(self):
         rng = random.Random(47)
@@ -495,9 +511,9 @@ def test_peak_memory():
             m, n = g.num_edges, g.num_vertices
             assert built <= 48 * m + 64 * n
             assert g.u.nbytes + g.v.nbytes == 16 * m
-            assert peak(count_crossings_fast, g) <= 96 * m + 16 * n
-            assert peak(count_intersections, g) <= 96 * m + 16 * n
-            assert peak(has_parallel_edges, g) <= 32 * m
+            assert peak(count_crossings_fast, g) <= 32 * m + 16 * n
+            assert peak(count_intersections, g) <= 32 * m + 16 * n
+            assert peak(has_parallel_edges, g) <= 9 * m
             assert peak(degree_sequence, g) <= 64 * n
             assert (peak(max_translate_pair_crossings, A, B)
                     <= 64 * (len(A) + len(B)) + 72 * candidates

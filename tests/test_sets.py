@@ -79,6 +79,16 @@ def gathered_arrays(monkeypatch) -> list[np.ndarray]:
     return arrays
 
 
+def probe_calls(monkeypatch) -> list[int]:
+    """Wrap ``sets._rows_below``; the list returned gets one entry per
+    probe from then on."""
+    probes = []
+    rows_below = sets_module._rows_below
+    monkeypatch.setattr(sets_module, "_rows_below",
+                        lambda *args: probes.append(1) or rows_below(*args))
+    return probes
+
+
 def dtypes(arrays: list[np.ndarray]) -> list[np.dtype]:
     return [x.dtype for x in arrays]
 
@@ -489,14 +499,23 @@ class TestSumsetSize:
         depth2 = sidon_seed_construction(REFERENCE_SEED, 2,
                                          tour=REFERENCE_TOUR)
         assert sumset_size(depth2, depth2) == 609_213
-        probes = []
-        rows_below = sets_module._rows_below
-        monkeypatch.setattr(sets_module, "_rows_below",
-                            lambda *args: probes.append(1)
-                            or rows_below(*args))
+        probes = probe_calls(monkeypatch)
         gathered = gathered_arrays(monkeypatch)
         assert sumset_size(depth2, depth2, chunk_elements=2**12) == 609_213
         assert len(gathered) > 1 and len(probes) < 2 * len(gathered)
+
+    def test_too_full_probes_at_least_halve(self, monkeypatch):
+        # 820 pairs of a dense cluster lie just over one chunk of 800, far
+        # below an outlier; a too-full probe is retried at no more than
+        # half its width, so the probes stay within the bit length of the
+        # sum span
+        probes = probe_calls(monkeypatch)
+        for top in (2**62, 2**40):
+            A = IntegerSet.of([*range(40), top])
+            probes.clear()
+            assert (sumset_size(A, A, chunk_elements=800)
+                    == sumset_size_by_definition(A, A))
+            assert len(probes) <= (2 * top).bit_length()
 
     def test_gathers_stay_within_a_chunk(self, monkeypatch):
         # no sum has more than min(|A|, |B|) pairs, so with at least that
