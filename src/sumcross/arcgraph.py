@@ -13,12 +13,12 @@ in the README and held to that bound by ``test_peak_memory``.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import IntegerSet, _gather, _pair_offsets, _PairSums, _sorted_pair_sums
+from .sets import (_INT64_SPAN, IntegerSet, _gather, _int_array, _pair_offsets,
+                   _PairSums, _sorted_pair_sums)
 
 __all__ = [
     "ArcGraph",
@@ -42,27 +42,32 @@ _BASE_BLOCK = 32
 
 @dataclass(frozen=True, eq=False)
 class ArcGraph:
-    """Vertex positions (strictly increasing Python ints) plus the edge
-    endpoints ``u < v`` as vertex indices, one int64 column each.
+    """Strictly increasing vertex positions plus the edge endpoints
+    ``u < v`` as vertex indices, one int64 column each.
 
-    Columns may be passed as any integer sequence; they are stored as
-    read-only int64 arrays.  An int64 array is stored without a copy and
-    made read-only in place.
+    Positions and columns may be passed as any integer sequence; they are
+    stored as read-only arrays.  Positions are int64 when every one fits
+    and Python ints in an object array otherwise.  An int64 array is stored
+    without a copy and made read-only in place.
     """
 
-    positions: tuple[int, ...]
+    positions: np.ndarray
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
+        p = _int_array(self.positions)
+        if p.ndim != 1:
+            raise ValueError("positions must be 1-D")
+        p.setflags(write=False)
+        object.__setattr__(self, "positions", p)
         for name in ("u", "v"):
             column = np.asarray(getattr(self, name), dtype=np.int64)
             if column.ndim != 1 or len(column) != len(self.u):
                 raise ValueError(f"column {name} must be 1-D with one entry per edge")
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-        p = self.positions
-        if not all(map(operator.lt, p, p[1:])):
+        if not np.all(p[1:] > p[:-1]):
             raise ValueError("positions must be strictly increasing")
         if len(self.u) and not (np.all(self.u >= 0) and np.all(self.u < self.v)
                                 and np.all(self.v < len(p))):
@@ -112,8 +117,12 @@ def build_sum_graph(A: IntegerSet, B: IntegerSet, *,
     if pair_sums is None:
         pair_sums = _sorted_pair_sums(A, B)
     index = pair_sums.rank.T
-    positions = tuple(map(pair_sums.base.__add__, pair_sums.values.tolist()))
-    return ArcGraph(positions, u=index[:, :-1].ravel(), v=index[:, 1:].ravel())
+    base, values = pair_sums.base, pair_sums.values
+    if not (-_INT64_SPAN <= base and base + int(values[-1]) < _INT64_SPAN):
+        # a sum leaves int64: the positions are Python ints
+        values = values.astype(object, copy=False)
+    return ArcGraph(values + base, u=index[:, :-1].ravel(),
+                    v=index[:, 1:].ravel())
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -296,11 +305,15 @@ def max_translate_pair_crossings(A: IntegerSet, B: IntegerSet) -> int:
     return int(_crossings_by_difference(a, deltas).max())
 
 
+def _degrees(graph: ArcGraph) -> np.ndarray:
+    """The degree of each vertex; parallel edges count twice."""
+    n = graph.num_vertices
+    return _occurrences(graph.u, n) + _occurrences(graph.v, n)
+
+
 def degree_sequence(graph: ArcGraph) -> tuple[int, ...]:
     """Vertex degrees sorted nonincreasing; parallel edges count twice."""
-    n = graph.num_vertices
-    degrees = _occurrences(graph.u, n) + _occurrences(graph.v, n)
-    return tuple(np.sort(degrees)[::-1].tolist())
+    return tuple(np.sort(_degrees(graph))[::-1].tolist())
 
 
 def has_parallel_edges(graph: ArcGraph) -> bool:

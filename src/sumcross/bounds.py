@@ -16,9 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -26,9 +24,9 @@ import numpy as np
 from .arcgraph import (
     ArcGraph,
     build_sum_graph,
+    _degrees,
     count_crossings_fast,
     count_intersections,
-    degree_sequence,
     has_parallel_edges,
 )
 from .sets import (
@@ -177,7 +175,9 @@ def check_degree_weighted_crossing(graph: ArcGraph, *,
     # sum of i * d_i^3: the c vertices of degree d after the first `before`
     # hold places before + 1 .. before + c
     weighted = before = 0
-    for d, c in sorted(Counter(degree_sequence(graph)).items(), reverse=True):
+    vertices = np.bincount(_degrees(graph))
+    for d in np.flatnonzero(vertices)[::-1].tolist():
+        c = int(vertices[d])
         weighted += d**3 * (c * before + c * (c + 1) // 2)
         before += c
     # 4.01 n^2 = 144360 n^3 / (36000 n); compare integers, no floats
@@ -249,15 +249,18 @@ def check_heavy_subset(A: IntegerSet, B: IntegerSet, S: IntegerSet, *,
     equality."""
     if profile is None:
         profile = representation_profile(A, B)
-    counts = profile.counts
-    if not all(map(counts.__contains__, S.elements)):
-        missing = next(x for x in S if x not in counts)
-        raise ValueError(f"{missing} is not in the sumset")
-    k, l = len(A), len(B)
-    mass = sum(map(counts.__getitem__, S.elements))
-    size_s = len(S)
-    s = len(counts)
-    pre = is_dcd(A)
+    at = profile.locate(S.elements)
+    if (at < 0).any():
+        raise ValueError(f"{S[int(np.argmax(at < 0))]} is not in the sumset")
+    mass = int(profile.multiplicities[at].sum())
+    return _heavy_subset_report(len(A), len(B), len(profile.counts), len(S),
+                                mass, is_dcd(A))
+
+
+def _heavy_subset_report(k: int, l: int, s: int, size_s: int, mass: int,
+                         pre: bool) -> BoundReport:
+    """The heavy-subset report for |A| = k, |B| = l, |A+B| = s and a
+    subset of size_s sums carrying mass pairs."""
     delta = (k * l) / mass
     # rhs = mass^3 / (8 k l^2 |S|) after substituting Delta
     satisfied = 8 * k * l * l * size_s * s >= mass**3
@@ -354,10 +357,9 @@ _ORACLE_EDGE_LIMIT = 2500
 
 
 def _argmax_value(profile: RepProfile) -> int:
-    # deterministic: largest count, ties broken by the smaller sum value
-    counts = profile.counts
-    top = max(counts.values())
-    return min(compress(counts, map(top.__eq__, counts.values())))
+    # deterministic: largest count, ties broken by the smaller sum value,
+    # since argmax takes the first maximum and the sums are sorted
+    return profile.base + int(profile.offsets[profile.multiplicities.argmax()])
 
 
 def run_all_checks(A: IntegerSet, B: IntegerSet) -> list[BoundReport]:
@@ -397,21 +399,16 @@ def run_all_checks(A: IntegerSet, B: IntegerSet) -> list[BoundReport]:
             reports.append(check_intersection_lower(graph))
     if len(A) == len(B):
         reports.append(check_energy_lower(A, B, profile=profile, sumset_size=s))
-    # the graph's positions are the sorted sumset: no second sort
-    support = (IntegerSet(graph.positions) if graph is not None
-               else profile.support())
-    reports.append(check_heavy_subset(A, B, support, profile=profile))
+    # the whole sumset carries all |A||B| pairs
+    k, l = len(A), len(B)
+    reports.append(_heavy_subset_report(k, l, s, s, k * l, is_dcd(A)))
     top = _argmax_value(profile)
     reports.append(check_heavy_subset(A, B, IntegerSet((top,)), profile=profile))
-    # one histogram pass gives every level-set size at once
-    max_r = profile.max_multiplicity()
-    hist = Counter(profile.counts.values())
-    suffix = [0] * (max_r + 2)
-    for t in range(max_r, 1, -1):
-        suffix[t] = suffix[t + 1] + hist.get(t, 0)
-    for t in range(2, max_r + 1):
+    # level_sizes[t]: the sums with at least t representations
+    level_sizes = np.cumsum(profile.multiplicity_histogram()[::-1])[::-1]
+    for t, size in enumerate(level_sizes.tolist()[2:], start=2):
         reports.append(check_level_set_count(A, B, t, profile=profile,
-                                             level_size=suffix[t]))
+                                             level_size=size))
     reports = [r for r in reports if r is not None]
     return sorted(reports, key=lambda r: (r.name, _context_digest(r.context)))
 

@@ -16,7 +16,6 @@ import hashlib
 import json
 import operator
 import sys
-from collections import Counter
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -159,7 +158,8 @@ def cmd_construct_sidon_seed(args) -> int:
 def cmd_analyze(args) -> int:
     A, B = load_set(args.a), load_set(args.b)
     profile = representation_profile(A, B)
-    histogram = Counter(profile.counts.values())
+    histogram = {r: n for r, n in
+                 enumerate(profile.multiplicity_histogram().tolist()) if n}
     result = {
         "aSize": len(A),
         "bSize": len(B),
@@ -167,14 +167,14 @@ def cmd_analyze(args) -> int:
         "differenceSize": sumset_size(A, IntegerSet.of(-b for b in B)),
         "energy2": energy(profile, 2).value,
         "energy15": energy(profile, 1.5).value,
-        "multiplicityHistogram": {str(r): histogram[r] for r in sorted(histogram)},
+        "multiplicityHistogram": {str(r): n for r, n in histogram.items()},
     }
     print(json.dumps(result, indent=2))
     if args.csv:
         path = Path(args.csv)
         path.parent.mkdir(parents=True, exist_ok=True)
         lines = ["multiplicity,count"]
-        lines += [f"{r},{histogram[r]}" for r in sorted(histogram)]
+        lines += [f"{r},{n}" for r, n in histogram.items()]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_outputs(args, "analyze", {"a": args.a, "b": args.b}, result,
                    inputs=[args.a, args.b], outputs=[args.csv] if args.csv else [])

@@ -15,9 +15,8 @@ import operator
 import re
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -104,30 +103,124 @@ class IntegerSet:
         return tuple(map(operator.sub, e[1:], e))
 
 
-@dataclass(frozen=True)
 class RepProfile:
-    """Representation counts of a sumset: ``counts[x]`` is the number of
-    pairs ``(a, b)`` with ``a + b == x``."""
+    """Representation counts of a sumset, as arrays over its distinct sums
+    in increasing order: ``base + offsets[i]`` is the sum of exactly
+    ``multiplicities[i]`` pairs (a, b).  ``offsets`` is int64 while the
+    sums span less than 2**63 and holds Python ints (object dtype) above.
 
-    counts: dict[int, int]
-    source_sizes: tuple[int, int]
+    ``RepProfile(counts, source_sizes)`` builds a profile from a mapping
+    ``{sum: count}``; :func:`representation_profile` builds one from the
+    sort of the pair sums.  ``counts`` reads the arrays back as such a
+    mapping, in the order in which the sums first appear.  Every profile is
+    checked: the counts sum to |A||B| and each lies in [1, min(|A|, |B|)].
+    """
 
-    def __post_init__(self):
+    __slots__ = ("base", "offsets", "multiplicities", "source_sizes",
+                 "_appearance")
+
+    def __init__(self, counts: Mapping[int, int],
+                 source_sizes: tuple[int, int]):
+        keys = list(counts)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        sums = [keys[i] for i in order]
+        if sums:
+            span = sums[-1] - sums[0]
+            offsets = _offsets(sums, np.int64 if span < _INT64_SPAN else object)
+        else:
+            offsets = np.empty(0, dtype=np.int64)
+        self._set(sums[0] if sums else 0, offsets,
+                  _int_array([counts[x] for x in sums]), source_sizes,
+                  np.array(order, dtype=np.int64))
+
+    @classmethod
+    def _of_arrays(cls, base: int, offsets: np.ndarray,
+                   multiplicities: np.ndarray, source_sizes: tuple[int, int],
+                   appearance: np.ndarray) -> "RepProfile":
+        profile = cls.__new__(cls)
+        profile._set(base, offsets, multiplicities, source_sizes, appearance)
+        return profile
+
+    def _set(self, base, offsets, multiplicities, source_sizes, appearance):
+        """Store the fields read-only and validate them.  ``appearance``
+        ranks the sums by first appearance: its argsort is that order."""
+        for array in (offsets, multiplicities, appearance):
+            array.setflags(write=False)
+        fields = dict(base=base, offsets=offsets, multiplicities=multiplicities,
+                      source_sizes=tuple(source_sizes), _appearance=appearance)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
         ka, kb = self.source_sizes
-        counts = self.counts.values()
-        if sum(counts) != ka * kb:
+        if multiplicities.sum() != ka * kb:
             raise ValueError("representation counts must sum to |A|*|B|")
         cap = min(ka, kb)
-        if counts and not 1 <= min(counts) <= max(counts) <= cap:
-            x, c = next((x, c) for x, c in self.counts.items()
-                        if not 1 <= c <= cap)
-            raise ValueError(f"count {c} for {x} outside [1, min(|A|,|B|)]")
+        bad = (multiplicities < 1) | (multiplicities > cap)
+        if bad.any():
+            bad = np.flatnonzero(bad)
+            i = bad[appearance[bad].argmin()]
+            raise ValueError(f"count {multiplicities[i]} for "
+                             f"{base + int(offsets[i])} outside "
+                             "[1, min(|A|,|B|)]")
 
-    def support(self) -> IntegerSet:
-        return IntegerSet(tuple(sorted(self.counts)))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RepProfile is read-only: cannot set {name}")
+
+    @property
+    def counts(self) -> Mapping[int, int]:
+        """The profile as a read-only mapping ``{sum: count}``, iterated in
+        order of first appearance."""
+        return _Counts(self)
+
+    def first_seen(self) -> np.ndarray:
+        """Indices into the sorted sums, in order of first appearance."""
+        return np.argsort(self._appearance)
+
+    def locate(self, values: Sequence[int]) -> np.ndarray:
+        """Index of each value among the sorted sums; -1 for a value that
+        is not a sum."""
+        offsets = self.offsets
+        wanted = [x - self.base for x in values]
+        if offsets.dtype != object:
+            # an offset outside int64 is no sum; -1 matches no offset
+            wanted = [x if 0 <= x < _INT64_SPAN else -1 for x in wanted]
+        wanted = np.array(wanted, dtype=offsets.dtype)
+        if not len(offsets):
+            return np.full(len(wanted), -1, dtype=np.intp)
+        at = np.minimum(np.searchsorted(offsets, wanted), len(offsets) - 1)
+        return np.where(offsets[at] == wanted, at, -1)
+
+    def multiplicity_histogram(self) -> np.ndarray:
+        """Entry c is the number of sums with exactly c representations."""
+        return np.bincount(self.multiplicities)
 
     def max_multiplicity(self) -> int:
-        return max(self.counts.values())
+        return int(self.multiplicities.max())
+
+
+class _Counts(Mapping):
+    """A read-only view of a :class:`RepProfile` as ``{sum: count}``."""
+
+    __slots__ = ("_profile",)
+
+    def __init__(self, profile: RepProfile):
+        self._profile = profile
+
+    def __len__(self) -> int:
+        return len(self._profile.offsets)
+
+    def __iter__(self) -> Iterator[int]:
+        p = self._profile
+        return map(p.base.__add__, p.offsets[p.first_seen()].tolist())
+
+    def __getitem__(self, x) -> int:
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise KeyError(x) from None
+        i = int(self._profile.locate([x])[0])
+        if i < 0:
+            raise KeyError(x)
+        return int(self._profile.multiplicities[i])
 
 
 @dataclass(frozen=True)
@@ -169,6 +262,15 @@ def _pair_offsets(A: IntegerSet, B: IntegerSet) -> tuple[np.ndarray, np.ndarray]
     return _offsets(A.elements, dtype), _offsets(B.elements, dtype)
 
 
+def _int_array(values) -> np.ndarray:
+    """values as an int64 array when every one fits, else as Python ints in
+    an object array.  An int64 array is returned as it is."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+
+
 class _PairSums(NamedTuple):
     """The pair sums a_i + b_j of (A, B), sorted once.  Sums are kept as
     offsets from ``base``: in int64 when span(A) + span(B) < 2**63, as
@@ -178,7 +280,7 @@ class _PairSums(NamedTuple):
     values: np.ndarray  # the distinct sums minus base, increasing
     rank: np.ndarray  # shape (|A|, |B|): a_i + b_j is values[rank[i, j]]
     counts: np.ndarray  # pairs per distinct sum
-    first_seen: np.ndarray  # indices into values, in order of appearance
+    first_pair: np.ndarray  # per distinct sum, i*|B| + j of its first pair
 
 
 def _sorted_pair_sums(A: IntegerSet, B: IntegerSet) -> _PairSums:
@@ -198,28 +300,31 @@ def _sorted_pair_sums(A: IntegerSet, B: IntegerSet) -> _PairSums:
     del sums
     rank = np.empty(len(order), dtype=np.int64)
     ranked = np.cumsum(new, dtype=np.int64)
+    del new
     ranked -= 1
     rank[order] = ranked
     del ranked
+    first_pair = order[starts]
+    del order  # not held while the counts are taken
     return _PairSums(A.min + B.min, values, rank.reshape(len(A), len(B)),
-                     np.diff(starts, append=len(order)),
-                     np.argsort(order[starts]))
+                     np.diff(starts, append=len(rank)), first_pair)
 
 
 def representation_profile(A: IntegerSet, B: IntegerSet, *,
                            pair_sums: _PairSums | None = None) -> RepProfile:
     """Multiplicity of every sum value; totals |A|*|B| by construction.
 
-    The sums appear in ``counts`` in the order in which they first occur
-    as a runs over A and, inside, b over B.  ``pair_sums`` is the sort of
-    the pair sums of (A, B) when the caller already made it.
+    The profile keeps the arrays of the sort of the pair sums: the distinct
+    sums, their counts and each one's first pair.  The sums appear in
+    ``counts`` in the order in which they first occur as a runs over A and,
+    inside, b over B.  ``pair_sums`` is the sort of the pair sums of (A, B)
+    when the caller already made it.
     """
     if pair_sums is None:
         pair_sums = _sorted_pair_sums(A, B)
-    first = pair_sums.first_seen
-    sums = map(pair_sums.base.__add__, pair_sums.values[first].tolist())
-    return RepProfile(dict(zip(sums, pair_sums.counts[first].tolist())),
-                      (len(A), len(B)))
+    return RepProfile._of_arrays(pair_sums.base, pair_sums.values,
+                                 pair_sums.counts, (len(A), len(B)),
+                                 pair_sums.first_pair)
 
 
 def energy(profile: RepProfile, alpha: float) -> EnergyValue:
@@ -229,16 +334,22 @@ def energy(profile: RepProfile, alpha: float) -> EnergyValue:
     alpha uses double precision (relative error <= 1e-12 per term), with
     the terms added one by one in the order of ``profile.counts``: the
     builtin ``sum`` compensates float rounding from Python 3.12 on, which
-    would make the value depend on the interpreter.
+    would make the value depend on the interpreter.  Each distinct count
+    is raised to alpha once, by Python's ``pow``; ``np.cumsum`` adds the
+    terms strictly left to right.
     """
     if alpha <= 1:
         raise ValueError("alpha must be > 1")
-    counts = profile.counts.values()
+    histogram = profile.multiplicity_histogram()
+    distinct = np.flatnonzero(histogram).tolist()
     if float(alpha).is_integer():
         e = int(alpha)
-        value: int | float = sum(c**e for c in counts)
+        value: int | float = sum(int(histogram[c]) * c**e for c in distinct)
     else:
-        value = reduce(operator.add, map(pow, counts, repeat(alpha)), 0.0)
+        powers = np.zeros(len(histogram))
+        powers[distinct] = [pow(c, alpha) for c in distinct]
+        terms = powers[profile.multiplicities[profile.first_seen()]]
+        value = float(np.cumsum(terms)[-1]) if len(terms) else 0.0
     return EnergyValue(float(alpha), value)
 
 
@@ -300,17 +411,17 @@ def high_multiplicity_set(profile: RepProfile, t: int) -> IntegerSet:
     representation function); ``t = 1`` returns the whole sumset."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    values = sorted(x for x, c in profile.counts.items() if c >= t)
-    if not values:
+    offsets = profile.offsets[profile.multiplicities >= t]
+    if not len(offsets):
         raise ValueError(f"no sum value has multiplicity >= {t}")
-    return IntegerSet(tuple(values))
+    return IntegerSet(tuple(map(profile.base.__add__, offsets.tolist())))
 
 
 def level_set_size(profile: RepProfile, t: int) -> int:
     """Like :func:`high_multiplicity_set` but just the size; 0 is allowed."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return sum(1 for c in profile.counts.values() if c >= t)
+    return int(np.count_nonzero(profile.multiplicities >= t))
 
 
 # ---------------------------------------------------------------------------

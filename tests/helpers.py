@@ -87,7 +87,7 @@ def count_crossings_oracle(graph: ArcGraph) -> int:
 def crossings_by_definition(graph: ArcGraph) -> int:
     """Independent quadratic crossing count: test both orientations of the
     strict-interleaving predicate on raw positions, no sorting, no pruning."""
-    pos = graph.positions
+    pos = graph.positions.tolist()
     es = [(pos[u], pos[v]) for u, v in edge_pairs(graph)]
     total = 0
     for i in range(len(es)):
@@ -104,7 +104,7 @@ def intersections_by_definition(graph: ArcGraph) -> int:
     vertex-disjoint edges whose closed position intervals share an
     interior point."""
     es = edge_pairs(graph)
-    pos = graph.positions
+    pos = graph.positions.tolist()
     total = 0
     for i in range(len(es)):
         u1, v1 = es[i]

@@ -54,6 +54,26 @@ class TestArcGraphType:
         with pytest.raises(ValueError):
             ArcGraph((3, 1), u=[], v=[])
 
+    def test_rejects_positions_not_increasing_in_both_dtypes(self):
+        for positions in ((0, 0), (0, 2, 1), (-2**63, 2**63 - 1, 2**63 - 1),
+                          (2**70, 1), (0, 2**70, 2**70), (-2**80, 5, 2)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                ArcGraph(positions, u=[], v=[])
+            with pytest.raises(ValueError, match="strictly increasing"):
+                ArcGraph(np.array(positions, dtype=object), u=[], v=[])
+
+    def test_positions_are_read_only_int64_when_they_fit(self):
+        for positions, dtype in (((-2**63, 0, 2**63 - 1), np.int64),
+                                 ((-2**63 - 1, 0), object),
+                                 ((0, 2**63), object)):
+            for given in (positions, np.array(positions, dtype=object)):
+                g = ArcGraph(given, u=[0], v=[1])
+                assert g.positions.dtype == dtype
+                assert g.positions.tolist() == list(positions)
+                assert not g.positions.flags.writeable
+        column = np.arange(4, dtype=np.int64)
+        assert ArcGraph(column, u=[], v=[]).positions is column
+
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):
             graph_of((0, 1), [(1, 0)])
@@ -68,12 +88,12 @@ class TestArcGraphType:
 class TestBuildSumGraph:
     def test_single_translate_is_a_path(self):
         g = build_sum_graph(iset(0, 1, 3), iset(0))
-        assert g.positions == (0, 1, 3)
+        assert g.positions.tolist() == [0, 1, 3]
         assert edge_pairs(g) == [(0, 1), (1, 2)]
 
     def test_two_translates(self):
         g = build_sum_graph(iset(0, 1, 3), iset(0, 1))
-        assert g.positions == (0, 1, 2, 3, 4)
+        assert g.positions.tolist() == [0, 1, 2, 3, 4]
         assert g.num_edges == 4
         assert set(edge_pairs(g)) == {(0, 1), (1, 3), (1, 2), (2, 4)}
 
@@ -305,7 +325,7 @@ def test_sum_graph_positions_follow_any_dcd_input():
     g = build_sum_graph(A, B)
     assert is_dcd(A)
     values = {a + b for a in A for b in B}
-    assert g.positions == tuple(sorted(values))
+    assert g.positions.tolist() == sorted(values)
 
 
 class TestColumns:
@@ -337,8 +357,10 @@ def _check_sum_graph(A, B):
     builder and the quadratic oracles."""
     g = build_sum_graph(A, B)
     positions, edges = sum_graph_by_definition(A, B)
-    assert g.positions == positions
-    assert all(type(x) is int for x in g.positions)
+    assert g.positions.tolist() == list(positions)
+    fits = -2**63 <= positions[0] and positions[-1] < 2**63
+    assert g.positions.dtype == (np.int64 if fits else object)
+    assert not g.positions.flags.writeable
     assert edge_pairs(g) == edges
     _check_against_oracles(g)
     expected = max((translate_pair_crossings_by_definition(A, b, c)
@@ -488,10 +510,12 @@ def test_peak_memory():
     """Each counter stays within the peak memory the README states for it,
     measured with tracemalloc (numpy reports its buffers there); 64 KB
     covers fixed-size allocations.  Coprime t=4 fills several blocks of
-    the translate-pair count.  The sum graph of pairs with summed spans of
-    2**63 or more, whose pair sums are Python ints, is held to the bound
-    for that path on random values within +-2**62 (nearly every sum
-    distinct) and on an arithmetic progression (few distinct sums)."""
+    the translate-pair count, and a sum graph of |A| = 2 with every sum
+    distinct comes closest to the bound of ``build_sum_graph``.  The sum
+    graph of pairs with summed spans of 2**63 or more, whose pair sums are
+    Python ints, is held to the bound for that path on random values
+    within +-2**62 (nearly every sum distinct) and on an arithmetic
+    progression (few distinct sums)."""
     from sumcross.arcgraph import _ARC_PAIR_BLOCK
 
     def peak(f, *args):
@@ -509,7 +533,7 @@ def test_peak_memory():
             built = peak(build_sum_graph, A, B)
             g = build_sum_graph(A, B)
             m, n = g.num_edges, g.num_vertices
-            assert built <= 48 * m + 64 * n
+            assert built <= 48 * m + 32 * n
             assert g.u.nbytes + g.v.nbytes == 16 * m
             assert peak(count_crossings_fast, g) <= 32 * m + 16 * n
             assert peak(count_intersections, g) <= 32 * m + 16 * n
@@ -520,6 +544,17 @@ def test_peak_memory():
                     + 48 * _ARC_PAIR_BLOCK)
         finally:
             tracemalloc.stop()
+
+    A = IntegerSet((0, 3 * 10**9))
+    B = random_integer_set(random.Random(57), 20000, 0, 10**9)
+    tracemalloc.start()
+    try:
+        built = peak(build_sum_graph, A, B)
+    finally:
+        tracemalloc.stop()
+    g = build_sum_graph(A, B)
+    assert g.num_vertices == 2 * len(B)
+    assert built <= 48 * g.num_edges + 32 * g.num_vertices
 
     rng = random.Random(58)
     cases = [(IntegerSet.of(rng.randrange(-2**62, 2**62) for _ in range(300)),

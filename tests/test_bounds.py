@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sumcross import (
     ArcGraph,
@@ -36,11 +38,22 @@ from helpers import (
     random_dcd_set,
     random_doubling_dcd_set,
     random_integer_set,
+    representation_profile_by_definition,
 )
 
 
 def iset(*values):
     return IntegerSet.of(values)
+
+
+# small values, values near +-2**62 (summed spans near 2**63 and past it,
+# where the sums are Python ints) and anything up to +-2**64
+wide_values = st.one_of(
+    st.integers(-20, 20),
+    st.integers(-2**62 - 3, -2**62 + 3),
+    st.integers(2**62 - 3, 2**62 + 3),
+    st.integers(-2**64, 2**64))
+wide_sets = st.sets(wide_values, min_size=1, max_size=10).map(IntegerSet.of)
 
 
 def dense_bipartite_instance():
@@ -149,6 +162,17 @@ class TestDegreeWeightedCrossing:
         g = build_sum_graph(A, A)
         r = check_degree_weighted_crossing(g)
         assert r.mode == "assert" and r.satisfied
+
+    @given(wide_sets.filter(lambda A: len(A) >= 2), wide_sets)
+    def test_weighted_cubes_at_any_values(self, A, B):
+        g = build_sum_graph(A, B)
+        if len(set(edge_pairs(g))) < g.num_edges:
+            return  # parallel edges: rejected, see test_rejects_multigraphs
+        degrees = sorted(((g.u.tolist() + g.v.tolist()).count(i)
+                          for i in range(g.num_vertices)), reverse=True)
+        expected = sum(i * d**3 for i, d in enumerate(degrees, start=1))
+        r = check_degree_weighted_crossing(g)
+        assert r.context["weightedDegreeCubes"] == expected
 
     def test_weighted_cubes_by_enumeration(self):
         rng = random.Random(23)
@@ -281,6 +305,50 @@ class TestHeavySubset:
     def test_records_second_case_hypothesis(self):
         r = check_heavy_subset(iset(0, 1), iset(0, 1), iset(1))
         assert "secondCaseHypothesisHeld" in r.context
+
+    @given(wide_sets, wide_sets, st.data())
+    def test_subsets_with_foreign_values(self, A, B, data):
+        """Any subset of the sumset gets its mass from the oracle; one with
+        a foreign value, also one far outside int64, names the smallest."""
+        oracle = representation_profile_by_definition(A, B)
+        sums = sorted(oracle)
+        members = data.draw(st.sets(st.sampled_from(sums), min_size=1,
+                                    max_size=4))
+        foreign = data.draw(st.sets(st.one_of(
+            wide_values, st.sampled_from([sums[0] - 1, sums[-1] + 1,
+                                          2**80, -2**80])), max_size=2))
+        foreign -= set(sums)
+        S = IntegerSet.of(members | foreign)
+        profile = representation_profile(A, B)
+        if foreign:
+            with pytest.raises(ValueError,
+                               match=f"^{min(foreign)} is not in the sumset$"):
+                check_heavy_subset(A, B, S, profile=profile)
+            return
+        r = check_heavy_subset(A, B, S, profile=profile)
+        assert r.context["subsetMass"] == sum(oracle[x] for x in S)
+        assert r.context["subsetSize"] == len(S)
+        assert r.context["sumsetSize"] == len(oracle)
+
+    @given(wide_sets, wide_sets)
+    @example(iset(0, 1, 2), iset(0, 1, 2))
+    @example(iset(-2**64, 0, 2**64), iset(0, 2**64))
+    def test_argmax_value_against_the_oracle(self, A, B):
+        oracle = representation_profile_by_definition(A, B)
+        top = max(oracle.values())
+        expected = min(x for x, c in oracle.items() if c == top)
+        assert _argmax_value(representation_profile(A, B)) == expected
+
+    @given(wide_sets, wide_sets)
+    @example(iset(5), iset(0, 1))
+    @example(iset(0, 1, 3), iset(0, 2**64))
+    def test_whole_sumset_report_of_the_suite(self, A, B):
+        """run_all_checks reports the whole sumset without building it as a
+        set; the report equals the one for the sumset passed in."""
+        full = check_heavy_subset(A, B, sumset(A, B)).as_dict()
+        heavy = [r.as_dict() for r in run_all_checks(A, B)
+                 if r.name == "heavy_subset_ge"]
+        assert full in heavy and len(heavy) == 2
 
 
 class TestLevelSetCount:

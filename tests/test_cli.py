@@ -203,12 +203,13 @@ class TestCheck:
 class TestGoldenBytes:
     """SHA-256 of JSON outputs pinned from an earlier release, so that a
     faster path can never change a byte.  Seeded depth 1 has A == B, so its
-    reports carry the float energy15."""
+    reports carry the float energy15; coprime t=3 is the instance of the
+    check-coprime benchmark."""
 
     @staticmethod
     def instance(tmp_path, name):
-        if name == "coprime_t1":
-            A, B, _ = coprime_construction(1)
+        if name.startswith("coprime_t"):
+            A, B, _ = coprime_construction(int(name[len("coprime_t"):]))
         else:
             A = B = sidon_seed_construction(REFERENCE_SEED, 1)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -223,6 +224,8 @@ class TestGoldenBytes:
          "d3128a820d356c5d98769103f69e7f9eb787c7ff1b42fa0de3a9f7916911e151"),
         ("analyze", "coprime_t1",
          "254a79cd0fffbacc580128ab6b97bd2afb1244b65d8e47c589c36141d9f5a60f"),
+        ("check", "coprime_t3",
+         "c5088432c099c593525cb69e8649d9faa574c00a024de4582c7ea0ea25e17624"),
     ])
     def test_json_digest(self, tmp_path, capsys, command, name, digest):
         a, b = self.instance(tmp_path, name)

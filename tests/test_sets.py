@@ -211,15 +211,20 @@ class TestRepresentationProfile:
         """Peak memory within the bounds the README states, measured with
         tracemalloc (numpy reports its buffers there); 64 KB covers
         fixed-size allocations.  While the sums fit int64: 40 bytes per
-        pair plus 192 per distinct sum.  From summed spans of 2**63 on,
+        pair plus 16 per distinct sum.  From summed spans of 2**63 on,
         where the pair sums are Python ints, with values below 2**88 in
-        absolute value: 64 bytes per pair plus 192 per distinct sum, on
+        absolute value: 64 bytes per pair plus 80 per distinct sum, on
         random values (nearly every sum distinct) and on an arithmetic
-        progression (few)."""
+        progression (few).  |A| = 1 and |A| = 2 with every sum distinct
+        are the cases closest to the per-sum bounds."""
         rng = random.Random(43)
         cases = [coprime_construction(1)[:2], coprime_construction(2)[:2],
                  (random_integer_set(rng, 500, 0, 10**6),
                   random_integer_set(rng, 300, 0, 10**6)),
+                 (iset(5), random_integer_set(rng, 20000, -10**9, 10**9)),
+                 (iset(0, 3 * 10**9), random_integer_set(rng, 20000, 0, 10**9)),
+                 (iset(-2**87), IntegerSet.of(rng.randrange(-2**87, 2**87)
+                                              for _ in range(20000))),
                  (IntegerSet.of(range(0, 3000, 3)),
                   IntegerSet.of(range(0, 900, 3))),
                  (IntegerSet.of(rng.randrange(-2**62, 2**62)
@@ -239,7 +244,7 @@ class TestRepresentationProfile:
                 profile = representation_profile(A, B)
                 peak = tracemalloc.get_traced_memory()[1] - base - (1 << 16)
                 assert peak <= ((64 if wide else 40) * len(A) * len(B)
-                                + 192 * len(profile.counts))
+                                + (80 if wide else 16) * len(profile.counts))
                 del profile
         finally:
             tracemalloc.stop()
@@ -253,6 +258,97 @@ class TestRepresentationProfile:
             profile = representation_profile(A, B)
             oracle = representation_profile_by_definition(A, B)
             assert list(profile.counts.items()) == list(oracle.items())
+
+    @given(st.sets(profile_values, min_size=1, max_size=12),
+           st.sets(profile_values, min_size=1, max_size=12), st.booleans())
+    @example({7}, {-3, 5, 9}, False)
+    @example({-3, 5, 9}, {7}, False)
+    @example({-2**62, 0, 2**62}, set(), True)
+    @example({-2**62, -1, 0}, {0, 1, 2, 2**62 - 2, 2**62 - 1}, False)
+    @example({-2**62, -1, 0}, {0, 1, 2, 2**62 - 1, 2**62}, False)
+    @example({-2**64, 3, 2**64}, {-5, 2**62}, False)
+    def test_array_fields_levels_and_energies(self, xs, ys, same):
+        """The columnar profile against the pair-by-pair oracle: offsets,
+        counts and their dtypes, the level sets at every t, and the
+        energies (integer ones exact, fractional ones bit for bit)."""
+        A = IntegerSet.of(xs)
+        B = A if same or not ys else IntegerSet.of(ys)
+        profile = representation_profile(A, B)
+        oracle = representation_profile_by_definition(A, B)
+        sums = sorted(oracle)
+        wide = sums[-1] - sums[0] >= 2**63
+        assert profile.offsets.dtype == (object if wide else np.int64)
+        assert profile.base == sums[0] == A.min + B.min
+        assert [profile.base + x for x in profile.offsets.tolist()] == sums
+        assert profile.multiplicities.tolist() == [oracle[x] for x in sums]
+        assert profile.source_sizes == (len(A), len(B))
+        assert len(profile.counts) == len(oracle)
+        top = max(oracle.values())
+        assert profile.max_multiplicity() == top
+        for t in range(1, top + 2):
+            level = tuple(x for x in sums if oracle[x] >= t)
+            assert level_set_size(profile, t) == len(level)
+            if level:
+                assert high_multiplicity_set(profile, t).elements == level
+            else:
+                with pytest.raises(ValueError, match="no sum value"):
+                    high_multiplicity_set(profile, t)
+        for e in (2, 3):
+            value = energy(profile, e).value
+            assert type(value) is int
+            assert value == sum(c**e for c in oracle.values())
+        for alpha in (1.5, 2.5):
+            assert (energy(profile, alpha).value.hex()
+                    == energy_by_definition(oracle, alpha).hex())
+
+    @given(st.sets(profile_values, min_size=1, max_size=10),
+           st.sets(profile_values, min_size=1, max_size=10), st.randoms())
+    @example({0, 1, 3}, {0, 1, 3}, random.Random(0))
+    @example({-2**64, 2**64}, {1, 2}, random.Random(1))
+    def test_built_from_a_mapping_in_any_order(self, xs, ys, rnd):
+        """A profile built from a mapping holds the arrays of the pair-sum
+        profile and reads back in the mapping's order."""
+        A, B = IntegerSet.of(xs), IntegerSet.of(ys)
+        oracle = representation_profile_by_definition(A, B)
+        keys = list(oracle)
+        rnd.shuffle(keys)
+        counts = {x: oracle[x] for x in keys}
+        profile = RepProfile(counts, (len(A), len(B)))
+        built = representation_profile(A, B)
+        assert list(profile.counts.items()) == list(counts.items())
+        assert profile.base == built.base
+        assert profile.offsets.dtype == built.offsets.dtype
+        assert profile.offsets.tolist() == built.offsets.tolist()
+        assert profile.multiplicities.tolist() == built.multiplicities.tolist()
+        assert (energy(profile, 1.5).value.hex()
+                == energy_by_definition(counts, 1.5).hex())
+
+    def test_counts_is_a_read_only_view(self):
+        profile = representation_profile(iset(0, 1, 3), iset(0, 1, 3))
+        counts = profile.counts
+        assert counts[4] == 2 and 6 in counts
+        for missing in (5, -1, 7, 2**70, -2**70, 1.5, "4", None):
+            assert missing not in counts
+        with pytest.raises(KeyError):
+            counts[2**64]
+        with pytest.raises(TypeError):
+            counts[4] = 1
+        with pytest.raises(AttributeError):
+            profile.base = 1
+        for array in (profile.offsets, profile.multiplicities):
+            assert not array.flags.writeable
+        wide = representation_profile(iset(-2**64, 0), iset(0, 2**64))
+        assert wide.offsets.dtype == object
+        assert wide.counts == {-2**64: 1, 0: 2, 2**64: 1}
+        assert -1 not in wide.counts and 2**65 not in wide.counts
+
+    def test_validation_of_counts_and_sums_beyond_int64(self):
+        with pytest.raises(ValueError, match=f"^count 3 for {2**70} outside"):
+            RepProfile({-2**70: 1, 2**70: 3}, (2, 2))
+        with pytest.raises(ValueError, match=r"^representation counts"):
+            RepProfile({0: 2**70}, (2, 2))
+        with pytest.raises(ValueError, match=f"^count {2**70} for 1 outside"):
+            RepProfile({1: 2**70, 0: 4 - 2**70}, (2, 2))
 
 
 class TestEnergy:
