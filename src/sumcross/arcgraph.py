@@ -3,6 +3,9 @@ every edge is an upper semicircular arc.  Two arcs cross iff their endpoint
 intervals strictly interleave; they intersect iff the open intervals overlap
 at all (interleaving or nesting) and the edges share no vertex.
 
+The sum graph's vertices are the distinct sums of the representation
+profile; ``_profile_and_graph`` builds both from one sort of the pair sums.
+
 Only the order of the positions matters for any count here, never the
 coordinates themselves.  Edges are stored as int64 columns and every count
 is computed with numpy in O(m log m), without a Python loop over edges.
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import (_INT64_SPAN, IntegerSet, _gather, _int_array, _pair_offsets,
-                   _PairSums, _sorted_pair_sums)
+from .sets import (_INT64_SPAN, IntegerSet, RepProfile, _gather, _int_array,
+                   _pair_offsets, _profile_and_order)
 
 __all__ = [
     "ArcGraph",
@@ -99,30 +102,42 @@ class CrossingStats:
         }
 
 
-def build_sum_graph(A: IntegerSet, B: IntegerSet, *,
-                    pair_sums: _PairSums | None = None) -> ArcGraph:
+def build_sum_graph(A: IntegerSet, B: IntegerSet) -> ArcGraph:
     """The sum graph of (A, B): one vertex per value of A+B and, for every
     b in B, a path through a_1+b, ..., a_k+b.  Edge ``j*(|A|-1) + i`` joins
     a_i+b_j to a_{i+1}+b_j.  When A does not have distinct consecutive
     differences the same vertex pair can occur twice; such parallel edges
     are retained.
-
-    The vertices and endpoints come from one stable sort of the pair sums
-    (``sets._sorted_pair_sums``), the same one behind
-    ``representation_profile``; ``pair_sums`` is that sort when the caller
-    already made it.
     """
     if len(A) < 2:
         raise ValueError("A must have at least two elements")
-    if pair_sums is None:
-        pair_sums = _sorted_pair_sums(A, B)
-    index = pair_sums.rank.T
-    base, values = pair_sums.base, pair_sums.values
-    if not (-_INT64_SPAN <= base and base + int(values[-1]) < _INT64_SPAN):
-        # a sum leaves int64: the positions are Python ints
-        values = values.astype(object, copy=False)
-    return ArcGraph(values + base, u=index[:, :-1].ravel(),
-                    v=index[:, 1:].ravel())
+    return _profile_and_graph(A, B)[1]
+
+
+def _profile_and_graph(A: IntegerSet,
+                       B: IntegerSet) -> tuple[RepProfile, ArcGraph]:
+    """The profile and the sum graph of (A, B) from the profile's one sort of
+    the pair sums; edgeless when |A| = 1.  A pair's vertex is its sum's
+    rank: the running count of runs of equal sums in sorted order,
+    scattered back through the order, which goes before the edges are cut.
+    Positions are int64 when every sum fits (offsets, below 2**64, plus
+    base modulo 2**64) and Python ints otherwise."""
+    profile, order = _profile_and_order(A, B)
+    rank = np.zeros(len(order), dtype=np.int64)
+    rank[np.cumsum(profile.multiplicities[:-1])] = 1
+    np.cumsum(rank, out=rank)
+    rank[order] = rank.copy()
+    del order
+    index = rank.reshape(len(A), len(B)).T
+    base, offsets = profile.base, profile.offsets
+    if -_INT64_SPAN <= base and base + int(offsets[-1]) < _INT64_SPAN:
+        positions = offsets.astype(np.uint64)
+        positions += np.uint64(base % (1 << 64))
+        positions = positions.view(np.int64)
+    else:
+        positions = offsets.astype(object, copy=False) + base
+    return profile, ArcGraph(positions, u=index[:, :-1].ravel(),
+                             v=index[:, 1:].ravel())
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

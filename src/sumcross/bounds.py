@@ -25,6 +25,7 @@ from .arcgraph import (
     ArcGraph,
     build_sum_graph,
     _degrees,
+    _profile_and_graph,
     count_crossings_fast,
     count_intersections,
     has_parallel_edges,
@@ -36,7 +37,6 @@ from .sets import (
     is_dcd,
     level_set_size,
     consecutive_difference_multiplicity,
-    _sorted_pair_sums,
     representation_profile,
     satisfies_doubling,
     sumset_size,
@@ -223,15 +223,14 @@ def check_bipartite_crossing(graph: ArcGraph, part_u) -> BoundReport:
 
 
 def check_energy_lower(A: IntegerSet, B: IntegerSet, *,
-                       profile: RepProfile | None = None,
-                       sumset_size: int | None = None) -> BoundReport:
+                       profile: RepProfile | None = None) -> BoundReport:
     """|A+B| against E_1.5(A,B)^(2/3).  The underlying statement hides a
     log factor, so this is report-only bookkeeping of the ratio."""
     if len(A) != len(B):
         raise ValueError("sets must have equal size")
     if profile is None:
         profile = representation_profile(A, B)
-    s = sumset_size if sumset_size is not None else len(profile.counts)
+    s = len(profile.counts)
     e15 = float(energy(profile, 1.5).value)
     rhs = e15 ** (2.0 / 3.0)
     return BoundReport(
@@ -275,18 +274,21 @@ def _heavy_subset_report(k: int, l: int, s: int, size_s: int, mass: int,
 
 
 def check_level_set_count(A: IntegerSet, B: IntegerSet, t: int, *,
-                          profile: RepProfile | None = None,
-                          level_size: int | None = None) -> BoundReport:
+                          profile: RepProfile | None = None) -> BoundReport:
     """Values represented at least t >= 2 times are few:
     |S_t| < 3 |A+B|^(1/2) |A|^(1/2) |B| / t^(3/2)."""
     if t < 2:
         raise ValueError("t must be >= 2")
     if profile is None:
         profile = representation_profile(A, B)
-    k, l = len(A), len(B)
-    s = len(profile.counts)
-    size_t = level_set_size(profile, t) if level_size is None else level_size
-    pre = is_dcd(A)
+    return _level_set_report(len(A), len(B), len(profile.counts), t,
+                             level_set_size(profile, t), is_dcd(A))
+
+
+def _level_set_report(k: int, l: int, s: int, t: int, size_t: int,
+                      pre: bool) -> BoundReport:
+    """The level-set report for |A| = k, |B| = l, |A+B| = s and the
+    size_t sums represented at least t times."""
     satisfied = size_t * size_t * t**3 < 9 * s * k * l * l
     rhs = 3.0 * math.sqrt(s * k) * l / t**1.5
     return BoundReport(
@@ -372,20 +374,17 @@ def run_all_checks(A: IntegerSet, B: IntegerSet) -> list[BoundReport]:
     JSON of larger instances unchanged until the output can record a
     skipped report with its reason.
     """
-    # one sort of the pair sums serves the profile and the sum graph; it
-    # holds an int64 rank per pair, so it goes once both are built
-    pair_sums = _sorted_pair_sums(A, B)
-    profile = representation_profile(A, B, pair_sums=pair_sums)
-    graph = (build_sum_graph(A, B, pair_sums=pair_sums) if len(A) >= 2
-             else None)
-    del pair_sums
+    # one sort of the pair sums serves the profile and the sum graph
+    profile, graph = _profile_and_graph(A, B)
+    k, l = len(A), len(B)
     s = len(profile.counts)
+    pre = is_dcd(A)
     reports = [
         check_sumset_lower(A, B, sumset_size=s),
-        check_multiplicity_lower(A, B, sumset_size=s) if len(A) >= 2 else None,
+        check_multiplicity_lower(A, B, sumset_size=s) if k >= 2 else None,
         check_doubling_lower(A, B, sumset_size=s),
     ]
-    if graph is not None:
+    if k >= 2:
         crossings = count_crossings_fast(graph)
         reports.append(check_crossing_upper(A, B, crossings=crossings))
         reports.append(check_crossing_lower(A, B, crossings=crossings,
@@ -397,18 +396,16 @@ def run_all_checks(A: IntegerSet, B: IntegerSet) -> list[BoundReport]:
             even = range(0, graph.num_vertices, 2)
             reports.append(check_bipartite_crossing(graph, even))
             reports.append(check_intersection_lower(graph))
-    if len(A) == len(B):
-        reports.append(check_energy_lower(A, B, profile=profile, sumset_size=s))
+    if k == l:
+        reports.append(check_energy_lower(A, B, profile=profile))
     # the whole sumset carries all |A||B| pairs
-    k, l = len(A), len(B)
-    reports.append(_heavy_subset_report(k, l, s, s, k * l, is_dcd(A)))
+    reports.append(_heavy_subset_report(k, l, s, s, k * l, pre))
     top = _argmax_value(profile)
     reports.append(check_heavy_subset(A, B, IntegerSet((top,)), profile=profile))
     # level_sizes[t]: the sums with at least t representations
     level_sizes = np.cumsum(profile.multiplicity_histogram()[::-1])[::-1]
     for t, size in enumerate(level_sizes.tolist()[2:], start=2):
-        reports.append(check_level_set_count(A, B, t, profile=profile,
-                                             level_size=size))
+        reports.append(_level_set_report(k, l, s, t, size, pre))
     reports = [r for r in reports if r is not None]
     return sorted(reports, key=lambda r: (r.name, _context_digest(r.context)))
 

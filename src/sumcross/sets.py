@@ -5,6 +5,10 @@ representation counts, additive energies, and the gap-structure predicates
 Everything here is a pure function of immutable inputs and is exact over
 arbitrary-precision integers; only fractional-exponent energies go through
 floating point.
+
+The representation profile comes from one stable sort of the pair sums.
+That sort is made here only: ``arcgraph`` takes its order with the profile
+(``_profile_and_order``) to rank the pairs for the sum graph.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -271,23 +275,13 @@ def _int_array(values) -> np.ndarray:
         return np.asarray(values, dtype=object)
 
 
-class _PairSums(NamedTuple):
-    """The pair sums a_i + b_j of (A, B), sorted once.  Sums are kept as
-    offsets from ``base``: in int64 when span(A) + span(B) < 2**63, as
-    Python ints in object arrays otherwise."""
-
-    base: int  # A.min + B.min
-    values: np.ndarray  # the distinct sums minus base, increasing
-    rank: np.ndarray  # shape (|A|, |B|): a_i + b_j is values[rank[i, j]]
-    counts: np.ndarray  # pairs per distinct sum
-    first_pair: np.ndarray  # per distinct sum, i*|B| + j of its first pair
-
-
-def _sorted_pair_sums(A: IntegerSet, B: IntegerSet) -> _PairSums:
-    """One stable argsort of the pair sums, a outer and b inner; with it
-    the first pair of each run of equal sums is the sum's first
-    appearance.  :func:`representation_profile` and
-    ``arcgraph.build_sum_graph`` both build on it."""
+def _profile_and_order(A: IntegerSet,
+                       B: IntegerSet) -> tuple[RepProfile, np.ndarray]:
+    """The representation profile of (A, B) and the order behind it: one
+    stable argsort of the pair sums a_i + b_j, flattened as i*|B| + j, a
+    outer and b inner, so the first pair of each run of equal sums is the
+    sum's first appearance.  ``arcgraph`` ranks the pairs from the order
+    for the sum graph; :func:`representation_profile` drops it."""
     a, b = _pair_offsets(A, B)
     sums = (a[:, None] + b[None, :]).ravel()
     order = np.argsort(sums, kind="stable")
@@ -296,35 +290,24 @@ def _sorted_pair_sums(A: IntegerSet, B: IntegerSet) -> _PairSums:
     new[0] = True
     np.not_equal(sums[1:], sums[:-1], out=new[1:])
     starts = np.flatnonzero(new)
+    del new
     values = sums[starts]
     del sums
-    rank = np.empty(len(order), dtype=np.int64)
-    ranked = np.cumsum(new, dtype=np.int64)
-    del new
-    ranked -= 1
-    rank[order] = ranked
-    del ranked
-    first_pair = order[starts]
-    del order  # not held while the counts are taken
-    return _PairSums(A.min + B.min, values, rank.reshape(len(A), len(B)),
-                     np.diff(starts, append=len(rank)), first_pair)
+    profile = RepProfile._of_arrays(A.min + B.min, values,
+                                    np.diff(starts, append=len(order)),
+                                    (len(A), len(B)), order[starts])
+    return profile, order
 
 
-def representation_profile(A: IntegerSet, B: IntegerSet, *,
-                           pair_sums: _PairSums | None = None) -> RepProfile:
+def representation_profile(A: IntegerSet, B: IntegerSet) -> RepProfile:
     """Multiplicity of every sum value; totals |A|*|B| by construction.
 
-    The profile keeps the arrays of the sort of the pair sums: the distinct
-    sums, their counts and each one's first pair.  The sums appear in
-    ``counts`` in the order in which they first occur as a runs over A and,
-    inside, b over B.  ``pair_sums`` is the sort of the pair sums of (A, B)
-    when the caller already made it.
+    The profile keeps the arrays of one stable sort of the pair sums: the
+    distinct sums, their counts and each one's first pair.  The sums appear
+    in ``counts`` in the order in which they first occur as a runs over A
+    and, inside, b over B.
     """
-    if pair_sums is None:
-        pair_sums = _sorted_pair_sums(A, B)
-    return RepProfile._of_arrays(pair_sums.base, pair_sums.values,
-                                 pair_sums.counts, (len(A), len(B)),
-                                 pair_sums.first_pair)
+    return _profile_and_order(A, B)[0]
 
 
 def energy(profile: RepProfile, alpha: float) -> EnergyValue:

@@ -1,8 +1,11 @@
+import itertools
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sumcross import (
     ArcGraph,
@@ -28,6 +31,7 @@ from helpers import (
     random_arcgraph,
     random_dcd_set,
     random_integer_set,
+    representation_profile_by_definition,
     strict_inversions_by_definition,
     sum_graph_by_definition,
     translate_pair_crossings_by_definition,
@@ -35,6 +39,7 @@ from helpers import (
 from sumcross.arcgraph import (
     _candidate_differences,
     _crossings_by_difference,
+    _profile_and_graph,
     _strict_inversions,
 )
 from sumcross.sets import _pair_offsets
@@ -426,6 +431,51 @@ class TestEdgeCases:
                              random_integer_set(rng, rng.randint(1, 8), -80, 80))
 
 
+# small values, values near +-2**62 (summed spans near 2**63 and past it,
+# with sums inside int64 and outside it) and anything up to +-2**64
+graph_values = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-2**62 - 5, -2**62 + 5),
+    st.integers(2**62 - 5, 2**62 + 5),
+    st.integers(-2**64, 2**64))
+
+
+@st.composite
+def sum_graph_sets(draw):
+    """(A, B) of up to 10 values each; half the time A repeats gaps of 1
+    to 3, which gives parallel edges."""
+    if draw(st.booleans()):
+        gaps = draw(st.lists(st.integers(1, 3), max_size=9))
+        A = IntegerSet(tuple(itertools.accumulate([draw(graph_values)] + gaps)))
+    else:
+        A = IntegerSet.of(draw(st.sets(graph_values, min_size=1, max_size=10)))
+    return A, IntegerSet.of(draw(st.sets(graph_values, min_size=1, max_size=10)))
+
+
+@given(sum_graph_sets())
+@example((iset(3, 10, 12), iset(7)))  # |B| = 1
+@example((iset(5), iset(-2)))  # every pair on one sum
+@example((iset(0, 1, 2, 3), iset(0, 1, 5)))  # parallel edges
+@example((iset(-2**62, 0, 2**62 - 1), iset(-5, 2**62)))  # spans >= 2**63, sums fit
+@example((iset(-2**62, 2**62), iset(0, 2**62)))  # a sum reaches 2**63
+@example((iset(-2**63, 0), iset(-1, 5)))  # a sum below -2**63
+def test_profile_and_graph_against_the_definitions(sets):
+    """The profile and the sum graph from one sort against the pair-by-pair
+    oracles: positions and their dtype, the u and v columns, the counts
+    and their order of first appearance."""
+    A, B = sets
+    profile, graph = _profile_and_graph(A, B)
+    positions, edges = sum_graph_by_definition(A, B)
+    assert graph.positions.tolist() == list(positions)
+    fits = -2**63 <= positions[0] and positions[-1] < 2**63
+    assert graph.positions.dtype == (np.int64 if fits else object)
+    assert graph.u.tolist() == [u for u, _ in edges]
+    assert graph.v.tolist() == [v for _, v in edges]
+    oracle = representation_profile_by_definition(A, B)
+    assert list(profile.counts.items()) == list(oracle.items())
+    assert [profile.base + x for x in profile.offsets.tolist()] == list(positions)
+
+
 def _f_against_the_per_delta_count(A, B):
     """f over the candidate deltas of (A, B), from the step count and from
     the per-delta oracle, which must agree value for value; the candidates
@@ -515,7 +565,9 @@ def test_peak_memory():
     graph of pairs with summed spans of 2**63 or more, whose pair sums are
     Python ints, is held to the bound for that path on random values
     within +-2**62 (nearly every sum distinct) and on an arithmetic
-    progression (few distinct sums)."""
+    progression (few distinct sums), where every sum fits int64 and so
+    does each position, and on random values within +-2**87, where the
+    positions are Python ints too."""
     from sumcross.arcgraph import _ARC_PAIR_BLOCK
 
     def peak(f, *args):
@@ -560,7 +612,9 @@ def test_peak_memory():
     cases = [(IntegerSet.of(rng.randrange(-2**62, 2**62) for _ in range(300)),
               IntegerSet.of(rng.randrange(-2**62, 2**62) for _ in range(200))),
              (IntegerSet.of(k << 55 for k in range(-150, 150)),
-              IntegerSet.of(k << 55 for k in range(-100, 100)))]
+              IntegerSet.of(k << 55 for k in range(-100, 100))),
+             (IntegerSet.of(rng.randrange(-2**87, 2**87) for _ in range(300)),
+              IntegerSet.of(rng.randrange(-2**87, 2**87) for _ in range(200)))]
     for A, B in cases:
         assert (A.max - A.min) + (B.max - B.min) >= 2**63
         tracemalloc.start()
@@ -568,5 +622,6 @@ def test_peak_memory():
             built = peak(build_sum_graph, A, B)
         finally:
             tracemalloc.stop()
-        n = build_sum_graph(A, B).num_vertices
-        assert built <= 64 * len(A) * len(B) + 128 * n
+        g = build_sum_graph(A, B)
+        per_vertex = 48 if g.positions.dtype == np.int64 else 128
+        assert built <= 64 * len(A) * len(B) + per_vertex * g.num_vertices

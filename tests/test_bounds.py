@@ -483,3 +483,25 @@ class TestSuiteRunner:
     def test_singleton_a(self):
         reports = run_all_checks(iset(5), iset(0, 1))
         assert all(r.satisfied for r in reports if r.mode == "assert")
+
+    def test_one_sort_and_few_dcd_tests_per_suite(self, monkeypatch):
+        # coprime t=3 has 13 level-set reports; A's gaps are tested once
+        # for all of them
+        from sumcross import arcgraph, bounds, sets
+        calls = {"sort": 0, "is_dcd": 0}
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        sort = counted("sort", sets._profile_and_order)
+        monkeypatch.setattr(sets, "_profile_and_order", sort)
+        monkeypatch.setattr(arcgraph, "_profile_and_order", sort)
+        monkeypatch.setattr(bounds, "is_dcd", counted("is_dcd", bounds.is_dcd))
+        A, B, _ = coprime_construction(3)
+        reports = run_all_checks(A, B)
+        assert sum(r.name == "level_set_count_lt" for r in reports) >= 10
+        assert calls["sort"] == 1
+        assert calls["is_dcd"] <= 7

@@ -254,8 +254,8 @@ class TestRepresentationProfile:
         for span_b, dtype in ((2**62 - 1, np.int64), (2**62, object)):
             A = iset(-2**62, -1, 0)
             B = iset(0, 1, 2, span_b - 1, span_b)
-            assert sets_module._sorted_pair_sums(A, B).values.dtype == dtype
             profile = representation_profile(A, B)
+            assert profile.offsets.dtype == dtype
             oracle = representation_profile_by_definition(A, B)
             assert list(profile.counts.items()) == list(oracle.items())
 
