@@ -4,7 +4,7 @@ intervals strictly interleave; they intersect iff the open intervals overlap
 at all (interleaving or nesting) and the edges share no vertex.
 
 The sum graph's vertices are the distinct sums of the representation
-profile; ``_profile_and_graph`` builds both from one sort of the pair sums.
+profile; ``build_sum_graph`` ranks the pairs from the sort behind it.
 
 Only the order of the positions matters for any count here, never the
 coordinates themselves.  Edges are stored as int64 columns and every count
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import (_INT64_SPAN, IntegerSet, RepProfile, _gather, _int_array,
-                   _pair_offsets, _profile_and_order)
+from .sets import (_INT64_SPAN, IntegerSet, _gather, _int_array, _pair_offsets,
+                   _profile_and_order)
 
 __all__ = [
     "ArcGraph",
@@ -108,20 +108,15 @@ def build_sum_graph(A: IntegerSet, B: IntegerSet) -> ArcGraph:
     a_i+b_j to a_{i+1}+b_j.  When A does not have distinct consecutive
     differences the same vertex pair can occur twice; such parallel edges
     are retained.
+
+    A pair's vertex is its sum's rank: the running count of runs of equal
+    sums in the order of the profile's sort, scattered back through the
+    order, which goes before the edges are cut.  Positions are int64 when
+    every sum fits (offsets, below 2**64, plus base modulo 2**64) and Python
+    ints otherwise.
     """
     if len(A) < 2:
         raise ValueError("A must have at least two elements")
-    return _profile_and_graph(A, B)[1]
-
-
-def _profile_and_graph(A: IntegerSet,
-                       B: IntegerSet) -> tuple[RepProfile, ArcGraph]:
-    """The profile and the sum graph of (A, B) from the profile's one sort of
-    the pair sums; edgeless when |A| = 1.  A pair's vertex is its sum's
-    rank: the running count of runs of equal sums in sorted order,
-    scattered back through the order, which goes before the edges are cut.
-    Positions are int64 when every sum fits (offsets, below 2**64, plus
-    base modulo 2**64) and Python ints otherwise."""
     profile, order = _profile_and_order(A, B)
     rank = np.zeros(len(order), dtype=np.int64)
     rank[np.cumsum(profile.multiplicities[:-1])] = 1
@@ -136,8 +131,7 @@ def _profile_and_graph(A: IntegerSet,
         positions = positions.view(np.int64)
     else:
         positions = offsets.astype(object, copy=False) + base
-    return profile, ArcGraph(positions, u=index[:, :-1].ravel(),
-                             v=index[:, 1:].ravel())
+    return ArcGraph(positions, u=index[:, :-1].ravel(), v=index[:, 1:].ravel())
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ from .arcgraph import (
     ArcGraph,
     build_sum_graph,
     _degrees,
-    _profile_and_graph,
     count_crossings_fast,
     count_intersections,
     has_parallel_edges,
@@ -374,8 +373,7 @@ def run_all_checks(A: IntegerSet, B: IntegerSet) -> list[BoundReport]:
     JSON of larger instances unchanged until the output can record a
     skipped report with its reason.
     """
-    # one sort of the pair sums serves the profile and the sum graph
-    profile, graph = _profile_and_graph(A, B)
+    profile = representation_profile(A, B)
     k, l = len(A), len(B)
     s = len(profile.counts)
     pre = is_dcd(A)
@@ -385,6 +383,7 @@ def run_all_checks(A: IntegerSet, B: IntegerSet) -> list[BoundReport]:
         check_doubling_lower(A, B, sumset_size=s),
     ]
     if k >= 2:
+        graph = build_sum_graph(A, B)
         crossings = count_crossings_fast(graph)
         reports.append(check_crossing_upper(A, B, crossings=crossings))
         reports.append(check_crossing_lower(A, B, crossings=crossings,

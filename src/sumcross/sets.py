@@ -278,15 +278,26 @@ def _int_array(values) -> np.ndarray:
 def _profile_and_order(A: IntegerSet,
                        B: IntegerSet) -> tuple[RepProfile, np.ndarray]:
     """The representation profile of (A, B) and the order behind it: one
-    stable argsort of the pair sums a_i + b_j, flattened as i*|B| + j, a
-    outer and b inner, so the first pair of each run of equal sums is the
-    sum's first appearance.  ``arcgraph`` ranks the pairs from the order
-    for the sum graph; :func:`representation_profile` drops it."""
+    stable sort of the pair sums a_i + b_j, flattened as i*|B| + j, a outer
+    and b inner, so the first pair of each run of equal sums is the sum's
+    first appearance.  ``arcgraph`` ranks the pairs from the order for the
+    sum graph; :func:`representation_profile` drops it.
+
+    When (span(A) + span(B) + 1) * |A||B| fits int64, an in-place sort of
+    the keys sum * |A||B| + i*|B| + j does the same, about 3x as fast."""
     a, b = _pair_offsets(A, B)
     sums = (a[:, None] + b[None, :]).ravel()
-    order = np.argsort(sums, kind="stable")
-    sums = sums[order]
-    new = np.empty(len(sums), dtype=bool)
+    n = len(sums)
+    if (A.max - A.min + B.max - B.min + 1) * n <= _INT64_SPAN:
+        sums *= n
+        sums += np.arange(n)
+        sums.sort()
+        order = sums % n
+        sums //= n
+    else:
+        order = np.argsort(sums, kind="stable")
+        sums = sums[order]
+    new = np.empty(n, dtype=bool)
     new[0] = True
     np.not_equal(sums[1:], sums[:-1], out=new[1:])
     starts = np.flatnonzero(new)
@@ -294,7 +305,7 @@ def _profile_and_order(A: IntegerSet,
     values = sums[starts]
     del sums
     profile = RepProfile._of_arrays(A.min + B.min, values,
-                                    np.diff(starts, append=len(order)),
+                                    np.diff(starts, append=n),
                                     (len(A), len(B)), order[starts])
     return profile, order
 

@@ -19,6 +19,7 @@ from sumcross import (
     has_parallel_edges,
     is_dcd,
     max_translate_pair_crossings,
+    representation_profile,
     sidon_seed_construction,
     REFERENCE_SEED,
 )
@@ -39,7 +40,6 @@ from helpers import (
 from sumcross.arcgraph import (
     _candidate_differences,
     _crossings_by_difference,
-    _profile_and_graph,
     _strict_inversions,
 )
 from sumcross.sets import _pair_offsets
@@ -456,24 +456,31 @@ def sum_graph_sets(draw):
 @example((iset(3, 10, 12), iset(7)))  # |B| = 1
 @example((iset(5), iset(-2)))  # every pair on one sum
 @example((iset(0, 1, 2, 3), iset(0, 1, 5)))  # parallel edges
+@example((iset(*range(0, 40, 2)), iset(*range(0, 60, 2))))  # many ties
+@example((iset(0, 2**60), iset(0, 2**60 - 1)))  # sort key up to 2**63 - 1
+@example((iset(0, 2**60), iset(0, 2**60)))  # a key would reach 2**63
 @example((iset(-2**62, 0, 2**62 - 1), iset(-5, 2**62)))  # spans >= 2**63, sums fit
 @example((iset(-2**62, 2**62), iset(0, 2**62)))  # a sum reaches 2**63
 @example((iset(-2**63, 0), iset(-1, 5)))  # a sum below -2**63
-def test_profile_and_graph_against_the_definitions(sets):
-    """The profile and the sum graph from one sort against the pair-by-pair
-    oracles: positions and their dtype, the u and v columns, the counts
-    and their order of first appearance."""
+def test_profile_and_sum_graph_against_the_definitions(sets):
+    """The profile and the sum graph, each from its sort of the pair sums
+    (packed keys or a stable argsort), against the pair-by-pair oracles:
+    the counts and their order of first appearance, positions and their
+    dtype, the u and v columns."""
     A, B = sets
-    profile, graph = _profile_and_graph(A, B)
+    profile = representation_profile(A, B)
+    oracle = representation_profile_by_definition(A, B)
+    assert list(profile.counts.items()) == list(oracle.items())
     positions, edges = sum_graph_by_definition(A, B)
+    assert [profile.base + x for x in profile.offsets.tolist()] == list(positions)
+    if len(A) < 2:
+        return
+    graph = build_sum_graph(A, B)
     assert graph.positions.tolist() == list(positions)
     fits = -2**63 <= positions[0] and positions[-1] < 2**63
     assert graph.positions.dtype == (np.int64 if fits else object)
     assert graph.u.tolist() == [u for u, _ in edges]
     assert graph.v.tolist() == [v for _, v in edges]
-    oracle = representation_profile_by_definition(A, B)
-    assert list(profile.counts.items()) == list(oracle.items())
-    assert [profile.base + x for x in profile.offsets.tolist()] == list(positions)
 
 
 def _f_against_the_per_delta_count(A, B):

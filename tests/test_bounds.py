@@ -484,11 +484,12 @@ class TestSuiteRunner:
         reports = run_all_checks(iset(5), iset(0, 1))
         assert all(r.satisfied for r in reports if r.mode == "assert")
 
-    def test_one_sort_and_few_dcd_tests_per_suite(self, monkeypatch):
-        # coprime t=3 has 13 level-set reports; A's gaps are tested once
-        # for all of them
+    def test_one_sort_per_builder_and_few_dcd_tests_per_suite(self, monkeypatch):
+        # the suite builds the profile and the sum graph through the public
+        # builders, each with one sort; coprime t=3 has 13 level-set
+        # reports, and A's gaps are tested once for all of them
         from sumcross import arcgraph, bounds, sets
-        calls = {"sort": 0, "is_dcd": 0}
+        calls = dict.fromkeys(("profile", "graph", "sort", "is_dcd"), 0)
 
         def counted(name, f):
             def wrapper(*args):
@@ -499,9 +500,13 @@ class TestSuiteRunner:
         sort = counted("sort", sets._profile_and_order)
         monkeypatch.setattr(sets, "_profile_and_order", sort)
         monkeypatch.setattr(arcgraph, "_profile_and_order", sort)
+        monkeypatch.setattr(bounds, "representation_profile",
+                            counted("profile", bounds.representation_profile))
+        monkeypatch.setattr(bounds, "build_sum_graph",
+                            counted("graph", bounds.build_sum_graph))
         monkeypatch.setattr(bounds, "is_dcd", counted("is_dcd", bounds.is_dcd))
         A, B, _ = coprime_construction(3)
         reports = run_all_checks(A, B)
         assert sum(r.name == "level_set_count_lt" for r in reports) >= 10
-        assert calls["sort"] == 1
+        assert (calls["profile"], calls["graph"], calls["sort"]) == (1, 1, 2)
         assert calls["is_dcd"] <= 7
