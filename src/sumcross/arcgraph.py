@@ -8,7 +8,11 @@ profile; ``build_sum_graph`` ranks the pairs from the sort behind it.
 
 Only the order of the positions matters for any count here, never the
 coordinates themselves.  Edges are stored as int64 columns and every count
-is computed with numpy in O(m log m), without a Python loop over edges.
+on a graph is computed with numpy in O(m log m), without a Python loop over
+edges.  ``crossing_stats`` and ``max_translate_pair_crossings`` count from
+the sets instead, one pair of translates at a time: a sweep over the arc
+pairs of A against the differences of B, O(|A|^2 log |B|) after O(|B|^2)
+to gather those differences.
 
 Each counter's peak memory, in bytes per edge and per vertex, is listed
 in the README and held to that bound by ``test_peak_memory``.
@@ -35,8 +39,9 @@ __all__ = [
     "crossing_stats",
 ]
 
-# Arc pairs per numpy call in max_translate_pair_crossings, 32 bytes each.
-_ARC_PAIR_BLOCK = 1 << 18
+# Arc pairs per block of the translate-pair sweep, 32 bytes each at the
+# peak, unless there are more distinct deltas.
+_ARC_PAIR_BLOCK = 1 << 21
 
 # _strict_inversions compares every pair directly inside blocks of this
 # many (a power of two) and merges from there up.
@@ -132,15 +137,6 @@ def build_sum_graph(A: IntegerSet, B: IntegerSet) -> ArcGraph:
     else:
         positions = offsets.astype(object, copy=False) + base
     return ArcGraph(positions, u=index[:, :-1].ravel(), v=index[:, 1:].ravel())
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values, by a sort: ``np.unique`` hashes integer
-    arrays in numpy 2.4 and took 30x as long on 150,000 distinct int64s."""
-    values = np.sort(values, axis=None)
-    if len(values) < 2:
-        return values
-    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
 def _occurrences(values: np.ndarray, n: int) -> np.ndarray:
@@ -261,57 +257,98 @@ def count_intersections(graph: ArcGraph) -> int:
     return crossings + nestings
 
 
-def _candidate_differences(b: np.ndarray, below: int) -> np.ndarray:
-    """Distinct b[j] - b[i] < below over j > i, b strictly increasing."""
-    stop = np.searchsorted(b, b + below, side="left")
-    return _distinct(_gather(-b, b, np.arange(1, len(b) + 1), stop))
+def _translate_pair_sweep(A: IntegerSet,
+                          B: IntegerSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mult, f, g) over the distinct differences delta < span(A) of B - B,
+    in increasing order: mult pairs b < b' of B have b' - b = delta, and the
+    paths through A and A + delta have f crossing and g strictly nested arc
+    pairs, vertex-disjoint both.  Translates further apart share no
+    interior point.
 
+    Take arcs (a_i, a_i+1) of A and (a_j + delta, a_j+1 + delta), delta > 0,
+    and let lo and hi be the min and max of a_i - a_j and a_i+1 - a_j+1.
+    They cross iff delta is in (a_i - a_j+1, lo) or (hi, a_i+1 - a_j), and
+    nest iff delta is in (lo, hi); only j <= i can meet, and j = i crosses
+    on (0, a_i+1 - a_i).  Over the arc pairs j < i and the arcs j = i, the
+    left ends a_i - a_j+1 are 2|A| - 3 zeros and every difference a_p - a_q,
+    p > q, but the outer ones (q = 0 or p = |A| - 1), once; the right ends
+    are every difference once.  So, with # counting over the arc pairs j < i,
 
-def _crossings_by_difference(a: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """f(delta) for each of the sorted deltas > 0: crossings between the
-    path through the sorted points a and the path through a + delta.
+        f = 2|A| - 3 - #{outer < delta} - #{differences == delta}
+            - #{lo <= delta} + #{hi < delta},
+        g = #{lo < delta} - #{hi <= delta} + #{lo == hi == delta},
 
-    For consecutive points p < q and r < s of a, arcs (p, q) and
-    (r + delta, s + delta) cross exactly when p - s < delta < q - r and
-    delta lies outside [min(p - r, q - s), max(p - r, q - s)].  So f steps
-    up past p - s and past the max, and down from the min and from q - r
-    on: a running sum over the sorted deltas of steps placed by
-    ``searchsorted``, the arc pairs taken in blocks of ``_ARC_PAIR_BLOCK``.
+    the last term mending the empty (lo, hi) of equal gaps.  Each difference
+    is a_i - a_j of one arc pair and a_i+1 - a_j+1 of another, but the outer
+    ones of only one and span(A) of none; so twice its count is read from
+    lo, hi and the outer differences.  Each count is a ``searchsorted`` of
+    the sorted deltas into sorted bounds, gathered by ``_gather`` over
+    blocks of rows i of up to ``_ARC_PAIR_BLOCK`` arc pairs or one per
+    delta, whichever is more, so that the searches cost no more than the
+    sorts.  Offsets are int64 below summed spans of 2**63, Python ints
+    above.
     """
-    p, q = a[:-1], a[1:]
-    steps = np.zeros(len(deltas) + 1, dtype=np.int64)
+    a, b = _pair_offsets(A, B)
+    k = len(a)
+    stop = np.searchsorted(b, b + a[-1], side="left")
+    differences = _gather(-b, b, np.arange(1, len(b) + 1), stop)
+    if not len(differences):
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    differences.sort()
+    starts = np.flatnonzero(np.concatenate(
+        ([True], differences[1:] != differences[:-1])))
+    deltas = differences[starts]
+    mult = np.diff(starts, append=len(differences))
+    del differences, starts
 
-    def placed(bounds, side):
-        return np.bincount(np.searchsorted(deltas, bounds.ravel(), side),
-                           minlength=len(steps))
+    def below(bounds):
+        """#{bound < delta} and #{bound <= delta} for each delta."""
+        bounds.sort()
+        return (np.searchsorted(bounds, deltas, "left"),
+                np.searchsorted(bounds, deltas, "right"))
 
-    rows = max(1, _ARC_PAIR_BLOCK // len(p))
-    for lo in range(0, len(p), rows):
-        pi, qi = p[lo:lo + rows, None], q[lo:lo + rows, None]
-        steps += placed(pi - q, "right")
-        steps -= placed(qi - p, "left")
-        near, far = pi - p, qi - q
-        steps -= placed(np.minimum(near, far), "left")
-        steps += placed(np.maximum(near, far, out=near), "right")
-    return np.cumsum(steps[:-1])
+    lt, le = below(np.concatenate((a[1:] - a[0], a[-1] - a[1:-1])))
+    f = 2 * k - 3 - lt
+    g = np.zeros(len(deltas), dtype=np.int64)
+    twice_equal = le - lt
+    # rows 1..i of the triangle hold pairs_through[i] arc pairs
+    pairs_through = np.cumsum(np.arange(k - 1))
+    block = max(_ARC_PAIR_BLOCK, len(deltas))
+    first = 1
+    while first < k - 1:
+        end = int(np.searchsorted(pairs_through, pairs_through[first - 1] + block,
+                                  side="right"))
+        rows = np.arange(first, min(max(end, first + 1), k - 1))
+        first = int(rows[-1]) + 1
+        zero = np.zeros(len(rows), dtype=np.int64)
+        near = _gather(a[rows], -a, zero, rows)
+        far = _gather(a[rows + 1], -a[1:], zero, rows)
+        lo = np.minimum(near, far)
+        hi = np.maximum(near, far, out=near)
+        del far
+        lt, le = below(lo[lo == hi])
+        g += le - lt
+        lt, le = below(lo)
+        f -= le
+        g += lt
+        twice_equal += le - lt
+        lt, le = below(hi)
+        f += lt
+        g -= le
+        twice_equal += le - lt
+    f -= twice_equal // 2
+    return mult, f, g
 
 
 def max_translate_pair_crossings(A: IntegerSet, B: IntegerSet) -> int:
     """Largest crossing count between the paths through two translates
-    A + b and A + b' of the sum graph of (A, B), over b < b' in B.
-
-    Those cross as A and A + delta with delta = b' - b, and never once
-    delta >= span(A), so this is the largest f(delta) over the distinct
-    such delta in B - B.  Offsets are int64 below summed spans of 2**63,
-    Python ints above.
-    """
-    if len(A) < 2 or len(B) < 2:
+    A + b and A + b' of the sum graph of (A, B), over b < b' in B: those
+    cross as A and A + delta with delta = b' - b, so this is the largest
+    f of ``_translate_pair_sweep``."""
+    if len(A) < 2:
         return 0
-    a, b = _pair_offsets(A, B)
-    deltas = _candidate_differences(b, a[-1])
-    if not len(deltas):
-        return 0
-    return int(_crossings_by_difference(a, deltas).max())
+    return int(_translate_pair_sweep(A, B)[1].max(initial=0))
 
 
 def _degrees(graph: ArcGraph) -> np.ndarray:
@@ -331,13 +368,17 @@ def has_parallel_edges(graph: ArcGraph) -> bool:
 
 
 def crossing_stats(A: IntegerSet, B: IntegerSet) -> CrossingStats:
-    """All counting statistics of the sum graph of (A, B) in one bundle,
-    from one crossings-and-nestings pass."""
-    graph = build_sum_graph(A, B)
-    crossings, nestings = _crossings_and_nestings(graph)
+    """All counting statistics of the sum graph of (A, B) in one bundle.
+    Edges of one translate never cross or nest, so the crossings and
+    intersections are the translate-pair sweep's f and f + g summed with
+    the multiplicity of each delta in B - B, and the graph is built only
+    for the degrees."""
+    degrees = degree_sequence(build_sum_graph(A, B))
+    mult, f, g = _translate_pair_sweep(A, B)
+    crossings = int(mult @ f)
     return CrossingStats(
         crossings=crossings,
-        intersections=crossings + nestings,
-        max_translate_pair_crossings=max_translate_pair_crossings(A, B),
-        degree_sequence=degree_sequence(graph),
+        intersections=crossings + int(mult @ g),
+        max_translate_pair_crossings=int(f.max(initial=0)),
+        degree_sequence=degrees,
     )

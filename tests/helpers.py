@@ -175,6 +175,34 @@ def crossings_by_difference_per_delta(a: np.ndarray,
     return found
 
 
+def nestings_by_difference_per_delta(a: np.ndarray,
+                                     deltas: np.ndarray) -> np.ndarray:
+    """g(delta) for each delta > 0, one delta at a time: vertex-disjoint
+    strict nestings between an arc of the path through the sorted points a
+    and an arc of the path through a + delta.
+
+    An arc (x_r, x_r+1) of a + delta holds max(0, c - 1) arcs of a strictly
+    inside, c the points of a strictly between its ends, and lies strictly
+    inside an arc of a when both its ends fall strictly inside the same gap
+    of a.  Each delta takes two ``searchsorted`` of |A| points, 2**18
+    points per numpy call.
+    """
+    k = len(a)
+    found = np.empty(len(deltas), dtype=np.int64)
+    step = max(1, (1 << 18) // k)
+    for lo in range(0, len(deltas), step):
+        x = a[None, :] + deltas[lo:lo + step, None]
+        below = np.searchsorted(a, x, side="left")
+        at_or_below = np.searchsorted(a, x, side="right")
+        between = below[:, 1:] - at_or_below[:, :-1]
+        holds = np.maximum(between - 1, 0).sum(axis=1)
+        off_points = below == at_or_below
+        same_gap = (off_points[:, :-1] & off_points[:, 1:] & (between == 0)
+                    & (below[:, 1:] < k))
+        found[lo:lo + step] = holds + np.count_nonzero(same_gap, axis=1)
+    return found
+
+
 def sumset_size_by_definition(A: IntegerSet, B: IntegerSet) -> int:
     """|A+B| from a Python set of every pairwise sum, over Python ints."""
     return len({a + b for a in A for b in B})

@@ -1,10 +1,12 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumcross import (
@@ -29,6 +31,7 @@ from helpers import (
     crossings_by_difference_per_delta,
     edge_pairs,
     intersections_by_definition,
+    nestings_by_difference_per_delta,
     random_arcgraph,
     random_dcd_set,
     random_integer_set,
@@ -37,11 +40,8 @@ from helpers import (
     sum_graph_by_definition,
     translate_pair_crossings_by_definition,
 )
-from sumcross.arcgraph import (
-    _candidate_differences,
-    _crossings_by_difference,
-    _strict_inversions,
-)
+from sumcross import arcgraph
+from sumcross.arcgraph import _strict_inversions, _translate_pair_sweep
 from sumcross.sets import _pair_offsets
 
 
@@ -483,17 +483,52 @@ def test_profile_and_sum_graph_against_the_definitions(sets):
     assert graph.v.tolist() == [v for _, v in edges]
 
 
-def _f_against_the_per_delta_count(A, B):
-    """f over the candidate deltas of (A, B), from the step count and from
-    the per-delta oracle, which must agree value for value; the candidates
-    themselves against a Python set."""
-    a, b = _pair_offsets(A, B)
-    deltas = _candidate_differences(b, a[-1])
-    assert deltas.tolist() == sorted({c - x for i, x in enumerate(B) for c in B[i + 1:]
-                                      if c - x < A.max - A.min})
-    found = _crossings_by_difference(a, deltas)
-    assert found.tolist() == crossings_by_difference_per_delta(a, deltas).tolist()
-    return a, found
+def _sweep_against_the_per_delta_counts(A, B):
+    """mult, f and g of the translate-pair sweep against a Counter of the
+    differences below span(A) of B - B and the per-delta oracles, value for
+    value, with the default blocks and with blocks of one arc pair per
+    delta."""
+    mult, f, g = _translate_pair_sweep(A, B)
+    counts = Counter(c - x for i, x in enumerate(B) for c in B[i + 1:]
+                     if c - x < A.max - A.min)
+    assert mult.tolist() == [counts[d] for d in sorted(counts)]
+    a, _ = _pair_offsets(A, B)
+    deltas = np.array(sorted(counts), dtype=a.dtype)
+    assert f.tolist() == crossings_by_difference_per_delta(a, deltas).tolist()
+    assert g.tolist() == nestings_by_difference_per_delta(a, deltas).tolist()
+    with mock.patch.object(arcgraph, "_ARC_PAIR_BLOCK", 1):
+        small = _translate_pair_sweep(A, B)
+    assert [x.tolist() for x in small] == [mult.tolist(), f.tolist(), g.tolist()]
+    return a, f
+
+
+@settings(max_examples=60)
+@given(sum_graph_sets())
+@example((iset(0, 1, 2, 4, 5, 6, 8), iset(0, 1, 3, 4, 9)))  # repeated gaps
+@example((iset(3, 10, 12), iset(7)))  # |B| = 1
+@example((iset(-4, 9), iset(0, 2, 5, 20, 21)))  # |A| = 2
+@example((iset(0, 1, 3, 7, 12, 20), iset(0, 1, 3, 7, 12, 20)))  # A = B
+@example((iset(-2**62, 0, 2**62 - 20), iset(-2**62, -2**62 + 3, -2**62 + 10)))  # int64
+@example((iset(-2**62, -2**62 + 3, 2**62 - 9), iset(2**62 - 5, 2**62, 2**62 + 4)))  # 2**63
+@example((iset(-2**64, -5, 0, 2**64), iset(-2**64, 3, 2**63)))  # Python ints
+def test_translate_pair_sweep_against_the_definitions(sets):
+    """crossing_stats and max_translate_pair_crossings, both from the
+    translate-pair sweep, against the edge-pair oracles on the whole sum
+    graph and the two-translate oracle; the sweep's per-delta counts
+    against the per-delta oracles."""
+    A, B = sets
+    if len(A) < 2:
+        assert max_translate_pair_crossings(A, B) == 0
+        return
+    graph = build_sum_graph(A, B)
+    stats = crossing_stats(A, B)
+    assert stats.crossings == crossings_by_definition(graph)
+    assert stats.intersections == intersections_by_definition(graph)
+    expected = max((translate_pair_crossings_by_definition(A, b, c)
+                    for i, b in enumerate(B) for c in B[i + 1:]), default=0)
+    assert stats.max_translate_pair_crossings == expected
+    assert max_translate_pair_crossings(A, B) == expected
+    _sweep_against_the_per_delta_counts(A, B)
 
 
 class TestTranslatePairsByDifference:
@@ -527,7 +562,7 @@ class TestTranslatePairsByDifference:
     def test_step_count_on_random_pairs(self):
         rng = random.Random(56)
         for _ in range(60):
-            _f_against_the_per_delta_count(
+            _sweep_against_the_per_delta_counts(
                 random_integer_set(rng, rng.randint(2, 30), -200, 200),
                 random_integer_set(rng, rng.randint(2, 20), -200, 200))
 
@@ -536,7 +571,7 @@ class TestTranslatePairsByDifference:
         seeded = sidon_seed_construction(REFERENCE_SEED, 1)
         cases.append((seeded, seeded))
         for A, B in cases:
-            _, found = _f_against_the_per_delta_count(A, B)
+            _, found = _sweep_against_the_per_delta_counts(A, B)
             assert found.max() == max_translate_pair_crossings(A, B)
 
     def test_step_count_on_python_ints(self):
@@ -546,35 +581,43 @@ class TestTranslatePairsByDifference:
                               + rng.sample(range(-300, 300), rng.randint(1, 20)))
             B = IntegerSet.of([-(2**62) - rng.randrange(9), 2**62 + rng.randrange(9)]
                               + rng.sample(range(-300, 300), rng.randint(1, 15)))
-            a, _ = _f_against_the_per_delta_count(A, B)
+            a, _ = _sweep_against_the_per_delta_counts(A, B)
             assert a.dtype == object
 
     def test_deltas_on_every_breakpoint_kind(self):
-        # For arcs (p, q) and (r, s) of A, f changes only where delta meets
-        # p - s, q - r, p - r or q - s.  A has even points, so the even
-        # deltas below span(A) land on every breakpoint of every kind and
-        # the odd ones fall strictly between them; the second A repeats a
-        # gap, so p - r == q - s for some arc pairs.
+        # For arcs (p, q) and (r, s) of A, f and g change only where delta
+        # meets p - s, q - r, p - r or q - s.  A has even points and B - B
+        # holds every delta below span(A), so the even deltas land on every
+        # breakpoint of every kind and the odd ones fall strictly between
+        # them; the second A repeats a gap, so p - r == q - s for some arc
+        # pairs and (lo, hi) is empty.
         for A in (iset(0, 2, 6, 14, 24), iset(0, 4, 8, 14, 18)):
-            a = np.array(A.elements, dtype=np.int64)
-            deltas = np.arange(1, A.max - A.min, dtype=np.int64)
-            assert (_crossings_by_difference(a, deltas).tolist()
-                    == [translate_pair_crossings_by_definition(A, 0, d)
-                        for d in deltas.tolist()])
+            span = A.max - A.min
+            mult, f, g = _translate_pair_sweep(A, IntegerSet(tuple(range(span))))
+            deltas = range(1, span)
+            assert mult.tolist() == [span - d for d in deltas]
+            assert f.tolist() == [translate_pair_crossings_by_definition(A, 0, d)
+                                  for d in deltas]
+            assert (f + g).tolist() == [
+                intersections_by_definition(build_sum_graph(A, IntegerSet((0, d))))
+                for d in deltas]
 
 
 def test_peak_memory():
     """Each counter stays within the peak memory the README states for it,
     measured with tracemalloc (numpy reports its buffers there); 64 KB
-    covers fixed-size allocations.  Coprime t=4 fills several blocks of
-    the translate-pair count, and a sum graph of |A| = 2 with every sum
-    distinct comes closest to the bound of ``build_sum_graph``.  The sum
-    graph of pairs with summed spans of 2**63 or more, whose pair sums are
-    Python ints, is held to the bound for that path on random values
-    within +-2**62 (nearly every sum distinct) and on an arithmetic
-    progression (few distinct sums), where every sum fits int64 and so
-    does each position, and on random values within +-2**87, where the
-    positions are Python ints too."""
+    covers fixed-size allocations.  The translate-pair sweep and
+    crossing_stats are held on coprime t=1, 2, 4 (one block of arc pairs)
+    and on |A| = 2100 against |B| = 30 (two blocks, the first one full).  A
+    sum graph of |A| = 2 with every sum distinct comes closest to the bound
+    of ``build_sum_graph``.  The sum graph of pairs with summed spans of
+    2**63 or more, whose pair sums are Python ints, is held to the bound
+    for that path on random values within +-2**62 (nearly every sum
+    distinct) and on an arithmetic progression (few distinct sums), where
+    every sum fits int64 and so does each position, and on random values
+    within +-2**87, where the positions are Python ints too.  Random values
+    in [2**62, 2**62 + 2**40] have summed spans below 2**63 but sums beyond
+    int64: int64 offsets and Python-int positions."""
     from sumcross.arcgraph import _ARC_PAIR_BLOCK
 
     def peak(f, *args):
@@ -583,10 +626,17 @@ def test_peak_memory():
         f(*args)
         return tracemalloc.get_traced_memory()[1] - base - (1 << 16)
 
-    for t in (1, 2, 4):
-        A, B, _ = coprime_construction(t)
+    def sweep_bound(A, B):
         candidates = sum(1 for i, b in enumerate(B) for c in B[i + 1:]
                          if c - b < A.max - A.min)
+        arc_pairs = (len(A) - 1) * (len(A) - 2) // 2
+        return (64 * (len(A) + len(B)) + 96 * candidates
+                + 32 * min(arc_pairs, _ARC_PAIR_BLOCK))
+
+    rng = random.Random(59)
+    wide_a = (random_integer_set(rng, 2100, 0, 10**7), random_integer_set(rng, 30, 0, 10**7))
+    for A, B in [coprime_construction(t)[:2] for t in (1, 2, 4)] + [wide_a]:
+        bound = sweep_bound(A, B)
         tracemalloc.start()
         try:
             built = peak(build_sum_graph, A, B)
@@ -598,9 +648,8 @@ def test_peak_memory():
             assert peak(count_intersections, g) <= 32 * m + 16 * n
             assert peak(has_parallel_edges, g) <= 9 * m
             assert peak(degree_sequence, g) <= 64 * n
-            assert (peak(max_translate_pair_crossings, A, B)
-                    <= 64 * (len(A) + len(B)) + 72 * candidates
-                    + 48 * _ARC_PAIR_BLOCK)
+            assert peak(max_translate_pair_crossings, A, B) <= bound
+            assert peak(crossing_stats, A, B) <= max(48 * m + 72 * n, bound + 40 * n)
         finally:
             tracemalloc.stop()
 
@@ -621,14 +670,19 @@ def test_peak_memory():
              (IntegerSet.of(k << 55 for k in range(-150, 150)),
               IntegerSet.of(k << 55 for k in range(-100, 100))),
              (IntegerSet.of(rng.randrange(-2**87, 2**87) for _ in range(300)),
-              IntegerSet.of(rng.randrange(-2**87, 2**87) for _ in range(200)))]
+              IntegerSet.of(rng.randrange(-2**87, 2**87) for _ in range(200))),
+             (IntegerSet.of(rng.randrange(2**62, 2**62 + 2**40) for _ in range(300)),
+              IntegerSet.of(rng.randrange(2**62, 2**62 + 2**40) for _ in range(200)))]
     for A, B in cases:
-        assert (A.max - A.min) + (B.max - B.min) >= 2**63
         tracemalloc.start()
         try:
             built = peak(build_sum_graph, A, B)
         finally:
             tracemalloc.stop()
         g = build_sum_graph(A, B)
-        per_vertex = 48 if g.positions.dtype == np.int64 else 128
-        assert built <= 64 * len(A) * len(B) + per_vertex * g.num_vertices
+        if (A.max - A.min) + (B.max - B.min) >= 2**63:
+            per_vertex = 48 if g.positions.dtype == np.int64 else 128
+            assert built <= 64 * len(A) * len(B) + per_vertex * g.num_vertices
+        else:
+            assert g.positions.dtype == object
+            assert built <= 48 * g.num_edges + 128 * g.num_vertices
