@@ -41,7 +41,7 @@ __all__ = [
 
 # Arc pairs per block of the translate-pair sweep, 32 bytes each at the
 # peak, unless there are more distinct deltas.
-_ARC_PAIR_BLOCK = 1 << 21
+_ARC_PAIR_BLOCK = 1 << 18
 
 # _strict_inversions compares every pair directly inside blocks of this
 # many (a power of two) and merges from there up.
@@ -263,7 +263,7 @@ def _translate_pair_sweep(A: IntegerSet,
     in increasing order: mult pairs b < b' of B have b' - b = delta, and the
     paths through A and A + delta have f crossing and g strictly nested arc
     pairs, vertex-disjoint both.  Translates further apart share no
-    interior point.
+    interior point, and an A of one element has no arcs, so no delta.
 
     Take arcs (a_i, a_i+1) of A and (a_j + delta, a_j+1 + delta), delta > 0,
     and let lo and hi be the min and max of a_i - a_j and a_i+1 - a_j+1.
@@ -288,12 +288,14 @@ def _translate_pair_sweep(A: IntegerSet,
     sorts.  Offsets are int64 below summed spans of 2**63, Python ints
     above.
     """
+    empty = np.zeros(0, dtype=np.int64)
+    if len(A) < 2:
+        return empty, empty, empty
     a, b = _pair_offsets(A, B)
     k = len(a)
     stop = np.searchsorted(b, b + a[-1], side="left")
     differences = _gather(-b, b, np.arange(1, len(b) + 1), stop)
     if not len(differences):
-        empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty
     differences.sort()
     starts = np.flatnonzero(np.concatenate(
@@ -346,8 +348,6 @@ def max_translate_pair_crossings(A: IntegerSet, B: IntegerSet) -> int:
     A + b and A + b' of the sum graph of (A, B), over b < b' in B: those
     cross as A and A + delta with delta = b' - b, so this is the largest
     f of ``_translate_pair_sweep``."""
-    if len(A) < 2:
-        return 0
     return int(_translate_pair_sweep(A, B)[1].max(initial=0))
 
 

@@ -454,6 +454,7 @@ def sum_graph_sets(draw):
 
 @given(sum_graph_sets())
 @example((iset(3, 10, 12), iset(7)))  # |B| = 1
+@example((iset(5), iset(0, 3)))  # |A| = 1
 @example((iset(5), iset(-2)))  # every pair on one sum
 @example((iset(0, 1, 2, 3), iset(0, 1, 5)))  # parallel edges
 @example((iset(*range(0, 40, 2)), iset(*range(0, 60, 2))))  # many ties
@@ -506,6 +507,7 @@ def _sweep_against_the_per_delta_counts(A, B):
 @given(sum_graph_sets())
 @example((iset(0, 1, 2, 4, 5, 6, 8), iset(0, 1, 3, 4, 9)))  # repeated gaps
 @example((iset(3, 10, 12), iset(7)))  # |B| = 1
+@example((iset(5), iset(0, 3)))  # |A| = 1
 @example((iset(-4, 9), iset(0, 2, 5, 20, 21)))  # |A| = 2
 @example((iset(0, 1, 3, 7, 12, 20), iset(0, 1, 3, 7, 12, 20)))  # A = B
 @example((iset(-2**62, 0, 2**62 - 20), iset(-2**62, -2**62 + 3, -2**62 + 10)))  # int64
@@ -515,20 +517,23 @@ def test_translate_pair_sweep_against_the_definitions(sets):
     """crossing_stats and max_translate_pair_crossings, both from the
     translate-pair sweep, against the edge-pair oracles on the whole sum
     graph and the two-translate oracle; the sweep's per-delta counts
-    against the per-delta oracles."""
+    against the per-delta oracles.  An A of one element has no arcs: the
+    sweep finds no delta, and crossing_stats refuses it as the sum graph
+    does."""
     A, B = sets
+    expected = max((translate_pair_crossings_by_definition(A, b, c)
+                    for i, b in enumerate(B) for c in B[i + 1:]), default=0)
+    assert max_translate_pair_crossings(A, B) == expected
+    _sweep_against_the_per_delta_counts(A, B)
     if len(A) < 2:
-        assert max_translate_pair_crossings(A, B) == 0
+        with pytest.raises(ValueError, match="at least two elements"):
+            crossing_stats(A, B)
         return
     graph = build_sum_graph(A, B)
     stats = crossing_stats(A, B)
     assert stats.crossings == crossings_by_definition(graph)
     assert stats.intersections == intersections_by_definition(graph)
-    expected = max((translate_pair_crossings_by_definition(A, b, c)
-                    for i, b in enumerate(B) for c in B[i + 1:]), default=0)
     assert stats.max_translate_pair_crossings == expected
-    assert max_translate_pair_crossings(A, B) == expected
-    _sweep_against_the_per_delta_counts(A, B)
 
 
 class TestTranslatePairsByDifference:
@@ -608,7 +613,7 @@ def test_peak_memory():
     measured with tracemalloc (numpy reports its buffers there); 64 KB
     covers fixed-size allocations.  The translate-pair sweep and
     crossing_stats are held on coprime t=1, 2, 4 (one block of arc pairs)
-    and on |A| = 2100 against |B| = 30 (two blocks, the first one full).  A
+    and on |A| = 800 against |B| = 30 (two blocks, the first one full).  A
     sum graph of |A| = 2 with every sum distinct comes closest to the bound
     of ``build_sum_graph``.  The sum graph of pairs with summed spans of
     2**63 or more, whose pair sums are Python ints, is held to the bound
@@ -634,7 +639,7 @@ def test_peak_memory():
                 + 32 * min(arc_pairs, _ARC_PAIR_BLOCK))
 
     rng = random.Random(59)
-    wide_a = (random_integer_set(rng, 2100, 0, 10**7), random_integer_set(rng, 30, 0, 10**7))
+    wide_a = (random_integer_set(rng, 800, 0, 10**7), random_integer_set(rng, 30, 0, 10**7))
     for A, B in [coprime_construction(t)[:2] for t in (1, 2, 4)] + [wide_a]:
         bound = sweep_bound(A, B)
         tracemalloc.start()
