@@ -367,6 +367,13 @@ def run_all_checks(A: IntegerSet, B: IntegerSet) -> list[BoundReport]:
     """Run every checker that applies to (A, B) and return the reports
     sorted by (name, context digest).
 
+    The sum graph is built once.  Its crossings, and its intersections
+    where they are reported, come from the translate-pair sweep over A and
+    B when that is the smaller job (on every construction) and from the
+    merge pass otherwise, such as for |A| = 2 against a dense B, whose
+    close pairs of translates grow as m^2.  The bipartite cross subgraph is
+    no sum graph and always takes the merge pass.
+
     The bipartite-split and intersection-number reports appear only when
     the sum graph has at most ``_ORACLE_EDGE_LIMIT`` edges.  Both counters
     are O(m log m), so the gate no longer saves time: it keeps the ``check``

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -40,8 +41,9 @@ from helpers import (
     sum_graph_by_definition,
     translate_pair_crossings_by_definition,
 )
-from sumcross import arcgraph
-from sumcross.arcgraph import _strict_inversions, _translate_pair_sweep
+from sumcross import arcgraph, bounds
+from sumcross.arcgraph import (_strict_inversions, _sweep_is_smaller,
+                               _translate_pair_sweep)
 from sumcross.sets import _pair_offsets
 
 
@@ -52,6 +54,11 @@ def iset(*values):
 def graph_of(positions, pairs):
     return ArcGraph(tuple(positions), u=[u for u, _ in pairs],
                     v=[v for _, v in pairs])
+
+
+def plain_copy(g):
+    """The same drawing without the summands: the merge pass counts it."""
+    return ArcGraph(g.positions, u=g.u, v=g.v)
 
 
 class TestArcGraphType:
@@ -316,11 +323,32 @@ def test_crossing_stats_matches_the_separate_counters():
     for A, B in cases:
         g = build_sum_graph(A, B)
         stats = crossing_stats(A, B)
-        assert stats.crossings == count_crossings_fast(g)
-        assert stats.intersections == count_intersections(g)
+        assert stats.crossings == count_crossings_fast(plain_copy(g))
+        assert stats.intersections == count_intersections(plain_copy(g))
         assert (stats.max_translate_pair_crossings
                 == max_translate_pair_crossings(A, B))
         assert stats.degree_sequence == degree_sequence(g)
+
+
+def test_crossing_stats_degrees_against_the_sum_graph():
+    """crossing_stats reads the degrees off the representation profile;
+    the sum graph's edges give them independently.  Half the A sets
+    repeat gaps (parallel edges, sums with several paths starting or ending
+    there) and two thirds of the pairs have sums beyond int64."""
+    rng = random.Random(60)
+    for i in range(300):
+        lo, hi = ((-60, 60), (2**62 - 40, 2**62 + 40), (-2**64, 2**64))[i % 3]
+        values = [rng.randint(lo, hi) for _ in range(rng.randint(2, 10))]
+        if i % 2:
+            gaps = [rng.randint(1, 3) for _ in values[1:]]
+            A = IntegerSet(tuple(itertools.accumulate([values[0]] + gaps)))
+        else:
+            A = IntegerSet.of(values)
+        B = IntegerSet.of(rng.randint(lo, hi) for _ in range(rng.randint(1, 10)))
+        if len(A) < 2:
+            continue
+        assert (crossing_stats(A, B).degree_sequence
+                == degree_sequence(build_sum_graph(A, B)))
 
 
 def test_sum_graph_positions_follow_any_dcd_input():
@@ -536,6 +564,76 @@ def test_translate_pair_sweep_against_the_definitions(sets):
     assert stats.max_translate_pair_crossings == expected
 
 
+@st.composite
+def dispatch_sets(draw):
+    """(A, B) on both sides of ``_sweep_is_smaller``: |A| about |B| in a
+    narrow range (the sweep), |A| well above |B| (the merge pass) or
+    |A| = 2 against a B dense within span(A) (the merge pass);
+    half the time A repeats gaps of 1 to 3, which gives parallel edges."""
+    shape = draw(st.sampled_from(["even", "wide", "pair"]))
+    sizes = {"even": ((2, 12), (1, 12)), "wide": ((14, 24), (1, 3)),
+             "pair": ((2, 2), (5, 14))}[shape]
+    base = draw(graph_values)
+    k = draw(st.integers(*sizes[0]))
+    if shape == "pair":
+        A = IntegerSet((base, base + draw(st.integers(14, 60))))
+    elif draw(st.booleans()):
+        gaps = draw(st.lists(st.integers(1, 3), min_size=k - 1, max_size=k - 1))
+        A = IntegerSet(tuple(itertools.accumulate([base] + gaps)))
+    else:
+        A = IntegerSet.of([base] + draw(st.lists(st.integers(base + 1, base + 60),
+                                                 min_size=k - 1, max_size=k - 1,
+                                                 unique=True)))
+    span = A.max - A.min
+    B = draw(st.sets(st.integers(0, span), min_size=sizes[1][0], max_size=sizes[1][1]))
+    return A, IntegerSet.of(draw(graph_values) + x for x in B)
+
+
+@settings(max_examples=80)
+@given(dispatch_sets())
+@example((iset(0, 1, 3, 7, 12), iset(0, 2, 5, 9)))  # the sweep
+@example((iset(*range(0, 60, 3)), iset(0, 50)))  # the merge pass, |A| >> |B|
+@example((iset(0, 100), iset(*range(0, 100, 9))))  # the merge pass, |A| = 2
+@example((iset(0, 1, 2, 4, 5, 6), iset(0, 1, 3, 4)))  # parallel edges, the sweep
+@example((iset(*range(0, 30, 2)), iset(0, 4)))  # parallel edges, the merge pass
+@example((iset(3, 10, 12), iset(7)))  # |B| = 1
+@example((iset(-2**62, 0, 2**62 - 9), iset(2**62 - 5, 2**62, 2**62 + 4)))  # spans >= 2**63
+@example((iset(-2**64, -5, 0, 2**64), iset(-2**64, 3, 2**63)))  # Python-int offsets
+def test_sum_graph_counts_on_either_path(sets):
+    """``_sweep_is_smaller`` against its rule, with the close pairs of B
+    counted pair by pair.  count_crossings_fast and count_intersections on
+    the sum graph take the path it picks and agree with the merge pass on
+    the plain copy and with the quadratic oracles.  Graphs derived from the
+    sum graph carry no summands: a ``dataclasses.replace`` copy and the
+    cross subgraph of ``check_bipartite_crossing``."""
+    A, B = sets
+    g = build_sum_graph(A, B)
+    assert g.summands == (A, B)
+    close = sum(1 for i, b in enumerate(B) for c in B[i + 1:] if c - b < A.max - A.min)
+    arc_pairs = (len(A) - 1) * (len(A) - 2) // 2
+    assert _sweep_is_smaller(A, B) == (arc_pairs + 2 * close <= 2 * g.num_edges)
+    plain = plain_copy(g)
+    crossings = crossings_by_definition(g)
+    intersections = intersections_by_definition(g)
+    sweep = mock.Mock(wraps=_translate_pair_sweep)
+    with mock.patch.object(arcgraph, "_translate_pair_sweep", sweep):
+        assert count_crossings_fast(g) == crossings
+        assert count_intersections(g) == intersections
+    assert sweep.call_count == (2 if _sweep_is_smaller(A, B) else 0)
+    assert count_crossings_fast(plain) == crossings
+    assert count_intersections(plain) == intersections
+    assert count_crossings_oracle(g) == crossings
+
+    copy = dataclasses.replace(g)
+    assert copy.summands is None and plain.summands is None
+    assert count_crossings_fast(copy) == crossings
+    counted = mock.Mock(wraps=count_crossings_fast)
+    with mock.patch.object(bounds, "count_crossings_fast", counted):
+        bounds.check_bipartite_crossing(g, range(0, g.num_vertices, 2))
+    (cross,), _ = counted.call_args
+    assert cross.summands is None
+
+
 class TestTranslatePairsByDifference:
     def test_pair_counts_sum_to_the_crossing_count(self):
         # f(b' - b) of every translate pair, read off two-translate sets B,
@@ -548,7 +646,7 @@ class TestTranslatePairsByDifference:
         for A, B in instances:
             pairs = sum(max_translate_pair_crossings(A, IntegerSet((b, c)))
                         for i, b in enumerate(B) for c in B[i + 1:])
-            assert pairs == count_crossings_fast(build_sum_graph(A, B))
+            assert pairs == count_crossings_fast(plain_copy(build_sum_graph(A, B)))
 
     def test_lemma_on_the_constructions(self):
         # two translates of a dcd set cross at most 2|A| - 1 times
@@ -613,16 +711,21 @@ def test_peak_memory():
     measured with tracemalloc (numpy reports its buffers there); 64 KB
     covers fixed-size allocations.  The translate-pair sweep and
     crossing_stats are held on coprime t=1, 2, 4 (one block of arc pairs)
-    and on |A| = 800 against |B| = 30 (two blocks, the first one full).  A
-    sum graph of |A| = 2 with every sum distinct comes closest to the bound
-    of ``build_sum_graph``.  The sum graph of pairs with summed spans of
-    2**63 or more, whose pair sums are Python ints, is held to the bound
-    for that path on random values within +-2**62 (nearly every sum
-    distinct) and on an arithmetic progression (few distinct sums), where
-    every sum fits int64 and so does each position, and on random values
-    within +-2**87, where the positions are Python ints too.  Random values
-    in [2**62, 2**62 + 2**40] have summed spans below 2**63 but sums beyond
-    int64: int64 offsets and Python-int positions."""
+    and on |A| = 800 against |B| = 30 (two blocks, the first one full).
+    The crossing and intersection counts of a sum graph are held to the
+    bound of the path ``_sweep_is_smaller`` picks: the sweep on the coprime
+    pairs, the merge pass on |A| = 800 against |B| = 30 and on |A| = 2
+    against 3,000 values of B within span(A), where the sweep would gather
+    C(3000, 2) differences, some 270 MiB.  A sum graph of |A| = 2 with
+    every sum distinct comes closest to the bound of ``build_sum_graph``.
+    The sum graph of pairs with summed spans of 2**63 or more, whose pair
+    sums are Python ints, is held to the bound for that path on random
+    values within +-2**62 (nearly every sum distinct) and on an arithmetic
+    progression (few distinct sums), where every sum fits int64 and so
+    does each position, and on random values within +-2**87, where the
+    positions are Python ints too.  Random values in [2**62, 2**62 + 2**40]
+    have summed spans below 2**63 but sums beyond int64: int64 offsets and
+    Python-int positions."""
     from sumcross.arcgraph import _ARC_PAIR_BLOCK
 
     def peak(f, *args):
@@ -639,8 +742,11 @@ def test_peak_memory():
                 + 32 * min(arc_pairs, _ARC_PAIR_BLOCK))
 
     rng = random.Random(59)
-    wide_a = (random_integer_set(rng, 800, 0, 10**7), random_integer_set(rng, 30, 0, 10**7))
-    for A, B in [coprime_construction(t)[:2] for t in (1, 2, 4)] + [wide_a]:
+    cases = [(*coprime_construction(t)[:2], True) for t in (1, 2, 4)]
+    cases.append((random_integer_set(rng, 800, 0, 10**7),
+                  random_integer_set(rng, 30, 0, 10**7), False))
+    for A, B, sweeps in cases:
+        assert _sweep_is_smaller(A, B) == sweeps
         bound = sweep_bound(A, B)
         tracemalloc.start()
         try:
@@ -649,14 +755,27 @@ def test_peak_memory():
             m, n = g.num_edges, g.num_vertices
             assert built <= 48 * m + 32 * n
             assert g.u.nbytes + g.v.nbytes == 16 * m
-            assert peak(count_crossings_fast, g) <= 32 * m + 16 * n
-            assert peak(count_intersections, g) <= 32 * m + 16 * n
+            counted = bound if sweeps else 32 * m + 16 * n
+            assert peak(count_crossings_fast, g) <= counted
+            assert peak(count_intersections, g) <= counted
             assert peak(has_parallel_edges, g) <= 9 * m
             assert peak(degree_sequence, g) <= 64 * n
             assert peak(max_translate_pair_crossings, A, B) <= bound
-            assert peak(crossing_stats, A, B) <= max(48 * m + 72 * n, bound + 40 * n)
+            profiled = 40 * len(A) * len(B) + 24 * n + 96 * len(B)
+            assert peak(crossing_stats, A, B) <= max(profiled, bound + 40 * n)
         finally:
             tracemalloc.stop()
+
+    A = IntegerSet((0, 3 * 10**9))
+    B = random_integer_set(random.Random(56), 3000, 0, 10**9)
+    assert not _sweep_is_smaller(A, B)
+    g = build_sum_graph(A, B)
+    tracemalloc.start()
+    try:
+        for count in (count_crossings_fast, count_intersections):
+            assert peak(count, g) <= 32 * g.num_edges + 16 * g.num_vertices
+    finally:
+        tracemalloc.stop()
 
     A = IntegerSet((0, 3 * 10**9))
     B = random_integer_set(random.Random(57), 20000, 0, 10**9)
