@@ -1,6 +1,8 @@
 """Inequality checkers.  Each one instantiates a single bound on a concrete
 instance and returns a BoundReport with both sides, a verdict, and enough
-context to reproduce the computation.
+context to reproduce the computation.  A public checker computes every
+input of its bound from the instance; ``run_all_checks`` computes the shared
+inputs once and hands them to the checkers' private report functions.
 
 Proven bounds with explicit constants run in assert mode; statements with
 unspecified constants or hidden log factors, and bounds whose small-instance
@@ -31,7 +33,6 @@ from .arcgraph import (
 )
 from .sets import (
     IntegerSet,
-    RepProfile,
     energy,
     is_dcd,
     level_set_size,
@@ -100,17 +101,14 @@ def _ratio(lhs, rhs) -> Optional[float]:
         return None
 
 
-def _sumset_size(A, B, cached=None) -> int:
-    return cached if cached is not None else sumset_size(A, B)
-
-
-def check_sumset_lower(A: IntegerSet, B: IntegerSet, *,
-                       sumset_size: int | None = None) -> BoundReport:
+def check_sumset_lower(A: IntegerSet, B: IntegerSet) -> BoundReport:
     """|A+B| >= |A| sqrt(|B|) / sqrt(27) when A has distinct consecutive
     differences.  Non-dcd A demotes the report to report mode."""
-    k, l = len(A), len(B)
-    s = _sumset_size(A, B, sumset_size)
-    pre = is_dcd(A)
+    return _sumset_lower_report(len(A), len(B), sumset_size(A, B), is_dcd(A))
+
+
+def _sumset_lower_report(k: int, l: int, s: int, pre: bool) -> BoundReport:
+    """The main sumset report for |A| = k, |B| = l and |A+B| = s."""
     satisfied = 27 * s * s >= k * k * l
     rhs = k * math.sqrt(l) / math.sqrt(27.0)
     return BoundReport(
@@ -119,15 +117,17 @@ def check_sumset_lower(A: IntegerSet, B: IntegerSet, *,
         {"aSize": k, "bSize": l, "sumsetSize": s, "preconditionDcd": pre})
 
 
-def check_crossing_upper(A: IntegerSet, B: IntegerSet, *,
-                         crossings: int | None = None) -> BoundReport:
+def check_crossing_upper(A: IntegerSet, B: IntegerSet) -> BoundReport:
     """Crossings of the sum graph are at most C(|B|,2)(2|A|-1), hence at
     most |B|^2 |A|.  Both forms are required for a pass; the weaker one is
     the recorded lhs, the sharp one sits in the context."""
-    k, l = len(A), len(B)
-    if crossings is None:
-        crossings = count_crossings_fast(build_sum_graph(A, B))
-    pre = is_dcd(A)
+    crossings = count_crossings_fast(build_sum_graph(A, B))
+    return _crossing_upper_report(len(A), len(B), crossings, is_dcd(A))
+
+
+def _crossing_upper_report(k: int, l: int, crossings: int,
+                           pre: bool) -> BoundReport:
+    """The crossing upper-bound report for |A| = k and |B| = l."""
     sharp = (l * (l - 1) // 2) * (2 * k - 1)
     weak = l * l * k
     satisfied = crossings <= sharp and crossings <= weak
@@ -139,19 +139,21 @@ def check_crossing_upper(A: IntegerSet, B: IntegerSet, *,
          "preconditionDcd": pre})
 
 
-def check_crossing_lower(A: IntegerSet, B: IntegerSet, *,
-                         crossings: int | None = None,
-                         sumset_size: int | None = None) -> BoundReport:
+def check_crossing_lower(A: IntegerSet, B: IntegerSet) -> BoundReport:
     """One-page drawing lower bound cr >= e^3 / (27 n^2) with e = |B|(|A|-1)
     edges and n = |A+B| vertices.  Report-only: the cited bound speaks about
     optimal drawings and its small-instance correction terms are unknown, so
     instances like |B| = 1 legitimately fall below it."""
     if len(A) < 2:
         raise ValueError("A must have at least two elements")
-    k, l = len(A), len(B)
-    if crossings is None:
-        crossings = count_crossings_fast(build_sum_graph(A, B))
-    s = _sumset_size(A, B, sumset_size)
+    crossings = count_crossings_fast(build_sum_graph(A, B))
+    return _crossing_lower_report(len(A), len(B), sumset_size(A, B),
+                                  crossings, is_dcd(A))
+
+
+def _crossing_lower_report(k: int, l: int, s: int, crossings: int,
+                           pre: bool) -> BoundReport:
+    """The one-page crossing report for |A| = k, |B| = l and |A+B| = s."""
     e = l * (k - 1)
     satisfied = 27 * s * s * crossings >= e**3
     rhs = e**3 / (27.0 * s * s)
@@ -159,17 +161,19 @@ def check_crossing_lower(A: IntegerSet, B: IntegerSet, *,
         "crossing_lower_ge", float(crossings), rhs, REPORT, satisfied,
         _ratio(crossings, rhs),
         {"aSize": k, "bSize": l, "sumsetSize": s, "edges": e,
-         "crossings": crossings, "preconditionDcd": is_dcd(A)})
+         "crossings": crossings, "preconditionDcd": pre})
 
 
-def check_degree_weighted_crossing(graph: ArcGraph, *,
-                                   crossings: int | None = None) -> BoundReport:
+def check_degree_weighted_crossing(graph: ArcGraph) -> BoundReport:
     """cr(G) >= (1/36000n) * sum_i i*d_i^3 - 4.01 n^2 over the nonincreasing
     degree sequence of a simple graph."""
+    return _degree_weighted_report(graph, count_crossings_fast(graph))
+
+
+def _degree_weighted_report(graph: ArcGraph, crossings: int) -> BoundReport:
+    """The degree-weighted report for a graph with the given crossings."""
     if has_parallel_edges(graph):
         raise ValueError("degree-weighted bound needs a simple graph")
-    if crossings is None:
-        crossings = count_crossings_fast(graph)
     n = graph.num_vertices
     # sum of i * d_i^3: the c vertices of degree d after the first `before`
     # hold places before + 1 .. before + c
@@ -181,7 +185,7 @@ def check_degree_weighted_crossing(graph: ArcGraph, *,
         before += c
     # 4.01 n^2 = 144360 n^3 / (36000 n); compare integers, no floats
     satisfied = 36000 * n * crossings >= weighted - 144360 * n**3
-    rhs = weighted / (36000.0 * n) - 4.01 * n * n
+    rhs = weighted / (36000.0 * n) - 4.01 * n * n if n else 0.0
     return BoundReport(
         "degree_weighted_crossing_ge", float(crossings), rhs, ASSERT,
         satisfied, _ratio(crossings, rhs),
@@ -221,32 +225,33 @@ def check_bipartite_crossing(graph: ArcGraph, part_u) -> BoundReport:
          "hypothesisMet": hypothesis})
 
 
-def check_energy_lower(A: IntegerSet, B: IntegerSet, *,
-                       profile: RepProfile | None = None) -> BoundReport:
+def check_energy_lower(A: IntegerSet, B: IntegerSet) -> BoundReport:
     """|A+B| against E_1.5(A,B)^(2/3).  The underlying statement hides a
     log factor, so this is report-only bookkeeping of the ratio."""
     if len(A) != len(B):
         raise ValueError("sets must have equal size")
-    if profile is None:
-        profile = representation_profile(A, B)
-    s = len(profile.counts)
-    e15 = float(energy(profile, 1.5).value)
+    profile = representation_profile(A, B)
+    return _energy_report(len(A), len(profile.counts),
+                          energy(profile, 1.5).value, is_dcd(A))
+
+
+def _energy_report(k: int, s: int, e15: float, pre: bool) -> BoundReport:
+    """The energy report for |A| = |B| = k, |A+B| = s and E_1.5 = e15."""
     rhs = e15 ** (2.0 / 3.0)
     return BoundReport(
         "energy_lower_ge", float(s), rhs, REPORT, s >= rhs, _ratio(s, rhs),
-        {"aSize": len(A), "bSize": len(B), "sumsetSize": s,
+        {"aSize": k, "bSize": k, "sumsetSize": s,
          "energy15": e15, "logSumsetSize": math.log(s),
-         "preconditionDcd": is_dcd(A)})
+         "preconditionDcd": pre})
 
 
-def check_heavy_subset(A: IntegerSet, B: IntegerSet, S: IntegerSet, *,
-                       profile: RepProfile | None = None) -> BoundReport:
+def check_heavy_subset(A: IntegerSet, B: IntegerSet,
+                       S: IntegerSet) -> BoundReport:
     """Given a subset S of the sumset carrying representation mass
     |A||B|/Delta, the sumset must satisfy |A+B| >= |B||A|^2 / ((2 Delta)^3 |S|).
     Delta is computed from S itself, so the mass hypothesis holds with
     equality."""
-    if profile is None:
-        profile = representation_profile(A, B)
+    profile = representation_profile(A, B)
     at = profile.locate(S.elements)
     if (at < 0).any():
         raise ValueError(f"{S[int(np.argmax(at < 0))]} is not in the sumset")
@@ -257,8 +262,7 @@ def check_heavy_subset(A: IntegerSet, B: IntegerSet, S: IntegerSet, *,
 
 def _heavy_subset_report(k: int, l: int, s: int, size_s: int, mass: int,
                          pre: bool) -> BoundReport:
-    """The heavy-subset report for |A| = k, |B| = l, |A+B| = s and a
-    subset of size_s sums carrying mass pairs."""
+    """The heavy-subset report for size_s sums carrying mass pairs."""
     delta = (k * l) / mass
     # rhs = mass^3 / (8 k l^2 |S|) after substituting Delta
     satisfied = 8 * k * l * l * size_s * s >= mass**3
@@ -272,22 +276,19 @@ def _heavy_subset_report(k: int, l: int, s: int, size_s: int, mass: int,
          "preconditionDcd": pre})
 
 
-def check_level_set_count(A: IntegerSet, B: IntegerSet, t: int, *,
-                          profile: RepProfile | None = None) -> BoundReport:
+def check_level_set_count(A: IntegerSet, B: IntegerSet, t: int) -> BoundReport:
     """Values represented at least t >= 2 times are few:
     |S_t| < 3 |A+B|^(1/2) |A|^(1/2) |B| / t^(3/2)."""
     if t < 2:
         raise ValueError("t must be >= 2")
-    if profile is None:
-        profile = representation_profile(A, B)
+    profile = representation_profile(A, B)
     return _level_set_report(len(A), len(B), len(profile.counts), t,
                              level_set_size(profile, t), is_dcd(A))
 
 
 def _level_set_report(k: int, l: int, s: int, t: int, size_t: int,
                       pre: bool) -> BoundReport:
-    """The level-set report for |A| = k, |B| = l, |A+B| = s and the
-    size_t sums represented at least t times."""
+    """The level-set report for size_t sums represented >= t times."""
     satisfied = size_t * size_t * t**3 < 9 * s * k * l * l
     rhs = 3.0 * math.sqrt(s * k) * l / t**1.5
     return BoundReport(
@@ -297,14 +298,16 @@ def _level_set_report(k: int, l: int, s: int, t: int, size_t: int,
          "levelSetSize": size_t, "preconditionDcd": pre})
 
 
-def check_multiplicity_lower(A: IntegerSet, B: IntegerSet, *,
-                             sumset_size: int | None = None) -> BoundReport:
+def check_multiplicity_lower(A: IntegerSet, B: IntegerSet) -> BoundReport:
     """|A+B| against |A| sqrt(|B|/m) where m is the largest multiplicity of
     a consecutive difference of A.  The constant in the statement is
     unspecified, so the ratio is recorded, never asserted."""
-    k, l = len(A), len(B)
-    m = consecutive_difference_multiplicity(A)
-    s = _sumset_size(A, B, sumset_size)
+    return _multiplicity_report(len(A), len(B), sumset_size(A, B),
+                                consecutive_difference_multiplicity(A))
+
+
+def _multiplicity_report(k: int, l: int, s: int, m: int) -> BoundReport:
+    """The multiplicity report for a gap of A repeated m times."""
     satisfied = m * s * s >= k * k * l
     rhs = k * math.sqrt(l / m)
     return BoundReport(
@@ -334,13 +337,15 @@ def check_intersection_lower(graph: ArcGraph) -> BoundReport:
          "hypothesisMet": hypothesis})
 
 
-def check_doubling_lower(A: IntegerSet, B: IntegerSet, *,
-                         sumset_size: int | None = None) -> BoundReport:
+def check_doubling_lower(A: IntegerSet, B: IntegerSet) -> BoundReport:
     """|A+B| >= (2 / 3 sqrt(3)) |A| sqrt(|B|) when A has distinct
     consecutive differences within a factor of two of each other."""
-    k, l = len(A), len(B)
     pre = len(A) >= 2 and is_dcd(A) and satisfies_doubling(A)
-    s = _sumset_size(A, B, sumset_size)
+    return _doubling_report(len(A), len(B), sumset_size(A, B), pre)
+
+
+def _doubling_report(k: int, l: int, s: int, pre: bool) -> BoundReport:
+    """The doubling report for |A| = k, |B| = l and |A+B| = s."""
     satisfied = 27 * s * s >= 4 * k * k * l
     rhs = 2.0 * k * math.sqrt(l) / (3.0 * math.sqrt(3.0))
     return BoundReport(
@@ -357,22 +362,13 @@ def check_doubling_lower(A: IntegerSet, B: IntegerSet, *,
 _ORACLE_EDGE_LIMIT = 2500
 
 
-def _argmax_value(profile: RepProfile) -> int:
-    # deterministic: largest count, ties broken by the smaller sum value,
-    # since argmax takes the first maximum and the sums are sorted
-    return profile.base + int(profile.offsets[profile.multiplicities.argmax()])
-
-
 def run_all_checks(A: IntegerSet, B: IntegerSet) -> list[BoundReport]:
     """Run every checker that applies to (A, B) and return the reports
     sorted by (name, context digest).
 
-    The sum graph is built once.  Its crossings, and its intersections
-    where they are reported, come from the translate-pair sweep over A and
-    B when that is the smaller job (on every construction) and from the
-    merge pass otherwise, such as for |A| = 2 against a dense B, whose
-    close pairs of translates grow as m^2.  The bipartite cross subgraph is
-    no sum graph and always takes the merge pass.
+    Each report equals its public checker's on (A, B).  The profile (so
+    |A+B| and the levels), ``is_dcd(A)``, the sum graph and its crossings
+    are computed once and passed to the checkers' private report functions.
 
     The bipartite-split and intersection-number reports appear only when
     the sum graph has at most ``_ORACLE_EDGE_LIMIT`` edges.  Both counters
@@ -385,34 +381,31 @@ def run_all_checks(A: IntegerSet, B: IntegerSet) -> list[BoundReport]:
     s = len(profile.counts)
     pre = is_dcd(A)
     reports = [
-        check_sumset_lower(A, B, sumset_size=s),
-        check_multiplicity_lower(A, B, sumset_size=s) if k >= 2 else None,
-        check_doubling_lower(A, B, sumset_size=s),
+        _sumset_lower_report(k, l, s, pre),
+        _doubling_report(k, l, s, k >= 2 and pre and satisfies_doubling(A)),
+        # the whole sumset carries all |A||B| pairs, a top sum the most
+        _heavy_subset_report(k, l, s, s, k * l, pre),
+        _heavy_subset_report(k, l, s, 1, profile.max_multiplicity(), pre),
     ]
     if k >= 2:
+        m = consecutive_difference_multiplicity(A)
+        reports.append(_multiplicity_report(k, l, s, m))
         graph = build_sum_graph(A, B)
         crossings = count_crossings_fast(graph)
-        reports.append(check_crossing_upper(A, B, crossings=crossings))
-        reports.append(check_crossing_lower(A, B, crossings=crossings,
-                                            sumset_size=s))
+        reports.append(_crossing_upper_report(k, l, crossings, pre))
+        reports.append(_crossing_lower_report(k, l, s, crossings, pre))
         if not has_parallel_edges(graph):
-            reports.append(
-                check_degree_weighted_crossing(graph, crossings=crossings))
+            reports.append(_degree_weighted_report(graph, crossings))
         if graph.num_edges <= _ORACLE_EDGE_LIMIT:
             even = range(0, graph.num_vertices, 2)
             reports.append(check_bipartite_crossing(graph, even))
             reports.append(check_intersection_lower(graph))
     if k == l:
-        reports.append(check_energy_lower(A, B, profile=profile))
-    # the whole sumset carries all |A||B| pairs
-    reports.append(_heavy_subset_report(k, l, s, s, k * l, pre))
-    top = _argmax_value(profile)
-    reports.append(check_heavy_subset(A, B, IntegerSet((top,)), profile=profile))
+        reports.append(_energy_report(k, s, energy(profile, 1.5).value, pre))
     # level_sizes[t]: the sums with at least t representations
     level_sizes = np.cumsum(profile.multiplicity_histogram()[::-1])[::-1]
     for t, size in enumerate(level_sizes.tolist()[2:], start=2):
         reports.append(_level_set_report(k, l, s, t, size, pre))
-    reports = [r for r in reports if r is not None]
     return sorted(reports, key=lambda r: (r.name, _context_digest(r.context)))
 
 

@@ -421,7 +421,7 @@ def level_set_size(profile: RepProfile, t: int) -> int:
 # ---------------------------------------------------------------------------
 # Exact |A+B| without materializing the sumset.
 
-# Pairs per chunk by default: 64 MiB of pair-sized arrays at 16 bytes a pair.
+# Most pairs per chunk: 64 MiB of pair-sized arrays at 16 bytes a pair.
 _CHUNK_ELEMENTS = 1 << 22
 
 # A and B are shifted to minimum 0 and held as uint64, so every sum lies in
@@ -433,12 +433,11 @@ _UINT64_SPAN_LIMIT = (1 << 64) - 1
 _UINT32_SPAN = 1 << 32
 
 
-def sumset_size(A: IntegerSet, B: IntegerSet, *,
-                chunk_elements: int = _CHUNK_ELEMENTS) -> int:
+def sumset_size(A: IntegerSet, B: IntegerSet) -> int:
     """Exact number of distinct pairwise sums, without building the sumset.
 
     The sum values are cut into ranges (chunks), each starting at a sum
-    and holding at most ``chunk_elements`` pairs, or the pairs of a single
+    and holding at most ``_CHUNK_ELEMENTS`` pairs, or the pairs of a single
     sum value when more share it; a probe loop sizes each chunk to about
     7/8 of that from the pairs the last probe held, and a count that fits
     one chunk makes no probe.  The sums of each chunk are gathered, sorted
@@ -449,8 +448,6 @@ def sumset_size(A: IntegerSet, B: IntegerSet, *,
     whose summed spans reach 2**64 - 1 are counted by an exact merge over
     Python integers instead.
     """
-    if chunk_elements < 1:
-        raise ValueError(f"chunk_elements must be >= 1, got {chunk_elements}")
     if (A.max - A.min) + (B.max - B.min) >= _UINT64_SPAN_LIMIT:
         return _sumset_size_merged(A, B)
     # |A+B| is translation invariant: count (A - min A) + (B - min B)
@@ -463,7 +460,7 @@ def sumset_size(A: IntegerSet, B: IntegerSet, *,
         first = np.zeros(len(a), dtype=np.intp)
     total = 0
     starts = first
-    for lo, hi, stops in _chunks(a, b, first, chunk_elements):
+    for lo, hi, stops in _chunks(a, b, first, _CHUNK_ELEMENTS):
         total += _distinct_sums(a, b, starts, stops, lo, hi)
         starts = stops
     return total

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from bisect import bisect_left
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,6 +63,12 @@ profile_values = st.one_of(
 
 def iset(*values):
     return IntegerSet.of(values)
+
+
+def chunked_sumset_size(A: IntegerSet, B: IntegerSet, chunk: int) -> int:
+    """``sumset_size(A, B)`` with chunks of at most ``chunk`` pairs."""
+    with mock.patch.object(sets_module, "_CHUNK_ELEMENTS", chunk):
+        return sumset_size(A, B)
 
 
 def gathered_arrays(monkeypatch) -> list[np.ndarray]:
@@ -500,19 +507,19 @@ class TestSumsetSize:
             B = random_integer_set(rng, rng.randint(1, 60), -5000, 5000)
             expected = len({a + b for a in A for b in B})
             assert sumset_size(A, B) == expected
-            assert sumset_size(A, B, chunk_elements=64) == expected
+            assert chunked_sumset_size(A, B, 64) == expected
 
     def test_symmetric_stream_path(self):
         rng = random.Random(29)
         A = random_integer_set(rng, 80, 0, 10**6)
         expected = len({x + y for x in A for y in A})
-        assert sumset_size(A, A, chunk_elements=512) == expected
+        assert chunked_sumset_size(A, A, 512) == expected
 
     def test_small_chunks_force_many_partitions(self):
         A = IntegerSet.of(range(0, 200, 3))
         B = IntegerSet.of(range(0, 50, 7))
         expected = len({a + b for a in A for b in B})
-        assert sumset_size(A, B, chunk_elements=16) == expected
+        assert chunked_sumset_size(A, B, 16) == expected
 
     def test_bigint_fallback(self):
         shift = 1 << 70
@@ -532,7 +539,7 @@ class TestSumsetSize:
             A = IntegerSet.of(rng.randrange(-2**62, 2**62) for _ in range(6))
             B = IntegerSet.of(rng.randrange(-2**62, 2**62) for _ in range(6))
             expected = len({a + b for a in A for b in B})
-            assert sumset_size(A, B, chunk_elements=4) == expected
+            assert chunked_sumset_size(A, B, 4) == expected
 
     def test_stream_span_boundary(self, monkeypatch):
         # summed spans up to 2**64 - 2 stay on the uint64 chunked path, even
@@ -549,7 +556,7 @@ class TestSumsetSize:
             B = IntegerSet.of([2**62, 2**62 + 7, 2**62 + span_b // 2 + 1,
                                2**62 + span_b])
             expected = len({a + b for a in A for b in B})
-            assert sumset_size(A, B, chunk_elements=3) == expected
+            assert chunked_sumset_size(A, B, 3) == expected
             assert len(merged) == (total >= 2**64 - 1)
             merged.clear()
 
@@ -583,7 +590,7 @@ class TestSumsetSize:
                     for ai, f in zip(a, first)]
                 previous, counted = hi, counted + inside
             assert counted == len(sums)
-            assert (sumset_size(A, B, chunk_elements=chunk)
+            assert (chunked_sumset_size(A, B, chunk)
                     == sumset_size_by_definition(A, B))
             multi += len(chunks) > 1
         assert multi >= 40
@@ -597,7 +604,7 @@ class TestSumsetSize:
         assert sumset_size(depth2, depth2) == 609_213
         probes = probe_calls(monkeypatch)
         gathered = gathered_arrays(monkeypatch)
-        assert sumset_size(depth2, depth2, chunk_elements=2**12) == 609_213
+        assert chunked_sumset_size(depth2, depth2, 2**12) == 609_213
         assert len(gathered) > 1 and len(probes) < 2 * len(gathered)
 
     def test_too_full_probes_at_least_halve(self, monkeypatch):
@@ -609,13 +616,13 @@ class TestSumsetSize:
         for top in (2**62, 2**40):
             A = IntegerSet.of([*range(40), top])
             probes.clear()
-            assert (sumset_size(A, A, chunk_elements=800)
+            assert (chunked_sumset_size(A, A, 800)
                     == sumset_size_by_definition(A, A))
             assert len(probes) <= (2 * top).bit_length()
 
     def test_gathers_stay_within_a_chunk(self, monkeypatch):
         # no sum has more than min(|A|, |B|) pairs, so with at least that
-        # many per chunk no chunk may gather more than chunk_elements
+        # many per chunk no chunk may gather more than chunk pairs
         gathered = gathered_arrays(monkeypatch)
         rng = random.Random(43)
         for _ in range(20):
@@ -623,7 +630,7 @@ class TestSumsetSize:
             B = random_integer_set(rng, rng.randint(20, 200), 0, 10**9)
             chunk = rng.randint(min(len(A), len(B)), 400)
             gathered.clear()
-            assert (sumset_size(A, B, chunk_elements=chunk)
+            assert (chunked_sumset_size(A, B, chunk)
                     == sumset_size_by_definition(A, B))
             assert len(gathered) > 1 and max(map(len, gathered)) <= chunk
 
@@ -658,7 +665,7 @@ class TestSumsetSize:
             narrow = [(lo, hi) for lo, hi in bounds if hi - lo <= 2**32]
             assert any(lo > 2**64 - 2**33 for lo, _ in narrow)
             gathered.clear()
-            assert (sumset_size(A, B, chunk_elements=chunk)
+            assert (chunked_sumset_size(A, B, chunk)
                     == sumset_size_by_definition(A, B))
             keys = [x for x in gathered if x.dtype == np.uint32]
             assert len(keys) == len(narrow)
@@ -679,7 +686,7 @@ class TestSumsetSize:
                 narrow = sum(hi - lo <= 2**32 for lo, hi in bounds)
                 assert 0 < narrow < len(bounds)
                 gathered.clear()
-                assert (sumset_size(X, Y, chunk_elements=chunk)
+                assert (chunked_sumset_size(X, Y, chunk)
                         == sumset_size_by_definition(X, Y))
                 assert dtypes(gathered).count(np.uint32) == narrow
                 assert (dtypes(gathered).count(np.uint64)
@@ -703,11 +710,7 @@ class TestSumsetSize:
             assert dtypes(gathered) == [key]
 
     def test_chunk_elements_validation(self):
-        A = iset(0, 1)
-        for bad in (0, -1):
-            with pytest.raises(ValueError):
-                sumset_size(A, A, chunk_elements=bad)
-        assert sumset_size(A, A, chunk_elements=1) == 3
+        assert chunked_sumset_size(iset(0, 1), iset(0, 1), 1) == 3
 
     @given(st.integers(2**64 - 3, 2**64 + 1), st.data())
     @settings(max_examples=60)
@@ -721,7 +724,7 @@ class TestSumsetSize:
         B = IntegerSet.of([lo_b, lo_b + span_b] + data.draw(
             st.lists(st.integers(lo_b, lo_b + span_b), max_size=4)))
         chunk = data.draw(chunk_sizes)
-        assert sumset_size(A, B, chunk_elements=chunk) == \
+        assert chunked_sumset_size(A, B, chunk) == \
             sumset_size_by_definition(A, B)
 
     @given(st.sets(int64_edges, min_size=1, max_size=8),
@@ -730,20 +733,20 @@ class TestSumsetSize:
     def test_values_at_the_int64_limits(self, xs, ys, chunk):
         A, B = IntegerSet.of(xs), IntegerSet.of(ys)
         expected = sumset_size_by_definition(A, B)
-        assert sumset_size(A, B, chunk_elements=chunk) == expected
-        assert sumset_size(A, A, chunk_elements=chunk) == \
+        assert chunked_sumset_size(A, B, chunk) == expected
+        assert chunked_sumset_size(A, A, chunk) == \
             sumset_size_by_definition(A, A)
 
     @given(int_sets, st.integers(-2**70, 2**70), chunk_sizes)
     def test_singletons(self, A, x, chunk):
         X = IntegerSet((x,))
-        assert sumset_size(A, X, chunk_elements=chunk) == len(A)
-        assert sumset_size(X, A, chunk_elements=chunk) == len(A)
-        assert sumset_size(X, X, chunk_elements=chunk) == 1
+        assert chunked_sumset_size(A, X, chunk) == len(A)
+        assert chunked_sumset_size(X, A, chunk) == len(A)
+        assert chunked_sumset_size(X, X, chunk) == 1
 
     @given(small_sets)
     def test_symmetric_with_one_pair_per_chunk(self, A):
-        assert sumset_size(A, A, chunk_elements=1) == \
+        assert chunked_sumset_size(A, A, 1) == \
             sumset_size_by_definition(A, A)
 
     @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
@@ -758,8 +761,8 @@ class TestSumsetSize:
         expected = sumset_size_by_definition(A, B)
         if ratio == 1:
             assert expected == k + l - 1
-        assert sumset_size(A, B, chunk_elements=chunk) == expected
-        assert sumset_size(A, A, chunk_elements=chunk) == 2 * k - 1
+        assert chunked_sumset_size(A, B, chunk) == expected
+        assert chunked_sumset_size(A, A, chunk) == 2 * k - 1
 
     @given(st.sets(st.integers(2**64, 2**64 + 10**6), min_size=1, max_size=10),
            st.sets(st.integers(-2**80, 2**80), min_size=1, max_size=6),
@@ -770,7 +773,7 @@ class TestSumsetSize:
         # spans go to the merge
         A, B = IntegerSet.of(xs), IntegerSet.of(ys)
         for X, Y in ((A, A), (A, B), (B, B)):
-            assert sumset_size(X, Y, chunk_elements=chunk) == \
+            assert chunked_sumset_size(X, Y, chunk) == \
                 sumset_size_by_definition(X, Y)
 
     def test_peak_memory(self):
@@ -783,7 +786,7 @@ class TestSumsetSize:
         def peak(A, B, chunk):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            sumset_size(A, B, chunk_elements=chunk)
+            chunked_sumset_size(A, B, chunk)
             return tracemalloc.get_traced_memory()[1] - base - (1 << 16)
 
         wide = random_integer_set(rng, 700, 10**14, 10**15)
