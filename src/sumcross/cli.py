@@ -37,6 +37,7 @@ from .construct import (
 )
 from .sets import (
     IntegerSet,
+    _negated,
     energy,
     is_dcd,
     load_set,
@@ -131,7 +132,7 @@ def cmd_construct_sidon_seed(args) -> int:
     pairs = len(A) * len(A)
     heavy_ok = args.heavy or pairs <= _LIGHT_PAIR_LIMIT
     exact = sumset_size(A, A) if heavy_ok else None
-    seed_sums = len(sumset(seed, seed))
+    seed_sums = sumset_size(seed, seed)
     bound = seed_sums**args.k * 2 * len(A)
     sidecar = {
         "seed": list(seed.elements),
@@ -164,7 +165,7 @@ def cmd_analyze(args) -> int:
         "aSize": len(A),
         "bSize": len(B),
         "sumsetSize": len(profile.counts),
-        "differenceSize": sumset_size(A, IntegerSet.of(-b for b in B)),
+        "differenceSize": sumset_size(A, _negated(B)),
         "energy2": energy(profile, 2).value,
         "energy15": energy(profile, 1.5).value,
         "multiplicityHistogram": {str(r): n for r, n in histogram.items()},

@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _INT_LINE = re.compile(r"-?[0-9]+")
+# An undecodable byte x, read with errors="surrogateescape", is U+DC00 + x.
+_RAW_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class SetFileError(ValueError):
@@ -113,41 +115,20 @@ class RepProfile:
     ``multiplicities[i]`` pairs (a, b).  ``offsets`` is int64 while the
     sums span less than 2**63 and holds Python ints (object dtype) above.
 
-    ``RepProfile(counts, source_sizes)`` builds a profile from a mapping
-    ``{sum: count}``; :func:`representation_profile` builds one from the
-    sort of the pair sums.  ``counts`` reads the arrays back as such a
-    mapping, in the order in which the sums first appear.  Every profile is
-    checked: the counts sum to |A||B| and each lies in [1, min(|A|, |B|)].
+    :func:`representation_profile` builds a profile from the sort of the
+    pair sums and hands the constructor its arrays; ``appearance`` ranks
+    the sums by first appearance (its argsort is that order).  ``counts``
+    reads the arrays back as a mapping ``{sum: count}``, in that order.
+    Every profile is checked: the counts sum to |A||B| and each lies in
+    [1, min(|A|, |B|)].
     """
 
     __slots__ = ("base", "offsets", "multiplicities", "source_sizes",
                  "_appearance")
 
-    def __init__(self, counts: Mapping[int, int],
-                 source_sizes: tuple[int, int]):
-        keys = list(counts)
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        sums = [keys[i] for i in order]
-        if sums:
-            span = sums[-1] - sums[0]
-            offsets = _offsets(sums, np.int64 if span < _INT64_SPAN else object)
-        else:
-            offsets = np.empty(0, dtype=np.int64)
-        self._set(sums[0] if sums else 0, offsets,
-                  _int_array([counts[x] for x in sums]), source_sizes,
-                  np.array(order, dtype=np.int64))
-
-    @classmethod
-    def _of_arrays(cls, base: int, offsets: np.ndarray,
-                   multiplicities: np.ndarray, source_sizes: tuple[int, int],
-                   appearance: np.ndarray) -> "RepProfile":
-        profile = cls.__new__(cls)
-        profile._set(base, offsets, multiplicities, source_sizes, appearance)
-        return profile
-
-    def _set(self, base, offsets, multiplicities, source_sizes, appearance):
-        """Store the fields read-only and validate them.  ``appearance``
-        ranks the sums by first appearance: its argsort is that order."""
+    def __init__(self, base: int, offsets: np.ndarray,
+                 multiplicities: np.ndarray, source_sizes: tuple[int, int],
+                 appearance: np.ndarray):
         for array in (offsets, multiplicities, appearance):
             array.setflags(write=False)
         fields = dict(base=base, offsets=offsets, multiplicities=multiplicities,
@@ -236,17 +217,19 @@ class EnergyValue:
 
 
 def sumset(A: IntegerSet, B: IntegerSet) -> IntegerSet:
-    """All pairwise sums a + b, deduplicated and sorted."""
-    ae = A.elements
-    be = B.elements
-    return IntegerSet(tuple(sorted({a + b for a in ae for b in be})))
+    """All pairwise sums a + b, deduplicated and sorted: the sums of the
+    representation profile."""
+    return high_multiplicity_set(representation_profile(A, B), 1)
 
 
 def difference_set(A: IntegerSet, B: IntegerSet) -> IntegerSet:
-    """All pairwise differences a - b, deduplicated and sorted."""
-    ae = A.elements
-    be = B.elements
-    return IntegerSet(tuple(sorted({a - b for a in ae for b in be})))
+    """All pairwise differences a - b, deduplicated and sorted: A + (-B)."""
+    return sumset(A, _negated(B))
+
+
+def _negated(B: IntegerSet) -> IntegerSet:
+    """-B = {-b : b in B}."""
+    return IntegerSet(tuple(-b for b in reversed(B.elements)))
 
 
 # Values whose span stays below this fit int64 once shifted to start at 0.
@@ -304,9 +287,8 @@ def _profile_and_order(A: IntegerSet,
     del new
     values = sums[starts]
     del sums
-    profile = RepProfile._of_arrays(A.min + B.min, values,
-                                    np.diff(starts, append=n),
-                                    (len(A), len(B)), order[starts])
+    profile = RepProfile(A.min + B.min, values, np.diff(starts, append=n),
+                         (len(A), len(B)), order[starts])
     return profile, order
 
 
@@ -360,16 +342,10 @@ def is_convex(A: IntegerSet) -> bool:
 
 
 def is_sidon(A: IntegerSet) -> bool:
-    """True iff all pairwise sums a_i + a_j (i <= j) are distinct."""
-    e = A.elements
-    seen = set()
-    for i, x in enumerate(e):
-        for y in e[i:]:
-            s = x + y
-            if s in seen:
-                return False
-            seen.add(s)
-    return True
+    """True iff all pairwise sums a_i + a_j (i <= j) are distinct, that is
+    iff |A+A| = k(k+1)/2 for k = |A|."""
+    k = len(A)
+    return sumset_size(A, A) == k * (k + 1) // 2
 
 
 def is_tdcd(A: IntegerSet) -> bool:
@@ -570,16 +546,20 @@ def _sumset_size_merged(A: IntegerSet, B: IntegerSet) -> int:
 
 
 def load_set(path) -> IntegerSet:
-    """Read a set file; duplicates and non-integer lines are rejected with
-    a diagnostic naming the offending line."""
+    """Read a set file; duplicates, non-integer lines and bytes that are not
+    UTF-8 are rejected with a diagnostic naming the offending line."""
     seen: dict[int, int] = {}
     values: list[int] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text:
                 continue
             if not _INT_LINE.fullmatch(text):
+                byte = _RAW_BYTE.search(text)
+                if byte:
+                    raise SetFileError(path, line_no, "not UTF-8 text: byte "
+                                       f"0x{ord(byte[0]) - 0xdc00:02x}")
                 raise SetFileError(path, line_no, f"not a decimal integer: {text!r}")
             value = int(text)
             if value in seen:

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .sets import IntegerSet, difference_set, is_sidon, sumset
+from .sets import IntegerSet, _negated, sumset_size
 
 __all__ = [
     "SeedScore",
@@ -73,11 +73,13 @@ def sidon_search(size: int, max_element: int) -> list[IntegerSet]:
 
 def seed_stats(S: IntegerSet) -> SeedScore:
     """Score a Sidon seed; for |S| = x the closed forms are
-    sums = x(x+1)/2 and diffs = x(x-1)+1."""
-    if not is_sidon(S):
+    sums = x(x+1)/2 and diffs = x(x-1)+1.  S is Sidon iff |S+S| is the
+    first, as in :func:`~sumcross.sets.is_sidon`."""
+    x = len(S)
+    sums = sumset_size(S, S)
+    if sums != x * (x + 1) // 2:
         raise ValueError("set is not Sidon")
-    sums = len(sumset(S, S))
-    diffs = len(difference_set(S, S))
+    diffs = sumset_size(S, _negated(S))
     if diffs == 1:
         raise ValueError("singleton seed has no score")
     return SeedScore(sums, diffs, _exponent(diffs, sums))

@@ -39,6 +39,7 @@ from helpers import (
     random_doubling_dcd_set,
     random_integer_set,
     representation_profile_by_definition,
+    sumset_size_by_definition,
 )
 
 
@@ -97,7 +98,7 @@ class TestSumsetLower:
             A = random_integer_set(rng, rng.randint(1, 15), 0, 200)
             B = random_integer_set(rng, rng.randint(1, 15), 0, 200)
             r = check_sumset_lower(A, B)
-            s = len(sumset(A, B))
+            s = sumset_size_by_definition(A, B)
             assert r.satisfied == (27 * s * s >= len(A) ** 2 * len(B))
 
 

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from sumcross import (REFERENCE_SEED, IntegerSet, coprime_construction,
-                      difference_set, load_set, save_set,
-                      sidon_seed_construction)
+                      load_set, save_set, sidon_seed_construction)
 from sumcross.cli import main
 
 
@@ -126,7 +125,7 @@ class TestAnalyze:
             assert run("analyze", "--a", tmp_path / "a.txt", "--b",
                        tmp_path / "b.txt", "--outdir", tmp_path) == 0
             out = json.loads(capsys.readouterr().out)
-            assert out["differenceSize"] == len(difference_set(A, B))
+            assert out["differenceSize"] == len({a - b for a in A for b in B})
 
     def test_byte_stable_across_runs(self, tmp_path):
         a = write_set(tmp_path / "a.txt", [0, 1, 3, 7])
@@ -144,6 +143,15 @@ class TestAnalyze:
                    "--outdir", tmp_path) == 2
         err = capsys.readouterr().err
         assert ":2:" in err and "duplicate" in err
+
+    def test_file_that_is_not_utf8_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"3\r\n4\r\n\xff5\n")
+        good = write_set(tmp_path / "good.txt", [0])
+        assert run("analyze", "--a", good, "--b", bad,
+                   "--outdir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}:3: not UTF-8 text: byte 0xff\n"
 
     @pytest.mark.parametrize("command", ["analyze", "crossings", "check"])
     def test_unreadable_file_exit_code(self, tmp_path, capsys, command):

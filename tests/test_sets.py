@@ -165,6 +165,20 @@ class TestSumset:
         B = iset(*range(100, 200, 5))
         assert len(sumset(A, B)) == len(A) + len(B) - 1
 
+    @given(st.sets(profile_values, min_size=1, max_size=12),
+           st.sets(profile_values, min_size=1, max_size=12))
+    @example({7}, {-3, 5, 9})
+    @example({-3, 5, 9}, {7})
+    @example({2**63 - 1, 2**63}, {2**63, 2**64})
+    @example({-2**64, 3, 2**64}, {-5, 2**62})
+    @example({-2**62, -1, 0}, {0, 1, 2, 2**62 - 1, 2**62})
+    def test_sums_and_differences_by_definition(self, xs, ys):
+        A, B = IntegerSet.of(xs), IntegerSet.of(ys)
+        assert sumset(A, B).elements == tuple(sorted(
+            {a + b for a in xs for b in ys}))
+        assert difference_set(A, B).elements == tuple(sorted(
+            {a - b for a in xs for b in ys}))
+
 
 class TestRepresentationProfile:
     def test_smallest_nontrivial(self):
@@ -186,16 +200,23 @@ class TestRepresentationProfile:
         assert p.max_multiplicity() <= min(len(A), len(B))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RepProfile({0: 1}, (2, 2))
-        with pytest.raises(ValueError):
-            RepProfile({0: 3, 1: 1}, (2, 2))
+        with pytest.raises(ValueError, match=r"^representation counts"):
+            RepProfile(0, np.array([0]), np.array([1]), (2, 2), np.array([0]))
+        with pytest.raises(ValueError, match=r"^count 3 for 0 outside"):
+            RepProfile(0, np.array([0, 1]), np.array([3, 1]), (2, 2),
+                       np.array([0, 1]))
 
     def test_validation_names_the_first_bad_count(self):
+        """The first bad count in order of first appearance is named."""
         with pytest.raises(ValueError, match=r"^count 0 for 5 outside"):
-            RepProfile({4: 1, 5: 0, 6: 3, 7: 0}, (2, 2))
+            RepProfile(4, np.arange(4), np.array([1, 0, 3, 0]), (2, 2),
+                       np.arange(4))
+        with pytest.raises(ValueError, match=r"^count 0 for 7 outside"):
+            RepProfile(4, np.arange(4), np.array([1, 0, 3, 0]), (2, 2),
+                       np.arange(4)[::-1].copy())
         with pytest.raises(ValueError, match=r"^count 3 for 6 outside"):
-            RepProfile({4: 1, 6: 3}, (2, 2))
+            RepProfile(4, np.array([0, 2]), np.array([1, 3]), (2, 2),
+                       np.arange(2))
 
     @given(st.sets(profile_values, min_size=1, max_size=12),
            st.sets(profile_values, min_size=1, max_size=12), st.booleans())
@@ -223,7 +244,12 @@ class TestRepresentationProfile:
         absolute value: 64 bytes per pair plus 80 per distinct sum, on
         random values (nearly every sum distinct) and on an arithmetic
         progression (few).  |A| = 1 and |A| = 2 with every sum distinct
-        are the cases closest to the per-sum bounds."""
+        are the cases closest to the per-sum bounds.
+
+        ``sumset`` and ``difference_set`` are held to the profile's bound
+        plus 72 bytes per distinct sum for the result's Python ints, which
+        are largest (36 bytes) when the sums pass 2**60, and
+        ``difference_set`` to 48 more per element of B for -B."""
         rng = random.Random(43)
         cases = [coprime_construction(1)[:2], coprime_construction(2)[:2],
                  (random_integer_set(rng, 500, 0, 10**6),
@@ -241,18 +267,31 @@ class TestRepresentationProfile:
                  (IntegerSet.of(rng.randrange(-2**87, 2**87)
                                 for _ in range(250)),) * 2,
                  (IntegerSet.of(k << 55 for k in range(-150, 150)),
-                  IntegerSet.of(k << 55 for k in range(-100, 100)))]
+                  IntegerSet.of(k << 55 for k in range(-100, 100))),
+                 (iset(0, 2**61), IntegerSet.of(rng.randrange(2**61, 2**62)
+                                                for _ in range(20000)))]
+
+        def peak(build, A, B):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = build(A, B)
+            return tracemalloc.get_traced_memory()[1] - base - (1 << 16), result
+
         tracemalloc.start()
         try:
             for A, B in cases:
                 wide = (A.max - A.min) + (B.max - B.min) >= 2**63
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                profile = representation_profile(A, B)
-                peak = tracemalloc.get_traced_memory()[1] - base - (1 << 16)
-                assert peak <= ((64 if wide else 40) * len(A) * len(B)
-                                + (80 if wide else 16) * len(profile.counts))
+                per_pair, per_sum = (64, 80) if wide else (40, 16)
+                used, profile = peak(representation_profile, A, B)
+                assert used <= (per_pair * len(A) * len(B)
+                                + per_sum * len(profile.counts))
                 del profile
+                for build, per_b in ((sumset, 0), (difference_set, 48)):
+                    used, sums = peak(build, A, B)
+                    assert used <= (per_pair * len(A) * len(B)
+                                    + (per_sum + 72) * len(sums)
+                                    + per_b * len(B))
+                    del sums
         finally:
             tracemalloc.stop()
 
@@ -308,28 +347,6 @@ class TestRepresentationProfile:
             assert (energy(profile, alpha).value.hex()
                     == energy_by_definition(oracle, alpha).hex())
 
-    @given(st.sets(profile_values, min_size=1, max_size=10),
-           st.sets(profile_values, min_size=1, max_size=10), st.randoms())
-    @example({0, 1, 3}, {0, 1, 3}, random.Random(0))
-    @example({-2**64, 2**64}, {1, 2}, random.Random(1))
-    def test_built_from_a_mapping_in_any_order(self, xs, ys, rnd):
-        """A profile built from a mapping holds the arrays of the pair-sum
-        profile and reads back in the mapping's order."""
-        A, B = IntegerSet.of(xs), IntegerSet.of(ys)
-        oracle = representation_profile_by_definition(A, B)
-        keys = list(oracle)
-        rnd.shuffle(keys)
-        counts = {x: oracle[x] for x in keys}
-        profile = RepProfile(counts, (len(A), len(B)))
-        built = representation_profile(A, B)
-        assert list(profile.counts.items()) == list(counts.items())
-        assert profile.base == built.base
-        assert profile.offsets.dtype == built.offsets.dtype
-        assert profile.offsets.tolist() == built.offsets.tolist()
-        assert profile.multiplicities.tolist() == built.multiplicities.tolist()
-        assert (energy(profile, 1.5).value.hex()
-                == energy_by_definition(counts, 1.5).hex())
-
     def test_counts_is_a_read_only_view(self):
         profile = representation_profile(iset(0, 1, 3), iset(0, 1, 3))
         counts = profile.counts
@@ -351,11 +368,16 @@ class TestRepresentationProfile:
 
     def test_validation_of_counts_and_sums_beyond_int64(self):
         with pytest.raises(ValueError, match=f"^count 3 for {2**70} outside"):
-            RepProfile({-2**70: 1, 2**70: 3}, (2, 2))
+            RepProfile(-2**70, np.array([0, 2**71], dtype=object),
+                       np.array([1, 3]), (2, 2), np.arange(2))
         with pytest.raises(ValueError, match=r"^representation counts"):
-            RepProfile({0: 2**70}, (2, 2))
+            RepProfile(0, np.array([0]), np.array([2**70], dtype=object),
+                       (2, 2), np.arange(1))
+        # the sum 1 appears first
         with pytest.raises(ValueError, match=f"^count {2**70} for 1 outside"):
-            RepProfile({1: 2**70, 0: 4 - 2**70}, (2, 2))
+            RepProfile(0, np.arange(2),
+                       np.array([4 - 2**70, 2**70], dtype=object), (2, 2),
+                       np.array([1, 0]))
 
 
 class TestEnergy:
@@ -425,10 +447,22 @@ class TestPredicates:
         assert is_sidon(iset(0, 1, 3, 7, 12, 22, 30))
 
     def test_sidon_matches_literal_enumeration(self):
+        """Values within 30 of the centres: 0; -2**62 or 2**62 (uint64
+        offsets); both, where the summed spans of A + A fall on either side
+        of 2**64 - 1, where the merge fallback starts; and -2**63 and 2**63,
+        spans about 2**64 (the merge fallback).  Both answers occur at
+        every set of centres."""
         rng = random.Random(5)
-        for _ in range(50):
-            A = random_integer_set(rng, rng.randint(1, 8), -30, 30)
-            assert is_sidon(A) == pairwise_sums_distinct(A)
+        for centres in ((0,), (-2**62,), (2**62,), (-2**62, 2**62),
+                        (-2**63, 2**63)):
+            answers = set()
+            for _ in range(50):
+                A = IntegerSet.of(rng.choice(centres) + x for x in
+                                  rng.sample(range(-30, 31), rng.randint(1, 8)))
+                sidon = is_sidon(A)
+                assert sidon == pairwise_sums_distinct(A)
+                answers.add(sidon)
+            assert answers == {True, False}
 
     def test_tdcd_examples(self):
         assert not is_tdcd(iset(0, 1, 2))
@@ -843,6 +877,25 @@ class TestSetFiles:
         with pytest.raises(SetFileError) as err:
             load_set(path)
         assert ":2:" in str(err.value)
+
+    def test_bytes_that_are_not_utf8_diagnostic(self, tmp_path):
+        """The first undecodable byte is named at its line, where lines end
+        at \\n, \\r\\n or \\r as in text mode; a UTF-8 character that is
+        no digit is still not a decimal integer."""
+        path = tmp_path / "s.txt"
+        for data, byte in ((b"1\n2\n\xff\n", "ff"),
+                           (b"1\r\n2\r3\xfe\xff\n", "fe"),
+                           (b"1\n\n-\xc3\n9\n", "c3")):
+            path.write_bytes(data)
+            with pytest.raises(SetFileError,
+                               match=f":3: not UTF-8 text: byte 0x{byte}$"):
+                load_set(path)
+        path.write_bytes("1\n2\n\u00e9\n".encode())
+        with pytest.raises(SetFileError,
+                           match=":3: not a decimal integer: '\u00e9'$"):
+            load_set(path)
+        path.write_bytes(b"5\r7\r\n9\n")
+        assert load_set(path).elements == (5, 7, 9)
 
     def test_rejects_plus_sign_and_floats(self, tmp_path):
         path = tmp_path / "s.txt"
