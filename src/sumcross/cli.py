@@ -19,6 +19,8 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .arcgraph import build_sum_graph, crossing_stats, max_translate_pair_crossings
 from .bounds import reports_to_jsonable, run_all_checks
@@ -26,6 +28,7 @@ from .construct import (
     REFERENCE_SEED,
     REFERENCE_TOUR,
     REFERENCE_WALK_VALUES,
+    CoprimeParams,
     assemble_increasing,
     coprime_construction,
     construction_exponent,
@@ -43,7 +46,6 @@ from .sets import (
     load_set,
     representation_profile,
     save_set,
-    sumset,
     sumset_size,
 )
 from .sidon import objective_f, optimize_exponent, seed_stats, sidon_search
@@ -80,6 +82,17 @@ def _write_outputs(args, command: str, parameters: dict, payload, *,
     return json_path
 
 
+def _coprime_sums(A: IntegerSet, B: IntegerSet,
+                  p: CoprimeParams) -> tuple[int, int, int, bool]:
+    """|A+B|, min(A+B), max(A+B), and whether each sum is divisible by one
+    of p.a, p.b, p.c, p.d: read from the representation profile."""
+    profile = representation_profile(A, B)
+    offsets, base = profile.offsets, profile.base
+    divisible = np.logical_or.reduce(
+        [(offsets % q + base % q) % q == 0 for q in (p.a, p.b, p.c, p.d)])
+    return len(offsets), base, base + int(offsets[-1]), bool(divisible.all())
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations.
 
@@ -92,8 +105,7 @@ def cmd_construct_coprime(args) -> int:
     out_b = Path(args.out_b) if args.out_b else outdir / f"coprime_t{args.t}_b.txt"
     save_set(out_a, A)
     save_set(out_b, B)
-    sums = sumset(A, B)
-    seeds = (p.a, p.b, p.c, p.d)
+    size, low, high, divisible = _coprime_sums(A, B, p)
     sidecar = {
         "params": {"t": p.t, "a": p.a, "b": p.b, "c": p.c, "d": p.d,
                    "n": p.n, "k": p.k, "m": p.m, "r": p.r},
@@ -103,13 +115,12 @@ def cmd_construct_coprime(args) -> int:
         "maxB": B.max,
         "aDcd": is_dcd(A),
         "bDcd": is_dcd(B),
-        "sumsetSize": len(sums),
+        "sumsetSize": size,
         "sumsetBound": 4 * p.b * p.c * p.d,
-        "withinBound": len(sums) < 4 * p.b * p.c * p.d,
+        "withinBound": size < 4 * p.b * p.c * p.d,
         "rangeBound": p.a * p.b * p.c * p.d,
-        "withinRange": 0 <= sums.min and sums.max < p.a * p.b * p.c * p.d,
-        "allSumsDivisible": all(
-            any(x % q == 0 for q in seeds) for x in sums),
+        "withinRange": 0 <= low and high < p.a * p.b * p.c * p.d,
+        "allSumsDivisible": divisible,
     }
     _write_outputs(args, "construct-coprime", {"t": args.t}, sidecar,
                    outputs=[str(out_a), str(out_b)],
@@ -301,12 +312,11 @@ def _reference_rows(heavy: bool) -> list[dict]:
         rows.append(_row(f"coprime_t{t}_sumset_size", 4 * p.b * p.c * p.d,
                          sumset_size(A, B), "lt"))
         if t == 1:
-            sums = sumset(A, B)
+            _, _, high, divisible = _coprime_sums(A, B, p)
             rows.append(_row("coprime_t1_max_a", 2673, A.max))
             rows.append(_row("coprime_t1_in_range", True,
-                             sums.max < p.a * p.b * p.c * p.d))
-            rows.append(_row("coprime_t1_sums_divisible", True, all(
-                any(x % q == 0 for q in (p.a, p.b, p.c, p.d)) for x in sums)))
+                             high < p.a * p.b * p.c * p.d))
+            rows.append(_row("coprime_t1_sums_divisible", True, divisible))
     return rows
 
 

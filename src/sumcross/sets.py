@@ -13,7 +13,6 @@ That sort is made here only: ``arcgraph`` takes its order with the profile
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 import re
@@ -400,9 +399,9 @@ def level_set_size(profile: RepProfile, t: int) -> int:
 # Most pairs per chunk: 64 MiB of pair-sized arrays at 16 bytes a pair.
 _CHUNK_ELEMENTS = 1 << 22
 
-# A and B are shifted to minimum 0 and held as uint64, so every sum lies in
-# [0, span(A) + span(B)] and every chunk bound in [0, span(A) + span(B) + 1];
-# both fit uint64 while the summed spans stay below this.
+# A and B are shifted to minimum 0, so every sum lies in [0, span(A) +
+# span(B)] and every chunk bound in [0, span(A) + span(B) + 1]; both fit
+# uint64 while the summed spans stay below this, else A and B are Python ints.
 _UINT64_SPAN_LIMIT = (1 << 64) - 1
 
 # A chunk [lo, hi) no wider than this is counted as uint32 offsets from lo.
@@ -421,22 +420,24 @@ def sumset_size(A: IntegerSet, B: IntegerSet) -> int:
     chunk spans at most 2**32 values and in uint64 otherwise.  Peak memory
     is 16 bytes per pair of a chunk plus 64 bytes per element of A and B.
     When A == B only the pairs a_i + a_j with i <= j are gathered.  Sets
-    whose summed spans reach 2**64 - 1 are counted by an exact merge over
-    Python integers instead.
+    whose summed spans reach 2**64 - 1 are held as Python ints (object
+    arrays) and counted the same way, with Python-int keys in chunks of a
+    quarter as many pairs: 64 bytes per pair of a chunk plus 160 per
+    element for values below 2**88.
     """
-    if (A.max - A.min) + (B.max - B.min) >= _UINT64_SPAN_LIMIT:
-        return _sumset_size_merged(A, B)
     # |A+B| is translation invariant: count (A - min A) + (B - min B)
-    a = np.array([x - A.min for x in A.elements], dtype=np.uint64)
-    b = np.array([x - B.min for x in B.elements], dtype=np.uint64)
+    wide = (A.max - A.min) + (B.max - B.min) >= _UINT64_SPAN_LIMIT
+    dtype = object if wide else np.uint64
+    a, b = _offsets(A.elements, dtype), _offsets(B.elements, dtype)
     # row i pairs a_i with b_j for first[i] <= j
     if A.elements == B.elements:
         first = np.arange(len(a))
     else:
         first = np.zeros(len(a), dtype=np.intp)
+    chunk = max(1, _CHUNK_ELEMENTS // 4) if wide else _CHUNK_ELEMENTS
     total = 0
     starts = first
-    for lo, hi, stops in _chunks(a, b, first, _CHUNK_ELEMENTS):
+    for lo, hi, stops in _chunks(a, b, first, chunk):
         total += _distinct_sums(a, b, starts, stops, lo, hi)
         starts = stops
     return total
@@ -445,8 +446,9 @@ def sumset_size(A: IntegerSet, B: IntegerSet) -> int:
 def _rows_below(a: np.ndarray, b: np.ndarray, first: np.ndarray,
                 x: int) -> np.ndarray:
     """Per row i, the end of the admissible j >= first[i] with a_i + b_j < x."""
-    bound = np.uint64(x) - a  # wraps where a_i > x; no b_j is below there
-    bound[a > np.uint64(x)] = 0
+    x = a.dtype.type(x)
+    bound = x - a  # wraps in uint64 where a_i > x; no b_j is below there
+    bound[a > x] = 0
     return np.maximum(np.searchsorted(b, bound, side="left"), first)
 
 
@@ -510,35 +512,16 @@ def _distinct_sums(a: np.ndarray, b: np.ndarray, starts: np.ndarray,
                    stops: np.ndarray, lo: int, hi: int) -> int:
     """Distinct values among a_i + b_j for starts[i] <= j < stops[i], all of
     them in [lo, hi): gather the keys a_i + b_j - lo, sort in place, count
-    the steps.  The keys are uint32 when hi - lo <= 2**32, else uint64; each
-    lies in [0, hi - lo), so the sum of a_i - lo and b_j, both reduced
-    modulo the key width (a_i - lo wraps where a_i < lo), is the key."""
-    key = np.uint32 if hi - lo <= _UINT32_SPAN else np.uint64
-    sums = _gather((a - np.uint64(lo)).astype(key, copy=False),
+    the steps.  Python-int offsets give exact Python-int keys.  Otherwise
+    the keys are uint32 when hi - lo <= 2**32, else uint64; each lies in
+    [0, hi - lo), so the sum of a_i - lo and b_j, both reduced modulo the
+    key width (a_i - lo wraps where a_i < lo), is the key."""
+    key = (object if a.dtype == object
+           else np.uint32 if hi - lo <= _UINT32_SPAN else np.uint64)
+    sums = _gather((a - a.dtype.type(lo)).astype(key, copy=False),
                    b.astype(key, copy=False), starts, stops)
     sums.sort()
     return 1 + int(np.count_nonzero(sums[1:] != sums[:-1]))
-
-
-def _sumset_size_merged(A: IntegerSet, B: IntegerSet) -> int:
-    # Arbitrary-precision fallback: merge the sorted streams a_i + B and
-    # count distinct values on the fly.  Memory O(|A|), no value-size limit.
-    be = B.elements
-    symmetric = A.elements == B.elements
-
-    def stream(i: int, a: int):
-        tail = be[i:] if symmetric else be
-        for b in tail:
-            yield a + b
-
-    merged = heapq.merge(*(stream(i, a) for i, a in enumerate(A.elements)))
-    count = 0
-    last = None
-    for value in merged:
-        if value != last:
-            count += 1
-            last = value
-    return count
 
 
 # ---------------------------------------------------------------------------

@@ -449,8 +449,8 @@ class TestPredicates:
     def test_sidon_matches_literal_enumeration(self):
         """Values within 30 of the centres: 0; -2**62 or 2**62 (uint64
         offsets); both, where the summed spans of A + A fall on either side
-        of 2**64 - 1, where the merge fallback starts; and -2**63 and 2**63,
-        spans about 2**64 (the merge fallback).  Both answers occur at
+        of 2**64 - 1, where the Python-int keys start; and -2**63 and 2**63,
+        spans about 2**64 (Python-int keys).  Both answers occur at
         every set of centres."""
         rng = random.Random(5)
         for centres in ((0,), (-2**62,), (2**62,), (-2**62, 2**62),
@@ -556,11 +556,13 @@ class TestSumsetSize:
         assert chunked_sumset_size(A, B, 16) == expected
 
     def test_bigint_fallback(self):
+        # values past 2**70 with small spans count as uint offsets from
+        # the minima; summed spans past 2**64 - 1 take Python-int keys
         shift = 1 << 70
         A = IntegerSet.of(shift + x for x in (0, 1, 3, 7, 12))
         B = IntegerSet.of(shift * 3 + x for x in (0, 2, 9))
-        expected = len({a + b for a in A for b in B})
-        assert sumset_size(A, B) == expected
+        for X in (A, IntegerSet.of([-shift, *A])):
+            assert sumset_size(X, B) == len({a + b for a in X for b in B})
 
     def test_stream_path_near_the_int64_limits(self):
         # every |value| < 2**62 but the summed spans exceed 2**63: x - a
@@ -576,13 +578,10 @@ class TestSumsetSize:
             assert chunked_sumset_size(A, B, 4) == expected
 
     def test_stream_span_boundary(self, monkeypatch):
-        # summed spans up to 2**64 - 2 stay on the uint64 chunked path, even
-        # with values beyond 2**63; from 2**64 - 1 on the Python-int merge
-        # takes over; both count exactly
-        merged = []
-        original = sets_module._sumset_size_merged
-        monkeypatch.setattr(sets_module, "_sumset_size_merged",
-                            lambda A, B: merged.append(1) or original(A, B))
+        # summed spans up to 2**64 - 2 keep uint keys, even with values
+        # beyond 2**63; from 2**64 - 1 on every chunk gathers Python-int
+        # keys; both count exactly
+        gathered = gathered_arrays(monkeypatch)
         for total in (2**63 - 3, 2**63 - 2, 2**63 - 1, 2**63,
                       2**64 - 3, 2**64 - 2, 2**64 - 1, 2**64):
             A = IntegerSet.of([-(2**61), -(2**61) + 1, 2**61 + 5])
@@ -590,9 +589,12 @@ class TestSumsetSize:
             B = IntegerSet.of([2**62, 2**62 + 7, 2**62 + span_b // 2 + 1,
                                2**62 + span_b])
             expected = len({a + b for a in A for b in B})
+            gathered.clear()
             assert chunked_sumset_size(A, B, 3) == expected
-            assert len(merged) == (total >= 2**64 - 1)
-            merged.clear()
+            wide = total >= 2**64 - 1
+            assert gathered
+            assert [x.dtype == object for x in gathered] == \
+                [wide] * len(gathered)
 
     def test_chunks_keep_their_invariant(self):
         # the chunks increase and are disjoint; each starts at an admissible
@@ -804,7 +806,7 @@ class TestSumsetSize:
     @settings(max_examples=60)
     def test_bigints_past_2_64(self, xs, ys, chunk):
         # large values with a small span stay on the uint64 path; wide
-        # spans go to the merge
+        # spans gather Python-int keys
         A, B = IntegerSet.of(xs), IntegerSet.of(ys)
         for X, Y in ((A, A), (A, B), (B, B)):
             assert chunked_sumset_size(X, Y, chunk) == \
@@ -812,9 +814,11 @@ class TestSumsetSize:
 
     def test_peak_memory(self):
         """Peak memory within the bound the README states: 16 bytes per
-        pair of a chunk plus 64 per element of A and B, measured with
-        tracemalloc (numpy reports its buffers there); 64 KB covers
-        fixed-size allocations."""
+        pair of a chunk plus 64 per element of A and B, and for summed
+        spans past 2**64 - 1, values below 2**88, 64 bytes per pair of a
+        chunk of a quarter as many pairs plus 160 per element, measured
+        with tracemalloc (numpy reports its buffers there, Python its
+        ints); 64 KB covers fixed-size allocations."""
         rng = random.Random(37)
 
         def peak(A, B, chunk):
@@ -822,6 +826,10 @@ class TestSumsetSize:
             base = tracemalloc.get_traced_memory()[0]
             chunked_sumset_size(A, B, chunk)
             return tracemalloc.get_traced_memory()[1] - base - (1 << 16)
+
+        def huge(n):
+            return IntegerSet.of(rng.randrange(-2**80, 2**80)
+                                 for _ in range(n))
 
         wide = random_integer_set(rng, 700, 10**14, 10**15)
         # span 2**63 - 1: far + far sums span 2**64 - 2, the widest in uint64
@@ -834,14 +842,25 @@ class TestSumsetSize:
                  # uint32 keys over about 16 chunks
                  (random_integer_set(rng, 2000, 0, 10**6 - 1),
                   random_integer_set(rng, 2000, 0, 10**6 - 1), 1 << 18)]
+        # Python-int keys: one chunk, many chunks, and a long A, where the
+        # probes' Python ints per element of A dominate
+        X, Y = huge(400), huge(300)
+        bigint_cases = [(X, Y, 1 << 22), (X, X, 1 << 22), (X, Y, 1 << 14),
+                        (huge(3000), huge(3), 1024)]
+
+        def bound(A, B, chunk, per_pair, per_element):
+            pairs = (len(A) * (len(A) + 1) // 2 if A == B
+                     else len(A) * len(B))
+            chunk_pairs = min(pairs, max(chunk, min(len(A), len(B))))
+            return per_pair * chunk_pairs + per_element * (len(A) + len(B))
+
         tracemalloc.start()
         try:
             for A, B, chunk in cases:
-                pairs = (len(A) * (len(A) + 1) // 2 if A == B
-                         else len(A) * len(B))
-                chunk_pairs = min(pairs, max(chunk, min(len(A), len(B))))
+                assert peak(A, B, chunk) <= bound(A, B, chunk, 16, 64)
+            for A, B, chunk in bigint_cases:
                 assert (peak(A, B, chunk)
-                        <= 16 * chunk_pairs + 64 * (len(A) + len(B)))
+                        <= bound(A, B, max(1, chunk // 4), 64, 160))
         finally:
             tracemalloc.stop()
 
