@@ -4,12 +4,11 @@ intervals strictly interleave; they intersect iff the open intervals overlap
 at all (interleaving or nesting) and the edges share no vertex.
 
 The sum graph's vertices are the distinct sums of the representation
-profile; ``build_sum_graph`` ranks the pairs from the sort behind it.
-
-Only the order of the positions matters for any count here, never the
-coordinates themselves.  Edges are stored as int64 columns and every count
-on a graph is computed with numpy in O(m log m), without a Python loop over
-edges: the merge pass.  The translate-pair sweep counts from the sets
+profile; ``build_sum_graph`` ranks the pairs from the sort behind it.  Only
+the order of the points matters for any count, so a graph keeps no
+coordinates.  Edges are stored as int64 columns and every count on a graph
+is computed with numpy in O(m log m), without a Python loop over edges:
+the merge pass.  The translate-pair sweep counts from the sets
 instead, one pair of translates at a time: the arc pairs of A against the
 differences of B below span(A), O(|A|^2 log |B|) after O(|B|^2) to gather
 those differences.  ``crossing_stats`` and ``max_translate_pair_crossings``
@@ -24,12 +23,13 @@ in the README and held to that bound by ``test_peak_memory``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sets import (_INT64_SPAN, IntegerSet, _gather, _int_array, _pair_offsets,
-                   _profile_and_order, representation_profile)
+from .sets import (IntegerSet, _gather, _pair_offsets, _profile_and_order,
+                   representation_profile)
 
 __all__ = [
     "ArcGraph",
@@ -54,46 +54,34 @@ _BASE_BLOCK = 32
 
 @dataclass(frozen=True, eq=False)
 class ArcGraph:
-    """Strictly increasing vertex positions plus the edge endpoints
-    ``u < v`` as vertex indices, one int64 column each.
-
-    Positions and columns may be passed as any integer sequence; they are
-    stored as read-only arrays.  Positions are int64 when every one fits
-    and Python ints in an object array otherwise.  An int64 array is stored
-    without a copy and made read-only in place.
+    """``num_vertices`` points on a line, vertex i the i-th from the left,
+    and the edges' endpoints ``u < v`` as read-only int64 columns of vertex
+    indices.  An int64 column is kept without a copy, made read-only.
 
     ``summands`` is (A, B) on the graph ``build_sum_graph(A, B)`` returns
     and None on every other graph, a copy or a subgraph of one included:
     it is no argument of the constructor.
     """
 
-    positions: np.ndarray
+    num_vertices: int
     u: np.ndarray
     v: np.ndarray
     summands: tuple[IntegerSet, IntegerSet] | None = field(
         default=None, init=False, repr=False)
 
     def __post_init__(self):
-        p = _int_array(self.positions)
-        if p.ndim != 1:
-            raise ValueError("positions must be 1-D")
-        p.setflags(write=False)
-        object.__setattr__(self, "positions", p)
+        if (n := operator.index(self.num_vertices)) < 0:
+            raise ValueError("num_vertices must be >= 0")
+        object.__setattr__(self, "num_vertices", n)
         for name in ("u", "v"):
             column = np.asarray(getattr(self, name), dtype=np.int64)
             if column.ndim != 1 or len(column) != len(self.u):
                 raise ValueError(f"column {name} must be 1-D with one entry per edge")
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-        if not np.all(p[1:] > p[:-1]):
-            raise ValueError("positions must be strictly increasing")
         if len(self.u) and not (np.all(self.u >= 0) and np.all(self.u < self.v)
-                                and np.all(self.v < len(p))):
+                                and np.all(self.v < n)):
             raise ValueError("edges must satisfy 0 <= u < v < number of vertices")
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.positions)
 
     @property
     def num_edges(self) -> int:
@@ -126,9 +114,8 @@ def build_sum_graph(A: IntegerSet, B: IntegerSet) -> ArcGraph:
 
     A pair's vertex is its sum's rank: the running count of runs of equal
     sums in the order of the profile's sort, scattered back through the
-    order, which goes before the edges are cut.  Positions are int64 when
-    every sum fits (offsets, below 2**64, plus base modulo 2**64) and Python
-    ints otherwise.  The graph records (A, B) as its ``summands``.
+    order, which goes before the edges are cut: vertex i is the i-th
+    smallest sum.  The graph records (A, B) as its ``summands``.
     """
     if len(A) < 2:
         raise ValueError("A must have at least two elements")
@@ -139,14 +126,8 @@ def build_sum_graph(A: IntegerSet, B: IntegerSet) -> ArcGraph:
     rank[order] = rank.copy()
     del order
     index = rank.reshape(len(A), len(B)).T
-    base, offsets = profile.base, profile.offsets
-    if -_INT64_SPAN <= base and base + int(offsets[-1]) < _INT64_SPAN:
-        positions = offsets.astype(np.uint64)
-        positions += np.uint64(base % (1 << 64))
-        positions = positions.view(np.int64)
-    else:
-        positions = offsets.astype(object, copy=False) + base
-    graph = ArcGraph(positions, u=index[:, :-1].ravel(), v=index[:, 1:].ravel())
+    graph = ArcGraph(len(profile.offsets), u=index[:, :-1].ravel(),
+                     v=index[:, 1:].ravel())
     object.__setattr__(graph, "summands", (A, B))
     return graph
 

@@ -203,7 +203,7 @@ def check_bipartite_crossing(graph: ArcGraph, part_u) -> BoundReport:
     in_u = np.zeros(n, dtype=bool)
     in_u[members] = True
     is_cross = in_u[graph.u] != in_u[graph.v]
-    cross = ArcGraph(graph.positions, u=graph.u[is_cross], v=graph.v[is_cross])
+    cross = ArcGraph(n, u=graph.u[is_cross], v=graph.v[is_cross])
     e = cross.num_edges
     size_u = int(np.count_nonzero(in_u))
     size_v = n - size_u

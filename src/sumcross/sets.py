@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
@@ -63,12 +64,14 @@ class SetFileError(ValueError):
 
 @dataclass(frozen=True)
 class IntegerSet:
-    """A finite set of integers kept as a strictly increasing tuple."""
+    """A finite set of integers kept as a strictly increasing tuple of
+    Python ints, each element's ``operator.index``: a float raises."""
 
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        e = self.elements
+        e = tuple(map(operator.index, self.elements))
+        object.__setattr__(self, "elements", e)
         if not e:
             raise ValueError("integer set must contain at least one element")
         if not all(map(operator.lt, e, e[1:])):
@@ -246,15 +249,6 @@ def _pair_offsets(A: IntegerSet, B: IntegerSet) -> tuple[np.ndarray, np.ndarray]
     that every pair sum fits, else as Python ints in object arrays."""
     dtype = np.int64 if (A.max - A.min) + (B.max - B.min) < _INT64_SPAN else object
     return _offsets(A.elements, dtype), _offsets(B.elements, dtype)
-
-
-def _int_array(values) -> np.ndarray:
-    """values as an int64 array when every one fits, else as Python ints in
-    an object array.  An int64 array is returned as it is."""
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        return np.asarray(values, dtype=object)
 
 
 def _profile_and_order(A: IntegerSet,
@@ -544,7 +538,11 @@ def load_set(path) -> IntegerSet:
                     raise SetFileError(path, line_no, "not UTF-8 text: byte "
                                        f"0x{ord(byte[0]) - 0xdc00:02x}")
                 raise SetFileError(path, line_no, f"not a decimal integer: {text!r}")
-            value = int(text)
+            try:
+                value = int(text)
+            except ValueError:  # a decimal integer past int()'s digit limit
+                limit = sys.get_int_max_str_digits()
+                raise SetFileError(path, line_no, f"more than {limit} digits") from None
             if value in seen:
                 raise SetFileError(
                     path, line_no,

@@ -45,11 +45,10 @@ def random_integer_set(rng: random.Random, size: int, lo: int = -1000,
 
 def random_arcgraph(rng: random.Random, max_n: int = 60,
                     max_m: int = 300, m: int | None = None) -> ArcGraph:
-    """Random positions and random index pairs (``m`` of them, or a random
-    number up to ``max_m``); parallel edges and heavy endpoint sharing are
-    allowed on purpose."""
+    """A random vertex count and random index pairs (``m`` of them, or a
+    random number up to ``max_m``); parallel edges and heavy endpoint
+    sharing are allowed on purpose."""
     n = rng.randint(2, max_n)
-    positions = tuple(sorted(rng.sample(range(-10 * max_n, 10 * max_n), n)))
     if m is None:
         m = rng.randint(0, max_m)
     us, vs = [], []
@@ -57,7 +56,7 @@ def random_arcgraph(rng: random.Random, max_n: int = 60,
         u = rng.randrange(n - 1)
         us.append(u)
         vs.append(rng.randrange(u + 1, n))
-    return ArcGraph(positions, u=us, v=vs)
+    return ArcGraph(n, u=us, v=vs)
 
 
 def edge_pairs(graph: ArcGraph) -> list[tuple[int, int]]:
@@ -86,9 +85,8 @@ def count_crossings_oracle(graph: ArcGraph) -> int:
 
 def crossings_by_definition(graph: ArcGraph) -> int:
     """Independent quadratic crossing count: test both orientations of the
-    strict-interleaving predicate on raw positions, no sorting, no pruning."""
-    pos = graph.positions.tolist()
-    es = [(pos[u], pos[v]) for u, v in edge_pairs(graph)]
+    strict-interleaving predicate on the endpoints, no sorting, no pruning."""
+    es = edge_pairs(graph)
     total = 0
     for i in range(len(es)):
         a, b = es[i]
@@ -101,10 +99,9 @@ def crossings_by_definition(graph: ArcGraph) -> int:
 
 def intersections_by_definition(graph: ArcGraph) -> int:
     """Independent intersection count straight from the definition:
-    vertex-disjoint edges whose closed position intervals share an
+    vertex-disjoint edges whose closed endpoint intervals share an
     interior point."""
     es = edge_pairs(graph)
-    pos = graph.positions.tolist()
     total = 0
     for i in range(len(es)):
         u1, v1 = es[i]
@@ -112,7 +109,7 @@ def intersections_by_definition(graph: ArcGraph) -> int:
             u2, v2 = es[j]
             if len({u1, v1, u2, v2}) != 4:
                 continue
-            if max(pos[u1], pos[u2]) < min(pos[v1], pos[v2]):
+            if max(u1, u2) < min(v1, v2):
                 total += 1
     return total
 
@@ -125,13 +122,14 @@ def strict_inversions_by_definition(x) -> int:
 
 
 def sum_graph_by_definition(A: IntegerSet, B: IntegerSet):
-    """(positions, [(u, v), ...]) of the sum graph, built with Python ints
-    and a dict, edges in translate-then-gap order."""
-    positions = tuple(sorted({a + b for a in A for b in B}))
-    index = {x: i for i, x in enumerate(positions)}
+    """(sums, [(u, v), ...]) of the sum graph, built with Python ints and a
+    dict: vertex i is the i-th smallest of the distinct sums, edges in
+    translate-then-gap order."""
+    sums = tuple(sorted({a + b for a in A for b in B}))
+    index = {x: i for i, x in enumerate(sums)}
     edges = [(index[A[i] + b], index[A[i + 1] + b])
              for b in B for i in range(len(A) - 1)]
-    return positions, edges
+    return sums, edges
 
 
 def translate_pair_crossings_by_definition(A: IntegerSet, b: int, c: int) -> int:

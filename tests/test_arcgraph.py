@@ -51,61 +51,46 @@ def iset(*values):
     return IntegerSet.of(values)
 
 
-def graph_of(positions, pairs):
-    return ArcGraph(tuple(positions), u=[u for u, _ in pairs],
-                    v=[v for _, v in pairs])
+def graph_of(n, pairs):
+    return ArcGraph(n, u=[u for u, _ in pairs], v=[v for _, v in pairs])
 
 
 def plain_copy(g):
     """The same drawing without the summands: the merge pass counts it."""
-    return ArcGraph(g.positions, u=g.u, v=g.v)
+    return ArcGraph(g.num_vertices, u=g.u, v=g.v)
 
 
 class TestArcGraphType:
-    def test_rejects_unsorted_positions(self):
-        with pytest.raises(ValueError):
-            ArcGraph((3, 1), u=[], v=[])
-
-    def test_rejects_positions_not_increasing_in_both_dtypes(self):
-        for positions in ((0, 0), (0, 2, 1), (-2**63, 2**63 - 1, 2**63 - 1),
-                          (2**70, 1), (0, 2**70, 2**70), (-2**80, 5, 2)):
-            with pytest.raises(ValueError, match="strictly increasing"):
-                ArcGraph(positions, u=[], v=[])
-            with pytest.raises(ValueError, match="strictly increasing"):
-                ArcGraph(np.array(positions, dtype=object), u=[], v=[])
-
-    def test_positions_are_read_only_int64_when_they_fit(self):
-        for positions, dtype in (((-2**63, 0, 2**63 - 1), np.int64),
-                                 ((-2**63 - 1, 0), object),
-                                 ((0, 2**63), object)):
-            for given in (positions, np.array(positions, dtype=object)):
-                g = ArcGraph(given, u=[0], v=[1])
-                assert g.positions.dtype == dtype
-                assert g.positions.tolist() == list(positions)
-                assert not g.positions.flags.writeable
-        column = np.arange(4, dtype=np.int64)
-        assert ArcGraph(column, u=[], v=[]).positions is column
+    def test_num_vertices_is_a_nonnegative_int(self):
+        g = ArcGraph(np.int64(3), u=np.array([0]), v=[2])
+        assert g.num_vertices == 3 and type(g.num_vertices) is int
+        assert ArcGraph(0, u=[], v=[]).num_vertices == 0
+        with pytest.raises(ValueError, match=">= 0"):
+            ArcGraph(-1, u=[], v=[])
+        for n in (3.0, "3", None):
+            with pytest.raises(TypeError):
+                ArcGraph(n, u=[], v=[])
 
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):
-            graph_of((0, 1), [(1, 0)])
+            graph_of(2, [(1, 0)])
         with pytest.raises(ValueError):
-            graph_of((0, 1), [(0, 2)])
+            graph_of(2, [(0, 2)])
         with pytest.raises(ValueError):
-            graph_of((0, 1), [(0, 0)])
+            graph_of(2, [(0, 0)])
         with pytest.raises(ValueError):
-            graph_of((0, 1, 2), [(-1, 1)])
+            graph_of(3, [(-1, 1)])
 
 
 class TestBuildSumGraph:
     def test_single_translate_is_a_path(self):
         g = build_sum_graph(iset(0, 1, 3), iset(0))
-        assert g.positions.tolist() == [0, 1, 3]
+        assert g.num_vertices == 3
         assert edge_pairs(g) == [(0, 1), (1, 2)]
 
     def test_two_translates(self):
         g = build_sum_graph(iset(0, 1, 3), iset(0, 1))
-        assert g.positions.tolist() == [0, 1, 2, 3, 4]
+        assert g.num_vertices == 5
         assert g.num_edges == 4
         assert set(edge_pairs(g)) == {(0, 1), (1, 3), (1, 2), (2, 4)}
 
@@ -136,13 +121,13 @@ class TestBuildSumGraph:
 
 class TestCrossingCounts:
     def test_interleaved_pair(self):
-        assert count_crossings_oracle(graph_of(range(4), [(0, 2), (1, 3)])) == 1
+        assert count_crossings_oracle(graph_of(4, [(0, 2), (1, 3)])) == 1
 
     def test_nested_pair_does_not_cross(self):
-        assert count_crossings_oracle(graph_of(range(4), [(0, 3), (1, 2)])) == 0
+        assert count_crossings_oracle(graph_of(4, [(0, 3), (1, 2)])) == 0
 
     def test_shared_endpoints_never_cross(self):
-        g = graph_of(range(4), [(0, 2), (2, 3), (0, 3), (0, 1)])
+        g = graph_of(4, [(0, 2), (2, 3), (0, 3), (0, 1)])
         assert count_crossings_oracle(g) == 0
 
     def test_sum_graph_example(self):
@@ -151,12 +136,12 @@ class TestCrossingCounts:
         assert count_crossings_fast(g) == 1
 
     def test_edgeless_and_star(self):
-        assert count_crossings_fast(graph_of(range(5), [])) == 0
-        star = graph_of(range(5), [(0, i) for i in range(1, 5)])
+        assert count_crossings_fast(graph_of(5, [])) == 0
+        star = graph_of(5, [(0, i) for i in range(1, 5)])
         assert count_crossings_fast(star) == 0
 
     def test_parallel_edges_do_not_cross(self):
-        g = graph_of(range(3), [(0, 2), (0, 2), (1, 2)])
+        g = graph_of(3, [(0, 2), (0, 2), (1, 2)])
         assert count_crossings_oracle(g) == 0
         assert count_crossings_fast(g) == 0
 
@@ -175,15 +160,6 @@ class TestCrossingCounts:
             B = random_integer_set(rng, rng.randint(1, 12), -200, 200)
             g = build_sum_graph(A, B)
             assert count_crossings_fast(g) == count_crossings_oracle(g)
-
-    def test_only_position_order_matters(self):
-        rng = random.Random(44)
-        for _ in range(20):
-            g = random_arcgraph(rng, max_n=20, max_m=60)
-            warped = ArcGraph(
-                tuple(2 * p**3 + 5 for p in g.positions), u=g.u, v=g.v)
-            assert count_crossings_fast(warped) == count_crossings_fast(g)
-            assert count_intersections(warped) == count_intersections(g)
 
 
 class TestStrictInversions:
@@ -238,16 +214,16 @@ class TestStrictInversions:
 
 class TestIntersections:
     def test_nested_pair_intersects(self):
-        assert count_intersections(graph_of(range(4), [(0, 3), (1, 2)])) == 1
+        assert count_intersections(graph_of(4, [(0, 3), (1, 2)])) == 1
 
     def test_interleaved_pair_intersects(self):
-        assert count_intersections(graph_of(range(4), [(0, 2), (1, 3)])) == 1
+        assert count_intersections(graph_of(4, [(0, 2), (1, 3)])) == 1
 
     def test_disjoint_intervals(self):
-        assert count_intersections(graph_of(range(4), [(0, 1), (2, 3)])) == 0
+        assert count_intersections(graph_of(4, [(0, 1), (2, 3)])) == 0
 
     def test_shared_vertex_excluded(self):
-        assert count_intersections(graph_of(range(3), [(0, 2), (1, 2)])) == 0
+        assert count_intersections(graph_of(3, [(0, 2), (1, 2)])) == 0
 
     def test_matches_definition_and_dominates_crossings(self):
         rng = random.Random(45)
@@ -357,8 +333,9 @@ def test_sum_graph_positions_follow_any_dcd_input():
     B = random_integer_set(rng, 5, 0, 100)
     g = build_sum_graph(A, B)
     assert is_dcd(A)
-    values = {a + b for a in A for b in B}
-    assert g.positions.tolist() == sorted(values)
+    sums, edges = sum_graph_by_definition(A, B)
+    assert g.num_vertices == len({a + b for a in A for b in B}) == len(sums)
+    assert edge_pairs(g) == edges
 
 
 class TestColumns:
@@ -367,12 +344,16 @@ class TestColumns:
         for column in (g.u, g.v):
             assert column.dtype == np.int64
             assert not column.flags.writeable
+        # an int64 column is kept without a copy
+        u, v = np.arange(2, dtype=np.int64), np.arange(1, 3, dtype=np.int64)
+        g = ArcGraph(3, u=u, v=v)
+        assert g.u is u and g.v is v and not u.flags.writeable
 
     def test_rejects_mismatched_columns(self):
         # broadcasting the shorter column would make the last two valid
         for u, v in (([0, 1], [1]), ([0, 0], [1]), ([0], [1, 2])):
             with pytest.raises(ValueError, match="one entry per edge"):
-                ArcGraph((0, 1, 2), u=u, v=v)
+                ArcGraph(3, u=u, v=v)
 
 
 def _check_against_oracles(g):
@@ -389,11 +370,8 @@ def _check_sum_graph(A, B):
     """Columns and every count of build_sum_graph(A, B) against the Python
     builder and the quadratic oracles."""
     g = build_sum_graph(A, B)
-    positions, edges = sum_graph_by_definition(A, B)
-    assert g.positions.tolist() == list(positions)
-    fits = -2**63 <= positions[0] and positions[-1] < 2**63
-    assert g.positions.dtype == (np.int64 if fits else object)
-    assert not g.positions.flags.writeable
+    sums, edges = sum_graph_by_definition(A, B)
+    assert g.num_vertices == len(sums)
     assert edge_pairs(g) == edges
     _check_against_oracles(g)
     expected = max((translate_pair_crossings_by_definition(A, b, c)
@@ -405,11 +383,11 @@ def _check_sum_graph(A, B):
 class TestEdgeCases:
     def test_no_edge_and_one_edge(self):
         for pairs in ([], [(0, 2)]):
-            g = graph_of(range(3), pairs)
+            g = graph_of(3, pairs)
             assert count_crossings_fast(g) == 0
             assert count_intersections(g) == 0
             assert not has_parallel_edges(g)
-        assert degree_sequence(graph_of(range(3), [])) == (0, 0, 0)
+        assert degree_sequence(graph_of(3, [])) == (0, 0, 0)
 
     def test_parallel_edges_against_oracles(self):
         # few vertices and many edges: heavy parallel multiplicities
@@ -450,7 +428,7 @@ class TestEdgeCases:
             _check_sum_graph(A, B)
         g = _check_sum_graph(IntegerSet((0, 2**70, 2**71 + 3)),
                              IntegerSet((-(2**80), 5, 2**70)))
-        assert g.positions[-1] == 2**71 + 3 + 2**70
+        assert g.num_vertices == 9
 
     def test_random_sum_graphs_against_the_python_builder(self):
         rng = random.Random(54)
@@ -494,20 +472,18 @@ def sum_graph_sets(draw):
 def test_profile_and_sum_graph_against_the_definitions(sets):
     """The profile and the sum graph, each from its sort of the pair sums
     (packed keys or a stable argsort), against the pair-by-pair oracles:
-    the counts and their order of first appearance, positions and their
-    dtype, the u and v columns."""
+    the counts and their order of first appearance, the sums, the vertex
+    count and the u and v columns."""
     A, B = sets
     profile = representation_profile(A, B)
     oracle = representation_profile_by_definition(A, B)
     assert list(profile.counts.items()) == list(oracle.items())
-    positions, edges = sum_graph_by_definition(A, B)
-    assert [profile.base + x for x in profile.offsets.tolist()] == list(positions)
+    sums, edges = sum_graph_by_definition(A, B)
+    assert [profile.base + x for x in profile.offsets.tolist()] == list(sums)
     if len(A) < 2:
         return
     graph = build_sum_graph(A, B)
-    assert graph.positions.tolist() == list(positions)
-    fits = -2**63 <= positions[0] and positions[-1] < 2**63
-    assert graph.positions.dtype == (np.int64 if fits else object)
+    assert graph.num_vertices == len(sums)
     assert graph.u.tolist() == [u for u, _ in edges]
     assert graph.v.tolist() == [v for _, v in edges]
 
@@ -720,12 +696,10 @@ def test_peak_memory():
     every sum distinct comes closest to the bound of ``build_sum_graph``.
     The sum graph of pairs with summed spans of 2**63 or more, whose pair
     sums are Python ints, is held to the bound for that path on random
-    values within +-2**62 (nearly every sum distinct) and on an arithmetic
-    progression (few distinct sums), where every sum fits int64 and so
-    does each position, and on random values within +-2**87, where the
-    positions are Python ints too.  Random values in [2**62, 2**62 + 2**40]
-    have summed spans below 2**63 but sums beyond int64: int64 offsets and
-    Python-int positions."""
+    values within +-2**62 (nearly every sum distinct), on an arithmetic
+    progression (few distinct sums) and on random values within +-2**87.
+    Random values in [2**62, 2**62 + 2**40] have summed spans below 2**63
+    but sums beyond int64: int64 offsets, held to the int64 bound."""
     from sumcross.arcgraph import _ARC_PAIR_BLOCK
 
     def peak(f, *args):
@@ -805,8 +779,6 @@ def test_peak_memory():
             tracemalloc.stop()
         g = build_sum_graph(A, B)
         if (A.max - A.min) + (B.max - B.min) >= 2**63:
-            per_vertex = 48 if g.positions.dtype == np.int64 else 128
-            assert built <= 64 * len(A) * len(B) + per_vertex * g.num_vertices
+            assert built <= 64 * len(A) * len(B) + 32 * g.num_vertices
         else:
-            assert g.positions.dtype == object
-            assert built <= 48 * g.num_edges + 128 * g.num_vertices
+            assert built <= 48 * g.num_edges + 32 * g.num_vertices

@@ -149,11 +149,11 @@ class TestDegreeWeightedCrossing:
         assert r.satisfied and r.rhs < 0
 
     def test_edgeless(self):
-        g = ArcGraph(tuple(range(5)), u=[], v=[])
+        g = ArcGraph(5, u=[], v=[])
         r = check_degree_weighted_crossing(g)
         assert r.satisfied and r.lhs == 0
         # no vertices: rhs 0, as in the intersection and bipartite reports
-        r = check_degree_weighted_crossing(ArcGraph((), u=[], v=[]))
+        r = check_degree_weighted_crossing(ArcGraph(0, u=[], v=[]))
         assert r.satisfied and (r.lhs, r.rhs, r.ratio) == (0.0, 0.0, None)
 
     def test_rejects_multigraphs(self):
@@ -198,12 +198,12 @@ class TestBipartiteCrossing:
         assert r.mode == "report"
 
     def test_single_cross_edge(self):
-        g = ArcGraph(tuple(range(4)), u=[0], v=[1])
+        g = ArcGraph(4, u=[0], v=[1])
         r = check_bipartite_crossing(g, {0})
         assert r.mode == "report" and r.lhs == 0
 
     def test_everything_on_one_side(self):
-        g = ArcGraph(tuple(range(4)), u=[0, 1], v=[1, 3])
+        g = ArcGraph(4, u=[0, 1], v=[1, 3])
         r = check_bipartite_crossing(g, range(4))
         assert r.context["crossEdges"] == 0 and r.satisfied
 
@@ -220,7 +220,7 @@ class TestBipartiteCrossing:
             part = set(rng.sample(range(g.num_vertices),
                                   rng.randint(0, g.num_vertices)))
             pairs = [(u, v) for u, v in edge_pairs(g) if (u in part) != (v in part)]
-            cross = ArcGraph(g.positions, u=[u for u, _ in pairs],
+            cross = ArcGraph(g.num_vertices, u=[u for u, _ in pairs],
                              v=[v for _, v in pairs])
             r = check_bipartite_crossing(g, part)
             assert r.context["crossEdges"] == len(pairs)
@@ -228,7 +228,7 @@ class TestBipartiteCrossing:
             assert r.context["uSize"] == len(part)
 
     def test_rejects_bad_indices(self):
-        g = ArcGraph(tuple(range(4)), u=[0], v=[1])
+        g = ArcGraph(4, u=[0], v=[1])
         for part in ({9}, {-1}, [0, 4]):
             with pytest.raises(ValueError):
                 check_bipartite_crossing(g, part)
@@ -390,7 +390,7 @@ class TestIntersectionLower:
         assert r.mode == "report"
 
     def test_edgeless(self):
-        g = ArcGraph(tuple(range(4)), u=[], v=[])
+        g = ArcGraph(4, u=[], v=[])
         r = check_intersection_lower(g)
         assert r.mode == "report" and r.lhs == 0
 

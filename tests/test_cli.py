@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -153,6 +154,18 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err == f"error: {bad}:3: not UTF-8 text: byte 0xff\n"
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no digit limit for integer string conversion")
+    def test_over_long_integer_exit_code(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"3\n{'7' * (limit + 1)}\n")
+        good = write_set(tmp_path / "good.txt", [0])
+        assert run("analyze", "--a", bad, "--b", good,
+                   "--outdir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}:2: more than {limit} digits\n"
+
     @pytest.mark.parametrize("command", ["analyze", "crossings", "check"])
     def test_unreadable_file_exit_code(self, tmp_path, capsys, command):
         # a missing file and a directory both raise OSError: exit 2, one line
@@ -212,7 +225,8 @@ class TestGoldenBytes:
     """SHA-256 of JSON outputs pinned from an earlier release, so that a
     faster path can never change a byte.  Seeded depth 1 has A == B, so its
     reports carry the float energy15; coprime t=3 is the instance of the
-    check-coprime benchmark."""
+    check-coprime benchmark.  The ``crossings`` digests pin each
+    construction's degree sequence with its counts."""
 
     @staticmethod
     def instance(tmp_path, name):
@@ -234,14 +248,20 @@ class TestGoldenBytes:
          "254a79cd0fffbacc580128ab6b97bd2afb1244b65d8e47c589c36141d9f5a60f"),
         ("check", "coprime_t3",
          "c5088432c099c593525cb69e8649d9faa574c00a024de4582c7ea0ea25e17624"),
+        ("crossings", "coprime_t1",
+         "87d4e296d449714835e0f778380ca63d8fb28f08479107229b7e622dccce5e77"),
+        ("crossings", "coprime_t3",
+         "e229c849ee39bb69999aed0c606f79a33024d55cd7cdcb44a3571f083dd6a929"),
+        ("crossings", "seeded_depth1",
+         "1d7d57227e6d43b9022084268e0994bc119f53ccb688cee5c308a161efbe756c"),
     ])
     def test_json_digest(self, tmp_path, capsys, command, name, digest):
         a, b = self.instance(tmp_path, name)
         out = tmp_path / "out.json"
-        argv = ["check", "all"] if command == "check" else ["analyze"]
+        argv = ["check", "all"] if command == "check" else [command]
         assert run(*argv, "--a", a, "--b", b, "--json", out,
                    "--outdir", tmp_path) == 0
-        if name == "seeded_depth1":
+        if name == "seeded_depth1" and command == "check":
             assert '"energy15"' in out.read_text()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

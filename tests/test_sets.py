@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 from bisect import bisect_left
 from unittest import mock
@@ -133,6 +134,26 @@ class TestIntegerSet:
         assert 5 in s and 4 not in s
         assert s.min == -1 and s.max == 9
         assert s.gaps() == (6, 4)
+
+    def test_float_element_raises_type_error(self):
+        # a float would pass the order check and miscount |A+A|
+        for values in ((0, 0.5, 1), (0.0, 1), (0, 2.0)):
+            with pytest.raises(TypeError):
+                IntegerSet(values)
+        with pytest.raises(TypeError):
+            IntegerSet.of([0, 0.5, 1])
+
+    def test_numpy_ints_become_python_ints(self):
+        # numpy int64 elements near +-2**62 would overflow the span tests
+        A = IntegerSet.of(np.array([-2**62, 0, 2**62 - 1]))
+        plain = IntegerSet((-2**62, 0, 2**62 - 1))
+        assert A == plain and all(type(x) is int for x in A)
+        assert sumset(A, A) == sumset(plain, plain)
+        assert sumset_size(A, A) == sumset_size(plain, plain) == 6
+        profile = representation_profile(A, A)
+        assert list(profile.counts.items()) == list(
+            representation_profile_by_definition(plain, plain).items())
+        assert type(profile.base) is int
 
 
 class TestSumset:
@@ -927,6 +948,15 @@ class TestSetFiles:
         path = tmp_path / "s.txt"
         path.write_text("\n\n")
         with pytest.raises(SetFileError):
+            load_set(path)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no digit limit for integer string conversion")
+    def test_over_long_integer_diagnostic(self, tmp_path):
+        path = tmp_path / "s.txt"
+        limit = sys.get_int_max_str_digits()
+        path.write_text(f"1\n-{'9' * (limit + 1)}\n")
+        with pytest.raises(SetFileError, match=f":2: more than {limit} digits$"):
             load_set(path)
 
 
