@@ -55,31 +55,33 @@ from .sidon import objective_f, optimize_exponent, seed_stats, sidon_search
 _LIGHT_PAIR_LIMIT = 1 << 26
 
 
-def _dump_json(path: Path, payload) -> None:
+def _dump_json(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_outputs(args, command: str, parameters: dict, payload, *,
                    inputs: Sequence[str] = (), outputs: Sequence[str] = (),
-                   default_json: Path | None = None) -> Path | str | None:
-    """Write ``payload`` to ``--json`` (else ``default_json``, if given), then
-    the run manifest.  A defaulted JSON path is listed normalised by ``Path``,
-    a ``--json`` without default as given.  Returns the JSON path."""
+                   default_json: Path | None = None) -> str:
+    """Encode ``payload`` once, write it to ``--json`` (else
+    ``default_json``, if given), then the run manifest.  A defaulted JSON
+    path is listed normalised by ``Path``, a ``--json`` without default as
+    given.  Returns the JSON text, for the commands that print it."""
+    text = json.dumps(payload, indent=2)
     json_path = Path(args.json or default_json) if default_json else args.json
     if json_path:
-        _dump_json(Path(json_path), payload)
+        _dump_json(Path(json_path), text)
         outputs = [*outputs, str(json_path)]
     manifest = args.manifest or Path(args.outdir) / f"{command}-manifest.json"
-    _dump_json(Path(manifest), {
+    _dump_json(Path(manifest), json.dumps({
         "command": command,
         "parameters": parameters,
         "inputHashes": {p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
                         for p in sorted(inputs)},
         "outputs": sorted(outputs),
         "toolVersion": __version__,
-    })
-    return json_path
+    }, indent=2))
+    return text
 
 
 def _coprime_sums(A: IntegerSet, B: IntegerSet,
@@ -181,23 +183,22 @@ def cmd_analyze(args) -> int:
         "energy15": energy(profile, 1.5).value,
         "multiplicityHistogram": {str(r): n for r, n in histogram.items()},
     }
-    print(json.dumps(result, indent=2))
     if args.csv:
         path = Path(args.csv)
         path.parent.mkdir(parents=True, exist_ok=True)
         lines = ["multiplicity,count"]
         lines += [f"{r},{n}" for r, n in histogram.items()]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_outputs(args, "analyze", {"a": args.a, "b": args.b}, result,
-                   inputs=[args.a, args.b], outputs=[args.csv] if args.csv else [])
+    print(_write_outputs(args, "analyze", {"a": args.a, "b": args.b}, result,
+                         inputs=[args.a, args.b],
+                         outputs=[args.csv] if args.csv else []))
     return 0
 
 
 def cmd_crossings(args) -> int:
     stats = crossing_stats(load_set(args.a), load_set(args.b)).as_dict()
-    print(json.dumps(stats, indent=2))
-    _write_outputs(args, "crossings", {"a": args.a, "b": args.b}, stats,
-                   inputs=[args.a, args.b])
+    print(_write_outputs(args, "crossings", {"a": args.a, "b": args.b}, stats,
+                         inputs=[args.a, args.b]))
     return 0
 
 
@@ -226,9 +227,8 @@ def cmd_sidon_search(args) -> int:
         "count": len(sets),
         "sets": [list(s.elements) for s in sets],
     }
-    print(json.dumps(result, indent=2))
-    _write_outputs(args, "sidon-search", {"size": args.size, "max": args.max},
-                   result)
+    print(_write_outputs(args, "sidon-search",
+                         {"size": args.size, "max": args.max}, result))
     return 0
 
 
@@ -236,8 +236,7 @@ def cmd_sidon_optimize(args) -> int:
     res = optimize_exponent()
     result = {"xStar": res.x_star, "fStar": res.f_star,
               "iterations": res.iterations}
-    print(json.dumps(result, indent=2))
-    _write_outputs(args, "sidon-optimize", {}, result)
+    print(_write_outputs(args, "sidon-optimize", {}, result))
     return 0
 
 
@@ -276,7 +275,7 @@ def _reference_rows(heavy: bool) -> list[dict]:
     walk = seed_walk(seed, REFERENCE_TOUR)
     rows.append(_row("tour_fixture_length", 43, len(REFERENCE_TOUR.visits)))
     rows.append(_row("walk_fixture_roundtrip", True,
-                     tuple(v[0] for v in walk.vectors) == REFERENCE_WALK_VALUES))
+                     walk.vectors[:, 0].tolist() == list(REFERENCE_WALK_VALUES)))
 
     graph = build_sum_graph(seed, seed)
     rows.append(_row("sum_graph_edges", (len(seed) - 1) * len(seed),
@@ -326,8 +325,9 @@ def cmd_reproduce(args) -> int:
     rows = _reference_rows(args.heavy)
     table = {"rows": rows, "allMatch": all(r["match"] for r in rows),
              "heavy": bool(args.heavy)}
-    out_json = _write_outputs(args, "reproduce-paper", {"heavy": bool(args.heavy)},
-                              table, default_json=outdir / "reproduce_paper.json")
+    out_json = Path(args.json or outdir / "reproduce_paper.json")
+    _write_outputs(args, "reproduce-paper", {"heavy": bool(args.heavy)},
+                   table, default_json=out_json)
     width = max(len(r["name"]) for r in rows)
     for r in rows:
         status = "ok  " if r["match"] else "FAIL"

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .sets import IntegerSet, is_sidon
 from .sidon import seed_stats
 
@@ -155,35 +157,43 @@ def eulerian_tour(s: int) -> EulerTour:
 # Vector sequences with distinct consecutive difference vectors.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorSequence:
     """Closed sequence of nonnegative integer vectors whose consecutive
-    difference vectors are pairwise distinct."""
+    difference vectors are pairwise distinct: ``vectors`` is a read-only
+    (n, dim) int64 array, and an int64 array is kept without a copy."""
 
     dim: int
-    vectors: tuple[tuple[int, ...], ...]
+    vectors: np.ndarray
     max_coord: int
 
     def __post_init__(self):
         if self.dim < 1 or self.max_coord < 1:
             raise ValueError("dim and max_coord must be positive")
-        if not self.vectors:
+        try:
+            vectors = np.asarray(self.vectors, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("coordinates must fit in int64") from None
+        except ValueError:  # rows of different lengths
+            raise ValueError("vector of wrong dimension") from None
+        if not len(vectors):
             raise ValueError("empty sequence")
-        for vec in self.vectors:
-            if len(vec) != self.dim:
-                raise ValueError("vector of wrong dimension")
-            if any(not 0 <= c <= self.max_coord for c in vec):
-                raise ValueError("coordinate outside [0, max_coord]")
-        if self.vectors[0] != self.vectors[-1]:
+        if vectors.ndim != 2 or vectors.shape[1] != self.dim:
+            raise ValueError("vector of wrong dimension")
+        if vectors.min() < 0 or vectors.max() > self.max_coord:
+            raise ValueError("coordinate outside [0, max_coord]")
+        if not np.array_equal(vectors[0], vectors[-1]):
             raise ValueError("sequence must start and end with the same vector")
-        diffs = set()
-        prev = self.vectors[0]
-        for vec in self.vectors[1:]:
-            delta = tuple(x - y for x, y in zip(vec, prev))
-            if delta in diffs:
-                raise ValueError(f"repeated consecutive difference {delta}")
-            diffs.add(delta)
-            prev = vec
+        # in base 2*max_coord + 1 no digit carries: rows differ iff codes do
+        span = 2 * self.max_coord + 1
+        gaps = np.diff(_positional(vectors, span, span**self.dim))
+        _, first = np.unique(gaps, return_index=True)
+        if len(first) < len(gaps):
+            i = np.setdiff1d(np.arange(len(gaps)), first)[0]
+            delta = tuple((vectors[i + 1] - vectors[i]).tolist())
+            raise ValueError(f"repeated consecutive difference {delta}")
+        vectors.setflags(write=False)
+        object.__setattr__(self, "vectors", vectors)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -202,7 +212,7 @@ def seed_walk(seed: IntegerSet, tour: EulerTour) -> VectorSequence:
         raise ValueError("seed must start at 0")
     if len(seed) != tour.num_vertices:
         raise ValueError("seed size must match the tour")
-    values = tuple((seed[v - 1],) for v in tour.visits)
+    values = [[seed[v - 1]] for v in tour.visits]
     return VectorSequence(1, values, seed.max)
 
 
@@ -212,20 +222,28 @@ def extend_walk(seq: VectorSequence, walk: VectorSequence) -> VectorSequence:
     The output consists of len(walk) blocks, each a copy of ``seq`` in the
     first coordinates.  Block 1 keeps the new coordinate at walk[0]; block
     i > 1 alternates walk[i], walk[i-1], starting and ending with walk[i]
-    (block length is odd, so the alternation closes up).
+    (block length is odd, so the alternation closes up).  The blocks are
+    written into one int64 array of 8 * len(walk) * len(seq) * (dim + 1) bytes.
     """
     if walk.dim != 1:
         raise ValueError("walk must be one-dimensional")
     if len(walk) % 2 == 0 or len(seq) % 2 == 0:
         raise ValueError("lengths must be odd for the alternation to close")
-    values = [v[0] for v in walk.vectors]
-    out: list[tuple[int, ...]] = []
-    for bi, val in enumerate(values):
-        lo = values[bi - 1] if bi else val
-        for idx, vec in enumerate(seq.vectors):
-            out.append(vec + (val if idx % 2 == 0 else lo,))
-    return VectorSequence(seq.dim + 1, tuple(out),
+    values = walk.vectors[:, 0]
+    previous = np.concatenate((values[:1], values[:-1]))
+    even = np.arange(len(seq)) % 2 == 0
+    blocks = np.empty((len(walk), len(seq), seq.dim + 1), dtype=np.int64)
+    blocks[:, :, :-1] = seq.vectors
+    blocks[:, :, -1] = np.where(even, values[:, None], previous[:, None])
+    return VectorSequence(seq.dim + 1, blocks.reshape(-1, seq.dim + 1),
                           max(seq.max_coord, walk.max_coord))
+
+
+def _positional(vectors: np.ndarray, base: int, bound: int) -> np.ndarray:
+    """Row codes sum(v[t] * base**t); int64 if bound < 2**63, else Python ints."""
+    dtype = np.int64 if bound < 2**63 else object
+    weights = np.array([base**t for t in range(vectors.shape[1])], dtype=dtype)
+    return vectors.astype(dtype, copy=False) @ weights
 
 
 def encode_vectors(seq: VectorSequence, base: int) -> list[int]:
@@ -233,22 +251,24 @@ def encode_vectors(seq: VectorSequence, base: int) -> list[int]:
 
     The base must exceed twice the largest coordinate so that sums of two
     codes never carry between coordinates and consecutive-difference
-    distinctness survives the flattening.
+    distinctness survives the flattening.  One array product, in int64
+    while the assembled set fits it, (n + 1) * base**dim < 2**63.
     """
     if base <= 2 * seq.max_coord:
         raise ValueError(f"base {base} too small; need > {2 * seq.max_coord}")
-    weights = [base**t for t in range(seq.dim)]
-    return [sum(c * w for c, w in zip(vec, weights)) for vec in seq.vectors]
+    return _positional(seq.vectors, base, (len(seq) + 1) * base**seq.dim).tolist()
 
 
 def assemble_increasing(codes: list[int], base: int, dim: int) -> IntegerSet:
     """Shift the i-th code by i*base**dim (1-based) to force monotonicity;
     consecutive differences inherit distinctness from the codes."""
     shift = base**dim
-    for code in codes:
-        if not 0 <= code < shift:
-            raise ValueError(f"code {code} outside [0, base**dim)")
-    return IntegerSet(tuple(code + i * shift for i, code in enumerate(codes, start=1)))
+    if len(codes) and not (0 <= min(codes) and max(codes) < shift):
+        code = next(c for c in codes if not 0 <= c < shift)
+        raise ValueError(f"code {code} outside [0, base**dim)")
+    dtype = np.int64 if (len(codes) + 1) * shift < 2**63 else object
+    steps = np.arange(1, len(codes) + 1, dtype=dtype) * shift
+    return IntegerSet(tuple((np.array(codes, dtype=dtype) + steps).tolist()))
 
 
 def default_encoding_base(seed: IntegerSet) -> int:

@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .sets import IntegerSet, _negated, sumset_size
 
 __all__ = [
@@ -91,12 +93,25 @@ def objective_f(x: float) -> float:
     seed score."""
     if x <= 1:
         raise ValueError("x must exceed 1")
-    return _exponent(x * (x - 1) + 1, x * (x - 1) / 2.0 + x)
+    return _exponent(*_objective_terms(x))
+
+
+def _objective_terms(x):
+    """(diffs, sums) of the objective at x, a float or an array of them."""
+    return x * (x - 1) + 1, x * (x - 1) / 2.0 + x
 
 
 def _exponent(diffs: float, sums: float) -> float:
     """log(diffs/sums)/log(diffs), the one copy of the exponent formula."""
     return math.log(diffs / sums) / math.log(diffs)
+
+
+def _grid_scores() -> tuple[np.ndarray, list[float]]:
+    """The coarse grid, step 0.01 from 1.01 to 50 then 0.5 to 1000, and
+    ``objective_f`` at each point, bit for bit, scored in one pass."""
+    grid = np.concatenate((np.arange(101, 5001) / 100, np.arange(101, 2001) / 2))
+    diffs, sums = _objective_terms(grid)
+    return grid, list(map(_exponent, diffs.tolist(), sums.tolist()))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -105,25 +120,19 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def optimize_exponent() -> OptimizeResult:
     """Maximize the objective on (1, 1000].
 
-    A single maximum is not assumed: a coarse grid (step 0.01 up to 50,
-    step 0.5 beyond) brackets the best point first, then golden-section
-    refines to 1e-6 in x.  Fully deterministic.
+    A single maximum is not assumed: a coarse grid (:func:`_grid_scores`)
+    brackets the first best point, then golden-section refines to 1e-6 in
+    x; ``iterations`` counts both.  Fully deterministic.
     """
-    evaluations = 0
+    grid, scores = _grid_scores()
+    best_x = float(grid[scores.index(max(scores))])
+    best_step = 0.01 if best_x <= 50.0 else 0.5
+    evaluations = len(scores)
 
     def f(x: float) -> float:
         nonlocal evaluations
         evaluations += 1
         return objective_f(x)
-
-    best_x, best_f, step = 0.0, -math.inf, 0.01
-    x = 1.01
-    while x <= 1000.0:
-        y = f(x)
-        if y > best_f:
-            best_x, best_f, best_step = x, y, step
-        step = 0.01 if x < 50.0 else 0.5
-        x = round(x + step, 6)
 
     a = max(best_x - best_step, 1.0 + 1e-9)
     b = min(best_x + best_step, 1000.0)

@@ -241,3 +241,67 @@ def pairwise_sums_distinct(A: IntegerSet) -> bool:
     """Sidon property by literal enumeration of the i <= j sums."""
     sums = [A[i] + A[j] for i in range(len(A)) for j in range(i, len(A))]
     return len(set(sums)) == len(sums)
+
+
+def check_vector_sequence(dim: int, vectors, max_coord: int) -> None:
+    """The checks of a closed vector sequence, one tuple at a time: raise
+    the ValueError ``VectorSequence`` raises on (dim, vectors, max_coord),
+    or return None when it accepts them.  Consecutive differences are
+    tuples in a Python set."""
+    if dim < 1 or max_coord < 1:
+        raise ValueError("dim and max_coord must be positive")
+    if not vectors:
+        raise ValueError("empty sequence")
+    for vec in vectors:
+        if len(vec) != dim:
+            raise ValueError("vector of wrong dimension")
+        if any(not 0 <= c <= max_coord for c in vec):
+            raise ValueError("coordinate outside [0, max_coord]")
+    if tuple(vectors[0]) != tuple(vectors[-1]):
+        raise ValueError("sequence must start and end with the same vector")
+    diffs = set()
+    prev = vectors[0]
+    for vec in vectors[1:]:
+        delta = tuple(x - y for x, y in zip(vec, prev))
+        if delta in diffs:
+            raise ValueError(f"repeated consecutive difference {delta}")
+        diffs.add(delta)
+        prev = vec
+
+
+def extend_walk_by_blocks(rows, walk_values) -> list[tuple[int, ...]]:
+    """Lift the vectors ``rows`` by one coordinate, one block per walk
+    value: block 0 appends walk[0] to every row, block i > 0 appends
+    walk[i] and walk[i-1] alternately, starting with walk[i]."""
+    out = []
+    for bi, val in enumerate(walk_values):
+        lo = walk_values[bi - 1] if bi else val
+        for idx, vec in enumerate(rows):
+            out.append(tuple(vec) + (val if idx % 2 == 0 else lo,))
+    return out
+
+
+def encode_by_definition(rows, base: int) -> list[int]:
+    """Positional codes over Python ints: coordinate t times base**t."""
+    weights = [base**t for t in range(len(rows[0]))]
+    return [sum(c * w for c, w in zip(vec, weights)) for vec in rows]
+
+
+def assemble_by_definition(codes, base: int, dim: int) -> list[int]:
+    """The i-th code (1-based) plus i * base**dim, over Python ints."""
+    shift = base**dim
+    for code in codes:
+        if not 0 <= code < shift:
+            raise ValueError(f"code {code} outside [0, base**dim)")
+    return [code + i * shift for i, code in enumerate(codes, start=1)]
+
+
+def coarse_grid_by_iteration() -> list[float]:
+    """The exponent optimizer's coarse grid as a chain of rounded steps:
+    from 1.01, step 0.01 while below 50, then 0.5, up to 1000."""
+    xs = []
+    x = 1.01
+    while x <= 1000.0:
+        xs.append(x)
+        x = round(x + (0.01 if x < 50.0 else 0.5), 6)
+    return xs

@@ -195,6 +195,21 @@ class TestCrossings:
         assert stats["degreeSequence"] == [3, 2, 1, 1, 1]
 
 
+@pytest.mark.parametrize("command", [
+    ("crossings", "--a", "A", "--b", "B"),
+    ("analyze", "--a", "A", "--b", "B"),
+    ("sidon", "search", "--size", 3, "--max", 5),
+    ("sidon", "optimize"),
+])
+def test_printed_json_is_the_json_file(tmp_path, capsys, command):
+    a = write_set(tmp_path / "a.txt", [0, 1, 3, 7])
+    b = write_set(tmp_path / "b.txt", [-2, 0, 5])
+    argv = [{"A": a, "B": b}.get(arg, arg) for arg in command]
+    out = tmp_path / "out.json"
+    assert run(*argv, "--json", out, "--outdir", tmp_path) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 class TestCheck:
     def test_passing_instance_exits_zero(self, tmp_path, capsys):
         a = write_set(tmp_path / "a.txt", [0, 1, 3, 7])

@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sumcross import (
     REFERENCE_SEED,
@@ -23,6 +26,13 @@ from sumcross import (
     seed_walk,
     sidon_seed_construction,
     sumset,
+)
+
+from helpers import (
+    assemble_by_definition,
+    check_vector_sequence,
+    encode_by_definition,
+    extend_walk_by_blocks,
 )
 
 
@@ -134,12 +144,12 @@ class TestReferenceFixture:
 
     def test_walk_round_trip(self):
         walk = seed_walk(REFERENCE_SEED, REFERENCE_TOUR)
-        assert tuple(v[0] for v in walk.vectors) == REFERENCE_WALK_VALUES
+        assert walk.vectors.shape == (43, 1)
+        assert walk.vectors[:, 0].tolist() == list(REFERENCE_WALK_VALUES)
 
     def test_walk_uses_every_nonzero_difference_once(self):
         walk = seed_walk(REFERENCE_SEED, REFERENCE_TOUR)
-        values = [v[0] for v in walk.vectors]
-        diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
+        diffs = np.diff(walk.vectors[:, 0]).tolist()
         expected = set(difference_set(REFERENCE_SEED, REFERENCE_SEED)) - {0}
         assert len(diffs) == len(set(diffs)) == 42
         assert set(diffs) == expected
@@ -149,7 +159,7 @@ class TestSeedWalk:
     def test_toy_walk_from_explicit_tour(self):
         tour = EulerTour(3, (1, 2, 3, 1, 3, 2, 1))
         walk = seed_walk(TOY_SEED, tour)
-        values = tuple(v[0] for v in walk.vectors)
+        values = tuple(walk.vectors[:, 0].tolist())
         assert values == (0, 1, 3, 0, 3, 1, 0)
         diffs = [values[i + 1] - values[i] for i in range(6)]
         assert sorted(diffs) == [-3, -2, -1, 1, 2, 3]
@@ -158,7 +168,7 @@ class TestSeedWalk:
         for s in (3, 4, 5):
             seed = {3: TOY_SEED, 4: iset(0, 1, 3, 7), 5: iset(0, 1, 3, 7, 12)}[s]
             walk = seed_walk(seed, eulerian_tour(s))
-            assert walk.vectors[0] == walk.vectors[-1] == (0,)
+            assert walk.vectors[0].tolist() == walk.vectors[-1].tolist() == [0]
 
     def test_rejects_non_sidon(self):
         with pytest.raises(ValueError):
@@ -180,8 +190,9 @@ class TestExtendWalk:
         assert q2.dim == 2
         assert len(q2) == 49
         # the type validates distinctness; re-check exhaustively anyway
-        diffs = [tuple(x - y for x, y in zip(q2.vectors[i + 1], q2.vectors[i]))
-                 for i in range(len(q2) - 1)]
+        rows = q2.vectors.tolist()
+        diffs = [tuple(x - y for x, y in zip(rows[i + 1], rows[i]))
+                 for i in range(len(rows) - 1)]
         assert len(set(diffs)) == len(diffs) == 48
 
     def test_reference_second_level_size(self):
@@ -193,37 +204,39 @@ class TestExtendWalk:
         walk = seed_walk(REFERENCE_SEED, REFERENCE_TOUR)
         q2 = extend_walk(walk, walk)
         L = len(walk)
-        values = [v[0] for v in walk.vectors]
+        values = walk.vectors[:, 0].tolist()
+        rows = q2.vectors.tolist()
         # block 1: constant first walk value; block i > 1 alternates
         # walk[i], walk[i-1] starting and ending with walk[i]
-        first_block = [v[1] for v in q2.vectors[:L]]
+        first_block = [v[1] for v in rows[:L]]
         assert set(first_block) == {values[0]}
-        second_block = [v[1] for v in q2.vectors[L:2 * L]]
+        second_block = [v[1] for v in rows[L:2 * L]]
         assert second_block[0] == second_block[-1] == values[1]
         assert set(second_block[::2]) == {values[1]}
         assert set(second_block[1::2]) == {values[0]}
-        third_block = [v[1] for v in q2.vectors[2 * L:3 * L]]
+        third_block = [v[1] for v in rows[2 * L:3 * L]]
         assert set(third_block[::2]) == {values[2]}
         assert set(third_block[1::2]) == {values[1]}
         # first coordinates repeat the base sequence in every block
         for block in range(L):
-            segment = q2.vectors[block * L:(block + 1) * L]
+            segment = rows[block * L:(block + 1) * L]
             assert [v[0] for v in segment] == values
 
     def test_boundary_differences_have_zero_prefix(self):
         walk = seed_walk(TOY_SEED, eulerian_tour(3))
         q2 = extend_walk(walk, walk)
         L = len(walk)
+        rows = q2.vectors.tolist()
         for block in range(1, L):
-            before = q2.vectors[block * L - 1]
-            after = q2.vectors[block * L]
+            before = rows[block * L - 1]
+            after = rows[block * L]
             assert before[0] == after[0]  # only the new coordinate moves
 
     def test_third_level_toy(self):
         walk = seed_walk(TOY_SEED, eulerian_tour(3))
         q3 = extend_walk(extend_walk(walk, walk), walk)
         assert q3.dim == 3 and len(q3) == 343
-        assert q3.vectors[0] == q3.vectors[-1]
+        assert q3.vectors[0].tolist() == q3.vectors[-1].tolist()
 
     def test_rejects_even_lengths(self):
         even = VectorSequence(1, ((0,), (2,), (3,), (0,)), 3)
@@ -241,6 +254,22 @@ class TestExtendWalk:
 
 
 class TestVectorSequenceType:
+    def test_vectors_are_a_read_only_int64_array(self):
+        rows = np.array([[0, 1], [2, 0], [0, 1]], dtype=np.int64)
+        seq = VectorSequence(2, rows, 2)
+        assert seq.vectors is rows  # kept without a copy
+        assert seq.vectors.dtype == np.int64 and not rows.flags.writeable
+        assert VectorSequence(1, ((0,), (1,), (0,)), 1).vectors.shape == (3, 1)
+
+    def test_compares_by_identity(self):
+        seq = VectorSequence(1, ((0,), (1,), (0,)), 1)
+        assert seq == seq
+        assert seq != VectorSequence(1, ((0,), (1,), (0,)), 1)
+
+    def test_rejects_coordinates_past_int64(self):
+        with pytest.raises(ValueError, match="int64"):
+            VectorSequence(1, ((0,), (2**63,), (0,)), 2**64)
+
     def test_rejects_repeated_difference(self):
         with pytest.raises(ValueError):
             VectorSequence(1, ((0,), (1,), (2,), (1,), (0,)), 2)
@@ -254,6 +283,91 @@ class TestVectorSequenceType:
             VectorSequence(1, ((0,), (5,), (0,)), 3)
         with pytest.raises(ValueError):
             VectorSequence(1, ((0,), (-1,), (0,)), 3)
+
+
+@st.composite
+def vector_sequence_inputs(draw):
+    """(dim, rows, max_coord): up to 8 rows of coordinates in
+    [-1, max_coord + 1], most of width dim and most closed.  A max_coord of
+    2**62 validates over Python ints, since (2 * max_coord + 1)**dim is
+    past 2**63."""
+    dim = draw(st.integers(1, 3))
+    max_coord = draw(st.sampled_from([1, 2, 3, 2**62]))
+    coord = st.one_of(st.integers(0, min(max_coord, 3)),
+                      st.sampled_from([-1, 0, max_coord, max_coord + 1]))
+    widths = (st.integers(dim - 1, dim + 1) if draw(st.integers(0, 4)) == 0
+              else st.just(dim))
+    row = widths.flatmap(lambda w: st.tuples(*[coord] * w))
+    rows = draw(st.lists(row, max_size=8))
+    if rows and draw(st.integers(0, 3)):
+        rows.append(rows[0])
+    return dim, rows, max_coord
+
+
+@given(vector_sequence_inputs())
+@example((1, [(0,), (1,), (3,), (0,)], 3))  # dim 1
+@example((2, [(1, 2)], 3))  # one vector
+@example((1, [(0,), (5,), (0,)], 5))  # coordinates 0 and max_coord
+@example((1, [(0,), (-1,), (0,)], 3))  # a negative coordinate
+@example((2, [(0, 0), (1,), (0, 0)], 3))  # one row of the wrong width
+@example((2, [(0,), (1,), (0,)], 3))  # every row of the wrong width
+@example((2, [(0, 0), (1, 0), (2, 2), (1, 0), (0, 0)], 2))  # repeats per coordinate only
+@example((2, [(0, 0), (1, 1), (2, 2), (0, 0)], 2))  # a repeated difference row
+@example((2, [(0, 0), (2**62, 1), (0, 0)], 2**62))  # Python-int codes
+@example((1, [(0,), (2**62,), (0,), (2**62,), (0,)], 2**62))  # and a repeat
+def test_checks_match_the_tuple_oracle(case):
+    """VectorSequence accepts exactly what the tuple-by-tuple checks accept;
+    when every row has one width, it raises their message too."""
+    dim, rows, max_coord = case
+    try:
+        check_vector_sequence(dim, rows, max_coord)
+    except ValueError as expected:
+        with pytest.raises(ValueError) as raised:
+            VectorSequence(dim, rows, max_coord)
+        if len({len(r) for r in rows}) <= 1:
+            assert str(raised.value) == str(expected)
+    else:
+        seq = VectorSequence(dim, rows, max_coord)
+        assert seq.vectors.tolist() == [list(r) for r in rows]
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("seed", [TOY_SEED, iset(0, 1, 4, 9),
+                                      iset(0, 2, 7, 8, 11), iset(0, 1, 2**61)])
+    def test_lifts_codes_and_sets_at_depths_one_to_three(self, seed):
+        # iset(0, 1, 2**61) encodes in base 10**19: codes over Python ints
+        walk = seed_walk(seed, eulerian_tour(len(seed)))
+        values = walk.vectors[:, 0].tolist()
+        base = default_encoding_base(seed)
+        rows = [(v,) for v in values]
+        seq = walk
+        for depth in (1, 2, 3):
+            if depth > 1:
+                seq = extend_walk(seq, walk)
+                rows = extend_walk_by_blocks(rows, values)
+            assert seq.vectors.tolist() == [list(r) for r in rows]
+            check_vector_sequence(depth, rows, seed.max)
+            codes = encode_vectors(seq, base)
+            assert codes == encode_by_definition(rows, base)
+            A = assemble_increasing(codes, base, depth)
+            assert list(A) == assemble_by_definition(codes, base, depth)
+            assert A == sidon_seed_construction(seed, depth, base=base)
+
+    def test_codes_on_both_sides_of_int64(self):
+        # 49 vectors of dim 2: int64 while 50 * base**2 < 2**63
+        walk = seed_walk(TOY_SEED, eulerian_tour(3))
+        q2 = extend_walk(walk, walk)
+        rows = q2.vectors.tolist()
+        edge = math.isqrt((2**63 - 1) // 50)
+        assert 50 * edge**2 < 2**63 <= 50 * (edge + 1)**2
+        past = math.isqrt(2**63 // 49) + 1  # the largest element passes 2**63
+        for base in (edge, edge + 1, past, 10**12):
+            codes = encode_vectors(q2, base)
+            assert all(type(c) is int for c in codes)
+            assert codes == encode_by_definition(rows, base)
+            A = assemble_increasing(codes, base, 2)
+            assert list(A) == assemble_by_definition(codes, base, 2)
+            assert (A.max >= 2**63) == (base >= past)
 
 
 class TestEncodeAssemble:
@@ -287,10 +401,13 @@ class TestEncodeAssemble:
         assert len(A) == 43 and is_dcd(A)
 
     def test_assemble_rejects_out_of_range_codes(self):
-        with pytest.raises(ValueError):
-            assemble_increasing([0, 100], 10, 2)
-        with pytest.raises(ValueError):
-            assemble_increasing([-1, 5], 10, 1)
+        for codes, base, dim in (([0, 100], 10, 2), ([-1, 5], 10, 1),
+                                 ([3, 2**70], 10, 1)):
+            with pytest.raises(ValueError) as expected:
+                assemble_by_definition(codes, base, dim)
+            with pytest.raises(ValueError) as raised:
+                assemble_increasing(codes, base, dim)
+            assert str(raised.value) == str(expected.value)
 
     def test_default_base(self):
         assert default_encoding_base(REFERENCE_SEED) == 100

@@ -4,12 +4,16 @@ import pytest
 
 from sumcross import (
     IntegerSet,
+    OptimizeResult,
     is_sidon,
     objective_f,
     optimize_exponent,
     seed_stats,
     sidon_search,
 )
+from sumcross.sidon import _grid_scores
+
+from helpers import coarse_grid_by_iteration
 
 
 def iset(*values):
@@ -98,6 +102,16 @@ class TestOptimize:
         assert res.x_star == pytest.approx(6.99618, abs=1e-3)
         assert res.f_star == pytest.approx(0.114058, abs=1e-5)
         assert res.iterations > 0
+
+    def test_pinned_result(self):
+        assert optimize_exponent() == OptimizeResult(
+            6.99618477447728, 0.1140581781199547, 6824)
+
+    def test_grid_is_the_rounded_step_chain_scored_by_the_objective(self):
+        grid, scores = _grid_scores()
+        expected = coarse_grid_by_iteration()
+        assert grid.tolist() == expected
+        assert scores == [objective_f(x) for x in expected]
 
     def test_local_maximality_spot_checks(self):
         res = optimize_exponent()
