@@ -11,11 +11,14 @@ is computed with numpy in O(m log m), without a Python loop over edges:
 the merge pass.  The translate-pair sweep counts from the sets
 instead, one pair of translates at a time: the arc pairs of A against the
 differences of B below span(A), O(|A|^2 log |B|) after O(|B|^2) to gather
-those differences.  ``crossing_stats`` and ``max_translate_pair_crossings``
-always sweep.  A graph made by ``build_sum_graph`` remembers its sets, and
-its crossings and intersections come from the sweep when that is the
-smaller job, from the merge pass otherwise; the merge pass counts every
-other graph, such as a subgraph or a copy of a sum graph.
+those differences, or O(|A|^2 + span(A)) by histograms when span(A) is
+small against them.  ``crossing_stats`` and
+``max_translate_pair_crossings`` always sweep.  A graph made by
+``build_sum_graph`` remembers its sets, and its crossings and
+intersections come from the sweep when that is the smaller job, from the
+merge pass otherwise; the merge pass counts every other graph, such as a
+subgraph or a copy of a sum graph.  ``has_parallel_edges`` reads A alone
+on a sum graph whose A has distinct consecutive differences.
 
 Each counter's peak memory, in bytes per edge and per vertex, is listed
 in the README and held to that bound by ``test_peak_memory``.
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sets import (IntegerSet, _gather, _pair_offsets, _profile_and_order,
-                   representation_profile)
+                   is_dcd, representation_profile)
 
 __all__ = [
     "ArcGraph",
@@ -280,6 +283,18 @@ def _sweep_is_smaller(A: IntegerSet, B: IntegerSet) -> bool:
     return (k - 1) * (k - 2) // 2 + 2 * close <= 2 * n * (k - 1)
 
 
+def _histograms_fit(span: int, close: int) -> bool:
+    """Whether the translate-pair sweep counts by histograms over
+    [0, span(A)] rather than by sorts, given span(A) and the close pairs of
+    B: iff 3 span(A) <= 5 close.  Its three histograms hold 24 bytes per
+    value, so then at most 40 per close pair, which with the 56 bytes per
+    distinct delta of both paths keeps it within the sweep's bound of 96
+    per close pair.  The coprime constructions have span(A) at 1.1-1.4
+    close pairs; the seeded ones at 4.7 (depth 1) and 10.8 (depth 2) keep
+    the sorts."""
+    return 3 * span <= 5 * close
+
+
 def _translate_pair_sweep(A: IntegerSet,
                           B: IntegerSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mult, f, g) over the distinct differences delta < span(A) of B - B,
@@ -304,41 +319,95 @@ def _translate_pair_sweep(A: IntegerSet,
     the last term mending the empty (lo, hi) of equal gaps.  Each difference
     is a_i - a_j of one arc pair and a_i+1 - a_j+1 of another, but the outer
     ones of only one and span(A) of none; so twice its count is read from
-    lo, hi and the outer differences.  Each count is a ``searchsorted`` of
-    the sorted deltas into sorted bounds, gathered by ``_gather`` over
-    blocks of rows i of up to ``_ARC_PAIR_BLOCK`` arc pairs or one per
-    delta, whichever is more, so that the searches cost no more than the
-    sorts.  Offsets are int64 below summed spans of 2**63, Python ints
-    above.
+    lo, hi and the outer differences.  lo and hi are gathered by ``_gather``
+    over blocks of rows i of up to ``_ARC_PAIR_BLOCK`` arc pairs.
+
+    Every delta and bound lies in [0, span(A)], so the counts have two
+    paths.  The dense one counts the deltas with ``_occurrences`` and adds
+    each kind of bound (lo, hi, lo == hi) into a histogram over
+    [0, span(A)] summed across blocks; #{bound < delta} and
+    #{bound <= delta} are its cumulative sums at delta - 1 and delta, and
+    the outer differences get a histogram of their own, so nothing is
+    sorted or searched.  It is taken when the offsets are int64 and
+    ``_histograms_fit``.  The sorted path sorts the deltas and each block's
+    bounds and reads each count by a ``searchsorted``; its blocks hold at
+    least one arc pair per delta, so that the searches cost no more than
+    the sorts.  Offsets are int64 below summed spans of 2**63, Python ints
+    above, which only the sorted path takes.
     """
     empty = np.zeros(0, dtype=np.int64)
     if len(A) < 2:
         return empty, empty, empty
     a, b, stop = _close_pairs(A, B)
-    k = len(a)
-    differences = _gather(-b, b, np.arange(1, len(b) + 1), stop)
-    if not len(differences):
+    k, n = len(a), len(b)
+    close = int(stop.sum()) - n * (n + 1) // 2
+    if not close:
         return empty, empty, empty
-    differences.sort()
-    starts = np.flatnonzero(np.concatenate(
-        ([True], differences[1:] != differences[:-1])))
-    deltas = differences[starts]
-    mult = np.diff(starts, append=len(differences))
-    del differences, starts
+    differences = _gather(-b, b, np.arange(1, n + 1), stop)
+    span = int(a[-1])
+    dense = a.dtype != object and _histograms_fit(span, close)
+    if dense:
+        mult = _occurrences(differences, span)
+        del differences
+        deltas = np.flatnonzero(mult)
+        mult = mult[deltas]
 
-    def below(bounds):
-        """#{bound < delta} and #{bound <= delta} for each delta."""
-        bounds.sort()
-        return (np.searchsorted(bounds, deltas, "left"),
-                np.searchsorted(bounds, deltas, "right"))
+        def below(histogram):
+            """#{bound < delta} and #{bound <= delta} for each delta, from
+            a histogram of the bounds; leaves its cumulative sum."""
+            equal = histogram[deltas]
+            np.cumsum(histogram, out=histogram)
+            le = histogram[deltas]
+            return np.subtract(le, equal, out=equal), le
 
-    lt, le = below(np.concatenate((a[1:] - a[0], a[-1] - a[1:-1])))
+        block = _ARC_PAIR_BLOCK
+    else:
+        differences.sort()
+        starts = np.flatnonzero(np.concatenate(
+            ([True], differences[1:] != differences[:-1])))
+        deltas = differences[starts]
+        mult = np.diff(starts, append=len(differences))
+        del differences, starts
+
+        def below(bounds):
+            """#{bound < delta} and #{bound <= delta} for each delta."""
+            bounds.sort()
+            return (np.searchsorted(bounds, deltas, "left"),
+                    np.searchsorted(bounds, deltas, "right"))
+
+        block = max(_ARC_PAIR_BLOCK, len(deltas))
+
+    outer = np.concatenate((a[1:] - a[0], a[-1] - a[1:-1]))
+    lt, le = below(_occurrences(outer, span + 1) if dense else outer)
     f = 2 * k - 3 - lt
     g = np.zeros(len(deltas), dtype=np.int64)
     twice_equal = le - lt
+    del lt, le
+    if dense:
+        histograms = [np.zeros(span + 1, dtype=np.int64) for _ in range(3)]
+
+    def tally(equal, lo, hi):
+        """Add the counts of the bounds lo == hi, lo and hi into f, g and
+        twice_equal, holding the two counts of one kind at a time."""
+        nonlocal f, g, twice_equal
+        lt, le = below(equal)
+        g += le
+        g -= lt
+        del lt, le
+        lt, le = below(lo)
+        f -= le
+        g += lt
+        twice_equal += le
+        twice_equal -= lt
+        del lt, le
+        lt, le = below(hi)
+        f += lt
+        g -= le
+        twice_equal += le
+        twice_equal -= lt
+
     # rows 1..i of the triangle hold pairs_through[i] arc pairs
     pairs_through = np.cumsum(np.arange(k - 1))
-    block = max(_ARC_PAIR_BLOCK, len(deltas))
     first = 1
     while first < k - 1:
         end = int(np.searchsorted(pairs_through, pairs_through[first - 1] + block,
@@ -350,17 +419,15 @@ def _translate_pair_sweep(A: IntegerSet,
         far = _gather(a[rows + 1], -a[1:], zero, rows)
         lo = np.minimum(near, far)
         hi = np.maximum(near, far, out=near)
-        del far
-        lt, le = below(lo[lo == hi])
-        g += le - lt
-        lt, le = below(lo)
-        f -= le
-        g += lt
-        twice_equal += le - lt
-        lt, le = below(hi)
-        f += lt
-        g -= le
-        twice_equal += le - lt
+        del near, far
+        if dense:
+            for histogram, bounds in zip(histograms, (lo[lo == hi], lo, hi)):
+                np.add.at(histogram, bounds, 1)
+        else:
+            tally(lo[lo == hi], lo, hi)
+        del lo, hi
+    if dense:
+        tally(*histograms)
     f -= twice_equal // 2
     return mult, f, g
 
@@ -389,6 +456,13 @@ def degree_sequence(graph: ArcGraph) -> tuple[int, ...]:
 
 
 def has_parallel_edges(graph: ArcGraph) -> bool:
+    """Whether two edges join the same two vertices.  A sum graph whose A
+    has distinct consecutive differences has none, read from A alone: edges
+    a_i+b to a_i+1+b and a_j+b' to a_j+1+b' with the same ends have
+    a_i+1 - a_i = a_j+1 - a_j, so i = j and then b = b'.  Every other graph
+    sorts its edge keys."""
+    if graph.summands is not None and is_dcd(graph.summands[0]):
+        return False
     keys = _sorted_edge_keys(graph)
     return bool((keys[1:] == keys[:-1]).any())
 

@@ -84,6 +84,15 @@ class IntegerSet:
         """Canonicalize an arbitrary iterable: sort and drop duplicates."""
         return cls(tuple(sorted(set(values))))
 
+    @classmethod
+    def _canonical(cls, elements: tuple[int, ...]) -> "IntegerSet":
+        """The set of ``elements``, a nonempty strictly increasing tuple of
+        Python ints already, such as the sums of a profile, kept without
+        the constructor's pass over them."""
+        result = object.__new__(cls)
+        object.__setattr__(result, "elements", elements)
+        return result
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -231,7 +240,7 @@ def difference_set(A: IntegerSet, B: IntegerSet) -> IntegerSet:
 
 def _negated(B: IntegerSet) -> IntegerSet:
     """-B = {-b : b in B}."""
-    return IntegerSet(tuple(-b for b in reversed(B.elements)))
+    return IntegerSet._canonical(tuple(-b for b in reversed(B.elements)))
 
 
 # Values whose span stays below this fit int64 once shifted to start at 0.
@@ -377,7 +386,8 @@ def high_multiplicity_set(profile: RepProfile, t: int) -> IntegerSet:
     offsets = profile.offsets[profile.multiplicities >= t]
     if not len(offsets):
         raise ValueError(f"no sum value has multiplicity >= {t}")
-    return IntegerSet(tuple(map(profile.base.__add__, offsets.tolist())))
+    return IntegerSet._canonical(
+        tuple(map(profile.base.__add__, offsets.tolist())))
 
 
 def level_set_size(profile: RepProfile, t: int) -> int:

@@ -42,8 +42,8 @@ from helpers import (
     translate_pair_crossings_by_definition,
 )
 from sumcross import arcgraph, bounds
-from sumcross.arcgraph import (_strict_inversions, _sweep_is_smaller,
-                               _translate_pair_sweep)
+from sumcross.arcgraph import (_histograms_fit, _strict_inversions,
+                               _sweep_is_smaller, _translate_pair_sweep)
 from sumcross.sets import _pair_offsets
 
 
@@ -102,17 +102,32 @@ class TestBuildSumGraph:
             g = build_sum_graph(A, B)
             assert g.num_edges == (len(A) - 1) * len(B)
 
-    def test_dcd_implies_simple(self):
+    def test_dcd_implies_simple(self, monkeypatch):
+        # read from A's gaps, without sorting the edge keys; a copy without
+        # the summands sorts them and agrees
         rng = random.Random(2)
-        for _ in range(20):
-            A = random_dcd_set(rng, rng.randint(2, 15))
-            B = random_integer_set(rng, rng.randint(1, 10), 0, 200)
-            assert not has_parallel_edges(build_sum_graph(A, B))
+        graphs = [build_sum_graph(random_dcd_set(rng, rng.randint(2, 15)),
+                                  random_integer_set(rng, rng.randint(1, 10), 0, 200))
+                  for _ in range(20)]
+        graphs.append(build_sum_graph(*coprime_construction(2)[:2]))
+
+        def refuse(graph):
+            raise AssertionError("sorted the edge keys of a dcd sum graph")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(arcgraph, "_sorted_edge_keys", refuse)
+            for g in graphs:
+                assert not has_parallel_edges(g)
+        for g in graphs:
+            assert not has_parallel_edges(plain_copy(g))
 
     def test_repeated_gap_produces_parallel_edges(self):
+        # A without distinct gaps sorts the edge keys, with or without
+        # the summands; one translate of it has no parallel edges
         g = build_sum_graph(iset(0, 1, 2), iset(0, 1))
         assert g.num_edges == 4
-        assert has_parallel_edges(g)
+        assert has_parallel_edges(g) and has_parallel_edges(plain_copy(g))
+        assert not has_parallel_edges(build_sum_graph(iset(0, 1, 2), iset(5)))
 
     def test_needs_two_elements(self):
         with pytest.raises(ValueError):
@@ -488,11 +503,20 @@ def test_profile_and_sum_graph_against_the_definitions(sets):
     assert graph.v.tolist() == [v for _, v in edges]
 
 
+def _sweep_by_path(A, B, dense, block):
+    """The translate-pair sweep with its counting path chosen by ``dense``
+    instead of ``_histograms_fit``, over blocks of ``block`` arc pairs."""
+    with mock.patch.object(arcgraph, "_histograms_fit", lambda *_: dense), \
+            mock.patch.object(arcgraph, "_ARC_PAIR_BLOCK", block):
+        return [x.tolist() for x in _translate_pair_sweep(A, B)]
+
+
 def _sweep_against_the_per_delta_counts(A, B):
     """mult, f and g of the translate-pair sweep against a Counter of the
     differences below span(A) of B - B and the per-delta oracles, value for
     value, with the default blocks and with blocks of one arc pair per
-    delta."""
+    delta, each on the sorted path and, for int64 offsets and span(A) up to
+    2**20, on the dense one, whatever its rule picks."""
     mult, f, g = _translate_pair_sweep(A, B)
     counts = Counter(c - x for i, x in enumerate(B) for c in B[i + 1:]
                      if c - x < A.max - A.min)
@@ -501,9 +525,11 @@ def _sweep_against_the_per_delta_counts(A, B):
     deltas = np.array(sorted(counts), dtype=a.dtype)
     assert f.tolist() == crossings_by_difference_per_delta(a, deltas).tolist()
     assert g.tolist() == nestings_by_difference_per_delta(a, deltas).tolist()
-    with mock.patch.object(arcgraph, "_ARC_PAIR_BLOCK", 1):
-        small = _translate_pair_sweep(A, B)
-    assert [x.tolist() for x in small] == [mult.tolist(), f.tolist(), g.tolist()]
+    found = [mult.tolist(), f.tolist(), g.tolist()]
+    histograms = a.dtype == np.int64 and A.max - A.min <= 1 << 20
+    for dense in (False, True) if histograms else (False,):
+        for block in (arcgraph._ARC_PAIR_BLOCK, 1):
+            assert _sweep_by_path(A, B, dense, block) == found
     return a, f
 
 
@@ -538,6 +564,62 @@ def test_translate_pair_sweep_against_the_definitions(sets):
     assert stats.crossings == crossings_by_definition(graph)
     assert stats.intersections == intersections_by_definition(graph)
     assert stats.max_translate_pair_crossings == expected
+
+
+def _takes_the_dense_path(A, B):
+    """Whether the sweep counts (A, B) by histograms, watched through its
+    calls to ``_occurrences``, which the sorted path makes none of."""
+    occurrences = mock.Mock(wraps=arcgraph._occurrences)
+    with mock.patch.object(arcgraph, "_occurrences", occurrences):
+        _translate_pair_sweep(A, B)
+    return occurrences.called
+
+
+@st.composite
+def sweep_rule_sets(draw):
+    """(A, B) on both sides of the dense path's rule 3 span(A) <= 5 close
+    pairs and at its edges: B within a window of a third of span(A) up to
+    twenty times it (many close pairs, few or none), an A of gaps up to 3
+    (mostly repeated: lo == hi) or up to 40; each set anywhere from -10**6
+    to 10**6 or near +-2**62.  Summed spans past 2**63 are in the
+    examples."""
+    values = st.one_of(st.integers(-10**6, 10**6),
+                       st.integers(-2**62 - 5, -2**62 + 5),
+                       st.integers(2**62 - 5, 2**62 + 5))
+    k = draw(st.integers(2, 12))
+    gaps = draw(st.lists(st.integers(1, draw(st.sampled_from([3, 40]))),
+                         min_size=k - 1, max_size=k - 1))
+    A = IntegerSet(tuple(itertools.accumulate([draw(values)] + gaps)))
+    span = A.max - A.min
+    width = max(1, span * draw(st.sampled_from([1, 3, 6, 60])) // 3)
+    B = draw(st.sets(st.integers(0, width), min_size=1, max_size=20))
+    base = draw(values)
+    return A, IntegerSet.of(base + x for x in B)
+
+
+@settings(max_examples=80)
+@given(sweep_rule_sets())
+@example((iset(-7, 2), iset(-40)))  # |A| = 2, |B| = 1
+@example((iset(0, 4, 9), iset(-100, 100)))  # no close pair
+@example((iset(0, 5), iset(0, 1, 2)))  # 3 span(A) = 5 close pairs: dense
+@example((iset(0, 6), iset(0, 1, 2)))  # one past the edge: sorted
+@example((iset(0, 1, 2, 3, 5, 6, 7), iset(-3, -2, 0, 1, 3)))  # lo == hi, negative
+@example((iset(2**62 - 9, 2**62), iset(-2**62, -2**62 + 4, -2**62 + 7)))  # int64
+@example((iset(-2**62, 2**62), iset(-5, 0, 2**62)))  # spans past 2**63: sorted
+@example((iset(0, 3, 5), iset(-2**62, -2**62 + 1, 2**62)))  # Python ints, small span
+def test_sweep_paths_against_each_other_and_the_oracles(sets):
+    """The dense path is taken exactly for int64 offsets within
+    ``_histograms_fit``, 3 span(A) <= 5 close pairs counted pair by pair;
+    the sweep on either path, and the dense path forced on every int64
+    input of a modest span(A), agrees with the Counter of B - B and the
+    per-delta oracles."""
+    A, B = sets
+    close = sum(1 for i, b in enumerate(B) for c in B[i + 1:] if c - b < A.max - A.min)
+    int64 = _pair_offsets(A, B)[0].dtype == np.int64
+    assert _histograms_fit(A.max - A.min, close) == (3 * (A.max - A.min) <= 5 * close)
+    expected = bool(close) and int64 and 3 * (A.max - A.min) <= 5 * close
+    assert _takes_the_dense_path(A, B) == expected
+    _sweep_against_the_per_delta_counts(A, B)
 
 
 @st.composite
@@ -579,7 +661,9 @@ def test_sum_graph_counts_on_either_path(sets):
     """``_sweep_is_smaller`` against its rule, with the close pairs of B
     counted pair by pair.  count_crossings_fast and count_intersections on
     the sum graph take the path it picks and agree with the merge pass on
-    the plain copy and with the quadratic oracles.  Graphs derived from the
+    the plain copy and with the quadratic oracles, as does
+    ``has_parallel_edges``, which reads A's gaps on a dcd sum graph and
+    sorts the copy's edge keys.  Graphs derived from the
     sum graph carry no summands: a ``dataclasses.replace`` copy and the
     cross subgraph of ``check_bipartite_crossing``."""
     A, B = sets
@@ -589,6 +673,8 @@ def test_sum_graph_counts_on_either_path(sets):
     arc_pairs = (len(A) - 1) * (len(A) - 2) // 2
     assert _sweep_is_smaller(A, B) == (arc_pairs + 2 * close <= 2 * g.num_edges)
     plain = plain_copy(g)
+    parallel = len(set(edge_pairs(g))) < g.num_edges
+    assert has_parallel_edges(g) == has_parallel_edges(plain) == parallel
     crossings = crossings_by_definition(g)
     intersections = intersections_by_definition(g)
     sweep = mock.Mock(wraps=_translate_pair_sweep)
@@ -686,14 +772,20 @@ def test_peak_memory():
     """Each counter stays within the peak memory the README states for it,
     measured with tracemalloc (numpy reports its buffers there); 64 KB
     covers fixed-size allocations.  The translate-pair sweep and
-    crossing_stats are held on coprime t=1, 2, 4 (one block of arc pairs)
-    and on |A| = 800 against |B| = 30 (two blocks, the first one full).
+    crossing_stats are held on coprime t=1, 2, 4 (the dense path, one
+    block of arc pairs) and on |A| = 800 against |B| = 30 (the sorted path,
+    two blocks, the first one full).
     The crossing and intersection counts of a sum graph are held to the
     bound of the path ``_sweep_is_smaller`` picks: the sweep on the coprime
     pairs, the merge pass on |A| = 800 against |B| = 30 and on |A| = 2
     against 3,000 values of B within span(A), where the sweep would gather
     C(3000, 2) differences, some 270 MiB.  A sum graph of |A| = 2 with
     every sum distinct comes closest to the bound of ``build_sum_graph``.
+    The dense path of the sweep is held at the edge of its rule: span(A)
+    the largest that ``_histograms_fit`` allows against 800 random values
+    of B, whose close pairs have mostly distinct differences, with few arc
+    pairs, so that its histograms and per-delta arrays meet the bound's
+    per-close-pair term nearly alone.
     The sum graph of pairs with summed spans of 2**63 or more, whose pair
     sums are Python ints, is held to the bound for that path on random
     values within +-2**62 (nearly every sum distinct), on an arithmetic
@@ -719,6 +811,16 @@ def test_peak_memory():
     cases = [(*coprime_construction(t)[:2], True) for t in (1, 2, 4)]
     cases.append((random_integer_set(rng, 800, 0, 10**7),
                   random_integer_set(rng, 30, 0, 10**7), False))
+    B = random_integer_set(rng, 800, 0, 914_000)
+    b = np.array(B.elements)
+    differences = np.sort((b[None, :] - b[:, None])[np.triu_indices(len(b), 1)])
+    spans = np.arange(1, B.max - B.min + 1)
+    close = np.searchsorted(differences, spans)  # B's pairs closer than each span
+    edge = int(spans[3 * spans <= 5 * close][-1])
+    A = IntegerSet.of([0, edge] + rng.sample(range(1, edge), 38))
+    assert _takes_the_dense_path(A, B)
+    assert not _takes_the_dense_path(IntegerSet(A.elements[:-1] + (edge + 1,)), B)
+    cases.append((A, B, False))
     for A, B, sweeps in cases:
         assert _sweep_is_smaller(A, B) == sweeps
         bound = sweep_bound(A, B)

@@ -507,7 +507,9 @@ class TestSuiteRunner:
     def test_one_sort_per_builder_and_few_dcd_tests_per_suite(self, monkeypatch):
         # the suite builds the profile and the sum graph through the public
         # builders, each with one sort; coprime t=3 has 13 level-set
-        # reports, and A's gaps are tested once for all reports
+        # reports, and the suite tests A's gaps once for all reports
+        # (has_parallel_edges reads them again on its own, through
+        # arcgraph's is_dcd, on each of its two calls)
         from sumcross import arcgraph, bounds, sets
         calls = dict.fromkeys(("profile", "graph", "sort", "is_dcd"), 0)
 

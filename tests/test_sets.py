@@ -156,6 +156,30 @@ class TestIntegerSet:
         assert type(profile.base) is int
 
 
+    def test_results_skip_the_element_pass(self, monkeypatch):
+        # sumset, difference_set and high_multiplicity_set build their
+        # canonical Python-int tuples without __post_init__; the public
+        # constructor still checks every element and the order
+        A, B = iset(-7, 0, 2**62, 2**70), iset(-3, 5, 11)
+        results = [sumset(A, B), difference_set(A, B),
+                   high_multiplicity_set(representation_profile(A, B), 1)]
+        checked = []
+        post_init = IntegerSet.__post_init__
+        monkeypatch.setattr(IntegerSet, "__post_init__",
+                            lambda self: checked.append(1) or post_init(self))
+        assert [sumset(A, B), difference_set(A, B),
+                high_multiplicity_set(representation_profile(A, B), 1)] == results
+        assert not checked
+        for result in results:
+            assert IntegerSet(result.elements) == result
+            assert all(type(x) is int for x in result)
+        assert len(checked) == 3
+        with pytest.raises(TypeError):
+            IntegerSet((0, 0.5, 1))
+        with pytest.raises(ValueError):
+            IntegerSet((2, 1))
+
+
 class TestSumset:
     def test_translate_identity(self):
         assert sumset(iset(0), iset(5, 7)).elements == (5, 7)
