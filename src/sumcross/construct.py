@@ -187,8 +187,10 @@ class VectorSequence:
         # in base 2*max_coord + 1 no digit carries: rows differ iff codes do
         span = 2 * self.max_coord + 1
         gaps = np.diff(_positional(vectors, span, span**self.dim))
-        _, first = np.unique(gaps, return_index=True)
-        if len(first) < len(gaps):
+        ordered = np.sort(gaps)
+        if (ordered[1:] == ordered[:-1]).any():
+            # the first gap that repeats an earlier one
+            _, first = np.unique(gaps, return_index=True)
             i = np.setdiff1d(np.arange(len(gaps)), first)[0]
             delta = tuple((vectors[i + 1] - vectors[i]).tolist())
             raise ValueError(f"repeated consecutive difference {delta}")

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sets import IntegerSet, _negated, sumset_size
+from .sets import IntegerSet, sumset_size
 
 __all__ = [
     "SeedScore",
@@ -76,14 +76,15 @@ def sidon_search(size: int, max_element: int) -> list[IntegerSet]:
 def seed_stats(S: IntegerSet) -> SeedScore:
     """Score a Sidon seed; for |S| = x the closed forms are
     sums = x(x+1)/2 and diffs = x(x-1)+1.  S is Sidon iff |S+S| is the
-    first, as in :func:`~sumcross.sets.is_sidon`."""
+    first, as in :func:`~sumcross.sets.is_sidon`; then its x(x-1) nonzero
+    differences are distinct, so only the sums are counted."""
     x = len(S)
     sums = sumset_size(S, S)
     if sums != x * (x + 1) // 2:
         raise ValueError("set is not Sidon")
-    diffs = sumset_size(S, _negated(S))
-    if diffs == 1:
+    if x == 1:
         raise ValueError("singleton seed has no score")
+    diffs = x * (x - 1) + 1
     return SeedScore(sums, diffs, _exponent(diffs, sums))
 
 

@@ -629,10 +629,9 @@ def dispatch_sets(draw):
     |A| = 2 against a B dense within span(A) (the merge pass);
     half the time A repeats gaps of 1 to 3, which gives parallel edges."""
     shape = draw(st.sampled_from(["even", "wide", "pair"]))
-    sizes = {"even": ((2, 12), (1, 12)), "wide": ((14, 24), (1, 3)),
-             "pair": ((2, 2), (5, 14))}[shape]
     base = draw(graph_values)
-    k = draw(st.integers(*sizes[0]))
+    k = draw(st.integers(*{"even": (2, 12), "wide": (14, 24), "pair": (2, 2)}[shape]))
+    sizes = {"even": (max(1, k - 2), k + 2), "wide": (1, 3), "pair": (5, 14)}[shape]
     if shape == "pair":
         A = IntegerSet((base, base + draw(st.integers(14, 60))))
     elif draw(st.booleans()):
@@ -643,8 +642,9 @@ def dispatch_sets(draw):
                                                  min_size=k - 1, max_size=k - 1,
                                                  unique=True)))
     span = A.max - A.min
-    B = draw(st.sets(st.integers(0, span), min_size=sizes[1][0], max_size=sizes[1][1]))
-    return A, IntegerSet.of(draw(graph_values) + x for x in B)
+    B = draw(st.sets(st.integers(0, span), min_size=sizes[0], max_size=sizes[1]))
+    offset = draw(graph_values)
+    return A, IntegerSet.of(offset + x for x in B)
 
 
 @settings(max_examples=80)

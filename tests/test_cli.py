@@ -4,10 +4,12 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sumcross import (REFERENCE_SEED, IntegerSet, coprime_construction,
                       load_set, save_set, sidon_seed_construction)
-from sumcross.cli import main
+from sumcross.cli import _json_with_runs, main
 
 
 def write_set(path, values):
@@ -210,6 +212,45 @@ def test_printed_json_is_the_json_file(tmp_path, capsys, command):
     assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
+@st.composite
+def degree_lists(draw):
+    """Lists of ints: empty, one element, one run, two values alternating,
+    unsorted, negative, past 2**63, nonincreasing with long runs, or any
+    of these with True in them."""
+    values = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+    shape = draw(st.sampled_from(["any", "one", "run", "alternate", "sorted"]))
+    if shape == "one":
+        degrees = [draw(values)]
+    elif shape == "run":
+        degrees = [draw(values)] * draw(st.integers(1, 40))
+    elif shape == "alternate":
+        degrees = [draw(values), draw(values)] * draw(st.integers(1, 20))
+    elif shape == "sorted":
+        degrees = sorted(draw(st.lists(st.integers(0, 5), max_size=80)),
+                         reverse=True)
+    else:
+        degrees = draw(st.lists(values, max_size=20))
+    if draw(st.integers(0, 4)) == 0:
+        degrees.insert(draw(st.integers(0, len(degrees))), True)
+    return degrees
+
+
+@given(st.dictionaries(st.text().filter(lambda k: k != "degreeSequence"),
+                       st.one_of(st.text(), st.floats(), st.none(),
+                                 st.booleans(), st.integers()),
+                       max_size=4),
+       degree_lists())
+@example({}, [])
+@example({"crossings": 0}, [7])
+@example({"crossings": 1, "ratio": 0.5, "name": "x", "none": None}, [3, 3, 1])
+@example({"flag": True}, [1, True, 1])  # a bool falls back to json.dumps
+@example({}, [2**63, 2**63, -2**64, 5, 5])
+def test_runs_encoder_is_json_dumps(head, degrees):
+    """The runs encoder writes the bytes of ``json.dumps(indent=2)``."""
+    payload = {**head, "degreeSequence": degrees}
+    assert _json_with_runs(payload) == json.dumps(payload, indent=2)
+
+
 class TestCheck:
     def test_passing_instance_exits_zero(self, tmp_path, capsys):
         a = write_set(tmp_path / "a.txt", [0, 1, 3, 7])
@@ -279,6 +320,14 @@ class TestGoldenBytes:
         if name == "seeded_depth1" and command == "check":
             assert '"energy15"' in out.read_text()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", ["coprime_t1", "seeded_depth1"])
+    def test_crossings_prints_its_json_file(self, tmp_path, capsys, name):
+        a, b = self.instance(tmp_path, name)
+        out = tmp_path / "out.json"
+        assert run("crossings", "--a", a, "--b", b, "--json", out,
+                   "--outdir", tmp_path) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 class TestSidonCli:

@@ -274,6 +274,12 @@ class TestVectorSequenceType:
         with pytest.raises(ValueError):
             VectorSequence(1, ((0,), (1,), (2,), (1,), (0,)), 2)
 
+    def test_names_the_first_gap_that_repeats(self):
+        """Gaps 1, 3, 3, 1, -8: the second 3 comes before the second 1, so
+        3 is named, though 1 is the smaller gap and occurs first."""
+        with pytest.raises(ValueError, match=r"difference \(3,\)$"):
+            VectorSequence(1, ((0,), (1,), (4,), (7,), (8,), (0,)), 8)
+
     def test_rejects_open_sequence(self):
         with pytest.raises(ValueError):
             VectorSequence(1, ((0,), (1,)), 1)
