@@ -3,22 +3,21 @@ every edge is an upper semicircular arc.  Two arcs cross iff their endpoint
 intervals strictly interleave; they intersect iff the open intervals overlap
 at all (interleaving or nesting) and the edges share no vertex.
 
-The sum graph's vertices are the distinct sums of the representation
-profile; ``build_sum_graph`` ranks the pairs from the sort behind it.  Only
-the order of the points matters for any count, so a graph keeps no
-coordinates.  Edges are stored as int64 columns and every count on a graph
-is computed with numpy in O(m log m), without a Python loop over edges:
-the merge pass.  The translate-pair sweep counts from the sets
-instead, one pair of translates at a time: the arc pairs of A against the
-differences of B below span(A), O(|A|^2 log |B|) after O(|B|^2) to gather
-those differences, or O(|A|^2 + span(A)) by histograms when span(A) is
-small against them.  ``crossing_stats`` and
-``max_translate_pair_crossings`` always sweep.  A graph made by
-``build_sum_graph`` remembers its sets, and its crossings and
+The sum graph's vertices are the distinct pair sums; ``build_sum_graph``
+ranks the pairs by one sort of their sums, made here.  Only the order of
+the points matters for any count, so a graph keeps no coordinates.  Edges
+are stored as int64 columns and every count on a graph is computed with
+numpy in O(m log m), without a Python loop over edges: the merge pass.  The
+translate-pair sweep counts from the sets instead, one pair of translates
+at a time: the arc pairs of A against the differences of B below span(A),
+O(|A|^2 log |B|) after O(|B|^2) to gather those differences, or O(|A|^2 +
+span(A)) by histograms when span(A) is small against them.
+``crossing_stats`` and ``max_translate_pair_crossings`` always sweep.  A
+graph made by ``build_sum_graph`` remembers its sets, and its crossings and
 intersections come from the sweep when that is the smaller job, from the
 merge pass otherwise; the merge pass counts every other graph, such as a
-subgraph or a copy of a sum graph.  ``has_parallel_edges`` reads A alone
-on a sum graph whose A has distinct consecutive differences.
+subgraph or a copy of a sum graph.  ``has_parallel_edges`` reads A alone on
+a sum graph whose A has distinct consecutive differences.
 
 Each counter's peak memory, in bytes per edge and per vertex, is listed
 in the README and held to that bound by ``test_peak_memory``.
@@ -31,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sets import (IntegerSet, _gather, _pair_offsets, _profile_and_order,
-                   is_dcd, representation_profile)
+from .sets import (_INT64_SPAN, IntegerSet, _gather, _pair_offsets, is_dcd,
+                   representation_profile)
 
 __all__ = [
     "ArcGraph",
@@ -115,21 +114,38 @@ def build_sum_graph(A: IntegerSet, B: IntegerSet) -> ArcGraph:
     differences the same vertex pair can occur twice; such parallel edges
     are retained.
 
-    A pair's vertex is its sum's rank: the running count of runs of equal
-    sums in the order of the profile's sort, scattered back through the
-    order, which goes before the edges are cut: vertex i is the i-th
-    smallest sum.  The graph records (A, B) as its ``summands``.
+    A pair's vertex is its sum's rank among the distinct sums, so vertex i
+    is the i-th smallest sum: the running count of runs of equal sums in
+    the order of one sort of the pair sums, scattered back through the
+    order, which needs no stable order.  When (span(A) + span(B) + 1) *
+    |A||B| fits int64, an in-place sort of the distinct keys sum * |A||B| +
+    i*|B| + j gives the sums and the order at once; other inputs take an
+    argsort, a stable one for Python ints, whose timsort merges the rows,
+    each already in order.  The graph records (A, B) as its ``summands``.
     """
     if len(A) < 2:
         raise ValueError("A must have at least two elements")
-    profile, order = _profile_and_order(A, B)
-    rank = np.zeros(len(order), dtype=np.int64)
-    rank[np.cumsum(profile.multiplicities[:-1])] = 1
+    a, b = _pair_offsets(A, B)
+    sums = (a[:, None] + b[None, :]).ravel()
+    n = len(sums)
+    if (A.max - A.min + B.max - B.min + 1) * n <= _INT64_SPAN:
+        sums *= n
+        sums += np.arange(n)
+        sums.sort()
+        order = sums % n
+        sums //= n
+    else:
+        order = np.argsort(sums, kind="stable" if sums.dtype == object else None)
+        sums = sums[order]
+    rank = np.zeros(n, dtype=np.int64)
+    np.not_equal(sums[1:], sums[:-1], out=rank[1:])
+    del sums
     np.cumsum(rank, out=rank)
+    num_vertices = int(rank[-1]) + 1
     rank[order] = rank.copy()
     del order
     index = rank.reshape(len(A), len(B)).T
-    graph = ArcGraph(len(profile.offsets), u=index[:, :-1].ravel(),
+    graph = ArcGraph(num_vertices, u=index[:, :-1].ravel(),
                      v=index[:, 1:].ravel())
     object.__setattr__(graph, "summands", (A, B))
     return graph

@@ -231,7 +231,7 @@ def check_energy_lower(A: IntegerSet, B: IntegerSet) -> BoundReport:
     if len(A) != len(B):
         raise ValueError("sets must have equal size")
     profile = representation_profile(A, B)
-    return _energy_report(len(A), len(profile.counts),
+    return _energy_report(len(A), len(profile.offsets),
                           energy(profile, 1.5).value, is_dcd(A))
 
 
@@ -256,7 +256,7 @@ def check_heavy_subset(A: IntegerSet, B: IntegerSet,
     if (at < 0).any():
         raise ValueError(f"{S[int(np.argmax(at < 0))]} is not in the sumset")
     mass = int(profile.multiplicities[at].sum())
-    return _heavy_subset_report(len(A), len(B), len(profile.counts), len(S),
+    return _heavy_subset_report(len(A), len(B), len(profile.offsets), len(S),
                                 mass, is_dcd(A))
 
 
@@ -282,7 +282,7 @@ def check_level_set_count(A: IntegerSet, B: IntegerSet, t: int) -> BoundReport:
     if t < 2:
         raise ValueError("t must be >= 2")
     profile = representation_profile(A, B)
-    return _level_set_report(len(A), len(B), len(profile.counts), t,
+    return _level_set_report(len(A), len(B), len(profile.offsets), t,
                              level_set_size(profile, t), is_dcd(A))
 
 
@@ -378,7 +378,7 @@ def run_all_checks(A: IntegerSet, B: IntegerSet) -> list[BoundReport]:
     """
     profile = representation_profile(A, B)
     k, l = len(A), len(B)
-    s = len(profile.counts)
+    s = len(profile.offsets)
     pre = is_dcd(A)
     reports = [
         _sumset_lower_report(k, l, s, pre),

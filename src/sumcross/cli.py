@@ -6,7 +6,8 @@ JSON plus a run manifest, and outputs are byte-stable across repeated runs.
 
 Exit codes: 0 ok, 1 assert-mode bound violation or reference mismatch,
 2 malformed input or a file that cannot be read or written (a one-line
-``error:`` message on stderr, no traceback).
+``error:`` message on stderr, no traceback), 3 an internal error: any other
+exception, ``MemoryError`` included, with its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import itertools
 import json
 import operator
 import sys
+import traceback
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -199,7 +201,7 @@ def cmd_analyze(args) -> int:
     result = {
         "aSize": len(A),
         "bSize": len(B),
-        "sumsetSize": len(profile.counts),
+        "sumsetSize": len(profile.offsets),
         "differenceSize": sumset_size(A, _negated(B)),
         "energy2": energy(profile, 2).value,
         "energy15": energy(profile, 1.5).value,
@@ -444,6 +446,10 @@ def main(argv=None) -> int:
         # malformed input (SetFileError is a ValueError) or unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # a fault of the program, not of its input, never read as a verdict
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,14 +6,14 @@ Everything here is a pure function of immutable inputs and is exact over
 arbitrary-precision integers; only fractional-exponent energies go through
 floating point.
 
-The representation profile comes from one stable sort of the pair sums.
-That sort is made here only: ``arcgraph`` takes its order with the profile
-(``_profile_and_order``) to rank the pairs for the sum graph.
+``sumset_size`` and ``representation_profile`` share one chunk loop over
+the pair sums (``_each_chunk``): each chunk's sums are gathered and sorted
+in a bounded buffer, and only what the caller keeps of them, a count or
+the runs of equal sums, outlives the chunk.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 import sys
@@ -22,7 +22,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -126,34 +126,29 @@ class RepProfile:
     ``multiplicities[i]`` pairs (a, b).  ``offsets`` is int64 while the
     sums span less than 2**63 and holds Python ints (object dtype) above.
 
-    :func:`representation_profile` builds a profile from the sort of the
-    pair sums and hands the constructor its arrays; ``appearance`` ranks
-    the sums by first appearance (its argsort is that order).  ``counts``
-    reads the arrays back as a mapping ``{sum: count}``, in that order.
+    :func:`representation_profile` builds a profile from the sorted pair
+    sums and hands the constructor its arrays.  ``counts`` reads the arrays
+    back as a mapping ``{sum: count}``, in increasing order of the sums.
     Every profile is checked: the counts sum to |A||B| and each lies in
     [1, min(|A|, |B|)].
     """
 
-    __slots__ = ("base", "offsets", "multiplicities", "source_sizes",
-                 "_appearance")
+    __slots__ = ("base", "offsets", "multiplicities", "source_sizes")
 
     def __init__(self, base: int, offsets: np.ndarray,
-                 multiplicities: np.ndarray, source_sizes: tuple[int, int],
-                 appearance: np.ndarray):
-        for array in (offsets, multiplicities, appearance):
+                 multiplicities: np.ndarray, source_sizes: tuple[int, int]):
+        for array in (offsets, multiplicities):
             array.setflags(write=False)
         fields = dict(base=base, offsets=offsets, multiplicities=multiplicities,
-                      source_sizes=tuple(source_sizes), _appearance=appearance)
+                      source_sizes=tuple(source_sizes))
         for name, value in fields.items():
             object.__setattr__(self, name, value)
         ka, kb = self.source_sizes
         if multiplicities.sum() != ka * kb:
             raise ValueError("representation counts must sum to |A|*|B|")
         cap = min(ka, kb)
-        bad = (multiplicities < 1) | (multiplicities > cap)
-        if bad.any():
-            bad = np.flatnonzero(bad)
-            i = bad[appearance[bad].argmin()]
+        if multiplicities.min() < 1 or multiplicities.max() > cap:
+            i = np.flatnonzero((multiplicities < 1) | (multiplicities > cap))[0]
             raise ValueError(f"count {multiplicities[i]} for "
                              f"{base + int(offsets[i])} outside "
                              "[1, min(|A|,|B|)]")
@@ -164,12 +159,8 @@ class RepProfile:
     @property
     def counts(self) -> Mapping[int, int]:
         """The profile as a read-only mapping ``{sum: count}``, iterated in
-        order of first appearance."""
+        increasing order of the sums."""
         return _Counts(self)
-
-    def first_seen(self) -> np.ndarray:
-        """Indices into the sorted sums, in order of first appearance."""
-        return np.argsort(self._appearance)
 
     def locate(self, values: Sequence[int]) -> np.ndarray:
         """Index of each value among the sorted sums; -1 for a value that
@@ -180,8 +171,6 @@ class RepProfile:
             # an offset outside int64 is no sum; -1 matches no offset
             wanted = [x if 0 <= x < _INT64_SPAN else -1 for x in wanted]
         wanted = np.array(wanted, dtype=offsets.dtype)
-        if not len(offsets):
-            return np.full(len(wanted), -1, dtype=np.intp)
         at = np.minimum(np.searchsorted(offsets, wanted), len(offsets) - 1)
         return np.where(offsets[at] == wanted, at, -1)
 
@@ -206,7 +195,7 @@ class _Counts(Mapping):
 
     def __iter__(self) -> Iterator[int]:
         p = self._profile
-        return map(p.base.__add__, p.offsets[p.first_seen()].tolist())
+        return map(p.base.__add__, p.offsets.tolist())
 
     def __getitem__(self, x) -> int:
         try:
@@ -260,61 +249,40 @@ def _pair_offsets(A: IntegerSet, B: IntegerSet) -> tuple[np.ndarray, np.ndarray]
     return _offsets(A.elements, dtype), _offsets(B.elements, dtype)
 
 
-def _profile_and_order(A: IntegerSet,
-                       B: IntegerSet) -> tuple[RepProfile, np.ndarray]:
-    """The representation profile of (A, B) and the order behind it: one
-    stable sort of the pair sums a_i + b_j, flattened as i*|B| + j, a outer
-    and b inner, so the first pair of each run of equal sums is the sum's
-    first appearance.  ``arcgraph`` ranks the pairs from the order for the
-    sum graph; :func:`representation_profile` drops it.
-
-    When (span(A) + span(B) + 1) * |A||B| fits int64, an in-place sort of
-    the keys sum * |A||B| + i*|B| + j does the same, about 3x as fast."""
-    a, b = _pair_offsets(A, B)
-    sums = (a[:, None] + b[None, :]).ravel()
-    n = len(sums)
-    if (A.max - A.min + B.max - B.min + 1) * n <= _INT64_SPAN:
-        sums *= n
-        sums += np.arange(n)
-        sums.sort()
-        order = sums % n
-        sums //= n
-    else:
-        order = np.argsort(sums, kind="stable")
-        sums = sums[order]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.not_equal(sums[1:], sums[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    del new
-    values = sums[starts]
-    del sums
-    profile = RepProfile(A.min + B.min, values, np.diff(starts, append=n),
-                         (len(A), len(B)), order[starts])
-    return profile, order
-
-
 def representation_profile(A: IntegerSet, B: IntegerSet) -> RepProfile:
     """Multiplicity of every sum value; totals |A|*|B| by construction.
 
-    The profile keeps the arrays of one stable sort of the pair sums: the
-    distinct sums, their counts and each one's first pair.  The sums appear
-    in ``counts`` in the order in which they first occur as a runs over A
-    and, inside, b over B.
+    The pair sums come from the chunk loop of :func:`sumset_size`, every
+    pair gathered: in each chunk [lo, hi) the runs of equal sorted keys are
+    the chunk's distinct sums (a run's key + lo) and their counts (the run
+    lengths).  The chunks cover increasing ranges of sums, so their runs,
+    concatenated, are the profile's arrays.
     """
-    return _profile_and_order(A, B)[0]
+    dtype = (np.int64 if (A.max - A.min) + (B.max - B.min) < _INT64_SPAN
+             else object)
+    first = np.zeros(len(A), dtype=np.intp)
+    runs = list(_each_chunk(A, B, first, lambda keys, lo: _runs(keys, lo, dtype)))
+    offsets, multiplicities = map(np.concatenate, zip(*runs))
+    return RepProfile(A.min + B.min, offsets, multiplicities, (len(A), len(B)))
+
+
+def _runs(keys: np.ndarray, lo: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the sorted ``keys`` plus ``lo``, as ``dtype``,
+    and how often each occurs."""
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    values = keys[starts].astype(dtype, copy=False)
+    values += lo
+    return values, np.diff(starts, append=len(keys))
 
 
 def energy(profile: RepProfile, alpha: float) -> EnergyValue:
     """Sum of counts**alpha over the sumset support.
 
-    Integer alpha is evaluated exactly over Python integers; fractional
-    alpha uses double precision (relative error <= 1e-12 per term), with
-    the terms added one by one in the order of ``profile.counts``: the
-    builtin ``sum`` compensates float rounding from Python 3.12 on, which
-    would make the value depend on the interpreter.  Each distinct count
-    is raised to alpha once, by Python's ``pow``; ``np.cumsum`` adds the
-    terms strictly left to right.
+    Integer alpha is evaluated exactly over Python integers.  Fractional
+    alpha raises each distinct count c once, by Python's ``pow``, and adds
+    the terms h[c] * c**alpha over the histogram h of the counts exactly,
+    as integers over one power of two, rounding once in the division: the
+    value depends on neither an order of the sums nor the Python version.
     """
     if alpha <= 1:
         raise ValueError("alpha must be > 1")
@@ -324,10 +292,10 @@ def energy(profile: RepProfile, alpha: float) -> EnergyValue:
         e = int(alpha)
         value: int | float = sum(int(histogram[c]) * c**e for c in distinct)
     else:
-        powers = np.zeros(len(histogram))
-        powers[distinct] = [pow(c, alpha) for c in distinct]
-        terms = powers[profile.multiplicities[profile.first_seen()]]
-        value = float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+        ratios = [pow(c, alpha).as_integer_ratio() for c in distinct]
+        scale = max(d for _, d in ratios)
+        value = sum(int(histogram[c]) * n * (scale // d)
+                    for c, (n, d) in zip(distinct, ratios)) / scale
     return EnergyValue(float(alpha), value)
 
 
@@ -429,22 +397,29 @@ def sumset_size(A: IntegerSet, B: IntegerSet) -> int:
     quarter as many pairs: 64 bytes per pair of a chunk plus 160 per
     element for values below 2**88.
     """
+    # row i pairs a_i with b_j for first[i] <= j
+    first = (np.arange(len(A)) if A.elements == B.elements
+             else np.zeros(len(A), dtype=np.intp))
+    return sum(_each_chunk(A, B, first, lambda keys, lo: 1 + int(
+        np.count_nonzero(keys[1:] != keys[:-1]))))
+
+
+def _each_chunk(A: IntegerSet, B: IntegerSet, first: np.ndarray,
+                reduce: Callable[[np.ndarray, int], object]) -> Iterator:
+    """``reduce(keys, lo)`` for each chunk [lo, hi) of the sums a_i + b_j,
+    j >= first[i], of (A - min A) + (B - min B), in increasing order:
+    ``keys`` holds the chunk's sums less lo, gathered and sorted in place
+    by :func:`_sorted_keys`.  Each chunk's keys are freed when ``reduce``
+    returns, before the next chunk is gathered."""
     # |A+B| is translation invariant: count (A - min A) + (B - min B)
     wide = (A.max - A.min) + (B.max - B.min) >= _UINT64_SPAN_LIMIT
     dtype = object if wide else np.uint64
     a, b = _offsets(A.elements, dtype), _offsets(B.elements, dtype)
-    # row i pairs a_i with b_j for first[i] <= j
-    if A.elements == B.elements:
-        first = np.arange(len(a))
-    else:
-        first = np.zeros(len(a), dtype=np.intp)
     chunk = max(1, _CHUNK_ELEMENTS // 4) if wide else _CHUNK_ELEMENTS
-    total = 0
     starts = first
     for lo, hi, stops in _chunks(a, b, first, chunk):
-        total += _distinct_sums(a, b, starts, stops, lo, hi)
+        yield reduce(_sorted_keys(a, b, starts, stops, lo, hi), lo)
         starts = stops
-    return total
 
 
 def _rows_below(a: np.ndarray, b: np.ndarray, first: np.ndarray,
@@ -512,20 +487,21 @@ def _gather(a: np.ndarray, b: np.ndarray, starts: np.ndarray,
     return sums
 
 
-def _distinct_sums(a: np.ndarray, b: np.ndarray, starts: np.ndarray,
-                   stops: np.ndarray, lo: int, hi: int) -> int:
-    """Distinct values among a_i + b_j for starts[i] <= j < stops[i], all of
-    them in [lo, hi): gather the keys a_i + b_j - lo, sort in place, count
-    the steps.  Python-int offsets give exact Python-int keys.  Otherwise
-    the keys are uint32 when hi - lo <= 2**32, else uint64; each lies in
-    [0, hi - lo), so the sum of a_i - lo and b_j, both reduced modulo the
-    key width (a_i - lo wraps where a_i < lo), is the key."""
+def _sorted_keys(a: np.ndarray, b: np.ndarray, starts: np.ndarray,
+                 stops: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The sorted keys a_i + b_j - lo for starts[i] <= j < stops[i], every
+    sum in [lo, hi): gathered, then sorted in place.  Python-int offsets
+    give exact Python-int keys, sorted by a stable sort, whose timsort
+    merges the rows, each already in order.  Otherwise the keys are uint32
+    when hi - lo <= 2**32, else uint64; each lies in [0, hi - lo), so the
+    sum of a_i - lo and b_j, both reduced modulo the key width (a_i - lo
+    wraps where a_i < lo), is the key."""
     key = (object if a.dtype == object
            else np.uint32 if hi - lo <= _UINT32_SPAN else np.uint64)
     sums = _gather((a - a.dtype.type(lo)).astype(key, copy=False),
                    b.astype(key, copy=False), starts, stops)
-    sums.sort()
-    return 1 + int(np.count_nonzero(sums[1:] != sums[:-1]))
+    sums.sort(kind="stable" if key is object else None)
+    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ checked against something that cannot share their bugs.
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -208,8 +209,7 @@ def sumset_size_by_definition(A: IntegerSet, B: IntegerSet) -> int:
 
 def representation_profile_by_definition(A: IntegerSet,
                                          B: IntegerSet) -> Counter:
-    """Pairs per sum value in a Counter filled with a outer and b inner, so
-    its keys are in order of first appearance."""
+    """Pairs per sum value, counted pair by pair in a Counter."""
     counts = Counter()
     for a in A:
         for b in B:
@@ -218,11 +218,9 @@ def representation_profile_by_definition(A: IntegerSet,
 
 
 def energy_by_definition(counts: Counter, alpha: float) -> float:
-    """Sum of count**alpha, added left to right in the order of the keys."""
-    total = 0.0
-    for c in counts.values():
-        total = total + c**alpha
-    return total
+    """Sum of count**alpha over the sums, one term per sum, each term taken
+    exactly as a Fraction and the total rounded to a float once."""
+    return float(sum(Fraction(c**alpha) for c in counts.values()))
 
 
 def additive_quadruples(A: IntegerSet, B: IntegerSet) -> int:

@@ -485,14 +485,14 @@ def sum_graph_sets(draw):
 @example((iset(-2**62, 2**62), iset(0, 2**62)))  # a sum reaches 2**63
 @example((iset(-2**63, 0), iset(-1, 5)))  # a sum below -2**63
 def test_profile_and_sum_graph_against_the_definitions(sets):
-    """The profile and the sum graph, each from its sort of the pair sums
-    (packed keys or a stable argsort), against the pair-by-pair oracles:
-    the counts and their order of first appearance, the sums, the vertex
-    count and the u and v columns."""
+    """The profile, from the chunk loop, and the sum graph, from its rank
+    sort of the pair sums (packed keys or an argsort), against the
+    pair-by-pair oracles: the counts in increasing order of the sums, the
+    sums, the vertex count and the u and v columns."""
     A, B = sets
     profile = representation_profile(A, B)
     oracle = representation_profile_by_definition(A, B)
-    assert list(profile.counts.items()) == list(oracle.items())
+    assert list(profile.counts.items()) == sorted(oracle.items())
     sums, edges = sum_graph_by_definition(A, B)
     assert [profile.base + x for x in profile.offsets.tolist()] == list(sums)
     if len(A) < 2:
@@ -774,7 +774,8 @@ def test_peak_memory():
     covers fixed-size allocations.  The translate-pair sweep and
     crossing_stats are held on coprime t=1, 2, 4 (the dense path, one
     block of arc pairs) and on |A| = 800 against |B| = 30 (the sorted path,
-    two blocks, the first one full).
+    two blocks, the first one full); every case fits one chunk of the
+    profile.
     The crossing and intersection counts of a sum graph are held to the
     bound of the path ``_sweep_is_smaller`` picks: the sweep on the coprime
     pairs, the merge pass on |A| = 800 against |B| = 30 and on |A| = 2
@@ -837,7 +838,9 @@ def test_peak_memory():
             assert peak(has_parallel_edges, g) <= 9 * m
             assert peak(degree_sequence, g) <= 64 * n
             assert peak(max_translate_pair_crossings, A, B) <= bound
-            profiled = 40 * len(A) * len(B) + 24 * n + 96 * len(B)
+            # the profile's bound, one chunk, + 8 per vertex for the degrees
+            profiled = (16 * len(A) * len(B) + 64 * (len(A) + len(B))
+                        + 512 + 40 * n + 96 * len(B))
             assert peak(crossing_stats, A, B) <= max(profiled, bound + 40 * n)
         finally:
             tracemalloc.stop()

@@ -506,12 +506,13 @@ class TestSuiteRunner:
 
     def test_one_sort_per_builder_and_few_dcd_tests_per_suite(self, monkeypatch):
         # the suite builds the profile and the sum graph through the public
-        # builders, each with one sort; coprime t=3 has 13 level-set
-        # reports, and the suite tests A's gaps once for all reports
+        # builders, the profile from one chunk loop over the pair sums and
+        # the graph from its own sort; coprime t=3 has 13 level-set reports,
+        # and the suite tests A's gaps once for all reports
         # (has_parallel_edges reads them again on its own, through
         # arcgraph's is_dcd, on each of its two calls)
-        from sumcross import arcgraph, bounds, sets
-        calls = dict.fromkeys(("profile", "graph", "sort", "is_dcd"), 0)
+        from sumcross import bounds, sets
+        calls = dict.fromkeys(("profile", "graph", "chunk loop", "is_dcd"), 0)
 
         def counted(name, f):
             def wrapper(*args):
@@ -519,9 +520,8 @@ class TestSuiteRunner:
                 return f(*args)
             return wrapper
 
-        sort = counted("sort", sets._profile_and_order)
-        monkeypatch.setattr(sets, "_profile_and_order", sort)
-        monkeypatch.setattr(arcgraph, "_profile_and_order", sort)
+        monkeypatch.setattr(sets, "_each_chunk",
+                            counted("chunk loop", sets._each_chunk))
         monkeypatch.setattr(bounds, "representation_profile",
                             counted("profile", bounds.representation_profile))
         monkeypatch.setattr(bounds, "build_sum_graph",
@@ -530,5 +530,5 @@ class TestSuiteRunner:
         A, B, _ = coprime_construction(3)
         reports = run_all_checks(A, B)
         assert sum(r.name == "level_set_count_lt" for r in reports) >= 10
-        assert (calls["profile"], calls["graph"], calls["sort"]) == (1, 1, 2)
+        assert (calls["profile"], calls["graph"], calls["chunk loop"]) == (1, 1, 1)
         assert calls["is_dcd"] == 1

@@ -276,6 +276,24 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "synthetic_ge" in err
 
+    @pytest.mark.parametrize("error", [RuntimeError, MemoryError])
+    def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch,
+                                        error):
+        # an exception other than ValueError or OSError is a fault of the
+        # program: exit 3 with its traceback, not 1 (a failed bound)
+        from sumcross import cli as cli_mod
+
+        def broken(A, B):
+            raise error("synthetic internal error")
+
+        monkeypatch.setattr(cli_mod, "run_all_checks", broken)
+        a = write_set(tmp_path / "a.txt", [0, 1])
+        assert run("check", "all", "--a", a, "--b", a,
+                   "--outdir", tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith(f"{error.__name__}: synthetic internal error\n")
+
 
 class TestGoldenBytes:
     """SHA-256 of JSON outputs pinned from an earlier release, so that a
@@ -299,9 +317,9 @@ class TestGoldenBytes:
         ("check", "coprime_t1",
          "4abda535e2b40ea7ac1c3a03e14ea8f4df2d991d69df899dbdc9bdaf72abc20c"),
         ("check", "seeded_depth1",
-         "d3128a820d356c5d98769103f69e7f9eb787c7ff1b42fa0de3a9f7916911e151"),
+         "a75de357995fe7006b823e86b069387db2fbaafb0c191cf48a923f5e2dd5c69b"),
         ("analyze", "coprime_t1",
-         "254a79cd0fffbacc580128ab6b97bd2afb1244b65d8e47c589c36141d9f5a60f"),
+         "209d4f217cf6aac6080e24e97ef5ddf10ef5e6aab025a30f706afe5a830cc69e"),
         ("check", "coprime_t3",
          "c5088432c099c593525cb69e8649d9faa574c00a024de4582c7ea0ea25e17624"),
         ("crossings", "coprime_t1",

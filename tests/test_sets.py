@@ -66,6 +66,35 @@ def iset(*values):
     return IntegerSet.of(values)
 
 
+@st.composite
+def spanned_set(draw, span: int) -> IntegerSet:
+    """A set of the given span: its ends, a run of up to 10 consecutive
+    values from its minimum (many pairs share a sum) and a few values
+    anywhere between."""
+    lo = draw(st.integers(-2**65, 2**65))
+    run = draw(st.integers(1, 10))
+    inside = draw(st.lists(st.integers(lo, lo + span), max_size=4))
+    return IntegerSet.of([lo, lo + span, *range(lo, lo + min(run, span + 1)),
+                          *inside])
+
+
+@st.composite
+def profile_pairs(draw) -> tuple[IntegerSet, IntegerSet]:
+    """(A, B) whose summed spans lie within 3 of 2**32 (the key width),
+    2**63 (the offset dtype) or 2**64 - 1 (Python-int keys), or below 100;
+    A == B, |A| = 1 or two sets drawn apart."""
+    total = draw(st.one_of(
+        st.sampled_from([2**32, 2**63, 2**64 - 1]).flatmap(
+            lambda c: st.integers(c - 3, c + 3)),
+        st.integers(0, 100)))
+    shape = draw(st.sampled_from(["apart", "same", "singleton"]))
+    if shape == "same":
+        A = draw(spanned_set(total // 2))
+        return A, A
+    span_a = 0 if shape == "singleton" else draw(st.integers(0, total))
+    return draw(spanned_set(span_a)), draw(spanned_set(total - span_a))
+
+
 def chunked_sumset_size(A: IntegerSet, B: IntegerSet, chunk: int) -> int:
     """``sumset_size(A, B)`` with chunks of at most ``chunk`` pairs."""
     with mock.patch.object(sets_module, "_CHUNK_ELEMENTS", chunk):
@@ -151,7 +180,7 @@ class TestIntegerSet:
         assert sumset(A, A) == sumset(plain, plain)
         assert sumset_size(A, A) == sumset_size(plain, plain) == 6
         profile = representation_profile(A, A)
-        assert list(profile.counts.items()) == list(
+        assert list(profile.counts.items()) == sorted(
             representation_profile_by_definition(plain, plain).items())
         assert type(profile.base) is int
 
@@ -246,22 +275,18 @@ class TestRepresentationProfile:
 
     def test_validation(self):
         with pytest.raises(ValueError, match=r"^representation counts"):
-            RepProfile(0, np.array([0]), np.array([1]), (2, 2), np.array([0]))
+            RepProfile(0, np.array([0]), np.array([1]), (2, 2))
         with pytest.raises(ValueError, match=r"^count 3 for 0 outside"):
-            RepProfile(0, np.array([0, 1]), np.array([3, 1]), (2, 2),
-                       np.array([0, 1]))
+            RepProfile(0, np.array([0, 1]), np.array([3, 1]), (2, 2))
 
     def test_validation_names_the_first_bad_count(self):
-        """The first bad count in order of first appearance is named."""
+        """The bad count of the smallest sum is named."""
         with pytest.raises(ValueError, match=r"^count 0 for 5 outside"):
-            RepProfile(4, np.arange(4), np.array([1, 0, 3, 0]), (2, 2),
-                       np.arange(4))
-        with pytest.raises(ValueError, match=r"^count 0 for 7 outside"):
-            RepProfile(4, np.arange(4), np.array([1, 0, 3, 0]), (2, 2),
-                       np.arange(4)[::-1].copy())
+            RepProfile(4, np.arange(4), np.array([1, 0, 3, 0]), (2, 2))
+        with pytest.raises(ValueError, match=r"^count 0 for 4 outside"):
+            RepProfile(4, np.arange(4), np.array([0, 1, 3, 0]), (2, 2))
         with pytest.raises(ValueError, match=r"^count 3 for 6 outside"):
-            RepProfile(4, np.array([0, 2]), np.array([1, 3]), (2, 2),
-                       np.arange(2))
+            RepProfile(4, np.array([0, 2]), np.array([1, 3]), (2, 2))
 
     @given(st.sets(profile_values, min_size=1, max_size=12),
            st.sets(profile_values, min_size=1, max_size=12), st.booleans())
@@ -270,85 +295,140 @@ class TestRepresentationProfile:
     @example({-2**62, 0, 1, 2**62}, set(), True)
     @example({-(2**62) - 1, 2**62}, {0, 2**62}, False)
     @example({2**64, -2**64, 3}, {-2**62, 2**62 + 5}, False)
-    def test_matches_definition_in_first_appearance_order(self, xs, ys, same):
+    def test_matches_definition_in_increasing_order(self, xs, ys, same):
         A = IntegerSet.of(xs)
         B = A if same or not ys else IntegerSet.of(ys)
         profile = representation_profile(A, B)
         oracle = representation_profile_by_definition(A, B)
-        assert list(profile.counts.items()) == list(oracle.items())
-        # the fractional energy adds floats in key order: bit for bit
+        assert list(profile.counts.items()) == sorted(oracle.items())
+        # the fractional energy is the exactly rounded sum: bit for bit
         assert (energy(profile, 1.5).value.hex()
                 == energy_by_definition(oracle, 1.5).hex())
 
-    def test_peak_memory(self):
+    def test_peak_memory(self, monkeypatch):
         """Peak memory within the bounds the README states, measured with
         tracemalloc (numpy reports its buffers there); 64 KB covers
-        fixed-size allocations.  While the sums fit int64: 40 bytes per
-        pair plus 16 per distinct sum.  From summed spans of 2**63 on,
-        where the pair sums are Python ints, with values below 2**88 in
-        absolute value: 64 bytes per pair plus 80 per distinct sum, on
-        random values (nearly every sum distinct) and on an arithmetic
-        progression (few).  |A| = 1 and |A| = 2 with every sum distinct
-        are the cases closest to the per-sum bounds.
+        fixed-size allocations.  The profile is held to the ``sumset_size``
+        bound over all |A||B| pairs, 16 bytes per pair of a chunk plus 64
+        per element of A and B (from summed spans of 2**64 - 1 on, values
+        below 2**88: 64 per pair of a chunk of a quarter as many pairs plus
+        160 per element), plus 32 bytes per distinct sum while the offsets
+        are int64 and 80 where they are Python ints (summed spans of 2**63
+        on), plus 512 per chunk.  The cases: random values (nearly every
+        sum distinct) and an arithmetic progression (few), |A| = 1 and
+        |A| = 2 with every sum distinct, in one chunk and in many.
 
-        ``sumset`` and ``difference_set`` are held to the profile's bound
-        plus 72 bytes per distinct sum for the result's Python ints, which
-        are largest (36 bytes) when the sums pass 2**60, and
-        ``difference_set`` to 48 more per element of B for -B."""
+        ``sumset`` and ``difference_set``, on the cases in chunks of 2**22
+        pairs, are held to the profile's bound plus 80 bytes per distinct
+        sum for the result's Python ints, which are largest (36 bytes) when
+        the sums pass 2**60, and ``difference_set`` to 48 more per element
+        of B for -B."""
         rng = random.Random(43)
-        cases = [coprime_construction(1)[:2], coprime_construction(2)[:2],
+        default = 1 << 22
+        cases = [(*coprime_construction(1)[:2], default),
+                 (*coprime_construction(2)[:2], default),
                  (random_integer_set(rng, 500, 0, 10**6),
-                  random_integer_set(rng, 300, 0, 10**6)),
-                 (iset(5), random_integer_set(rng, 20000, -10**9, 10**9)),
-                 (iset(0, 3 * 10**9), random_integer_set(rng, 20000, 0, 10**9)),
+                  random_integer_set(rng, 300, 0, 10**6), default),
+                 (random_integer_set(rng, 500, 0, 10**6),
+                  random_integer_set(rng, 300, 0, 10**6), 1000),
+                 (random_integer_set(rng, 1000, 0, 10**6 - 1),
+                  random_integer_set(rng, 1000, 0, 10**6 - 1), 1 << 16),
+                 (iset(5), random_integer_set(rng, 20000, -10**9, 10**9),
+                  default),
+                 (iset(0, 3 * 10**9), random_integer_set(rng, 20000, 0, 10**9),
+                  default),
                  (iset(-2**87), IntegerSet.of(rng.randrange(-2**87, 2**87)
-                                              for _ in range(20000))),
+                                              for _ in range(20000)), default),
                  (IntegerSet.of(range(0, 3000, 3)),
-                  IntegerSet.of(range(0, 900, 3))),
+                  IntegerSet.of(range(0, 900, 3)), default),
+                 (IntegerSet.of(range(0, 3000, 3)),
+                  IntegerSet.of(range(0, 900, 3)), 4096),
                  (IntegerSet.of(rng.randrange(-2**62, 2**62)
                                 for _ in range(300)),
                   IntegerSet.of(rng.randrange(-2**62, 2**62)
-                                for _ in range(200))),
-                 (IntegerSet.of(rng.randrange(-2**87, 2**87)
-                                for _ in range(250)),) * 2,
+                                for _ in range(200)), default),
+                 (IntegerSet.of(rng.randrange(-2**62, 2**62)
+                                for _ in range(300)),
+                  IntegerSet.of(rng.randrange(-2**62, 2**62)
+                                for _ in range(200)), 500),
+                 (*(IntegerSet.of(rng.randrange(-2**87, 2**87)
+                                  for _ in range(250)),) * 2, default),
+                 (*(IntegerSet.of(rng.randrange(-2**87, 2**87)
+                                  for _ in range(250)),) * 2, 1000),
                  (IntegerSet.of(k << 55 for k in range(-150, 150)),
-                  IntegerSet.of(k << 55 for k in range(-100, 100))),
+                  IntegerSet.of(k << 55 for k in range(-100, 100)), default),
                  (iset(0, 2**61), IntegerSet.of(rng.randrange(2**61, 2**62)
-                                                for _ in range(20000)))]
+                                                for _ in range(20000)), default)]
+        chunks = []
+        sorted_keys = sets_module._sorted_keys
+        monkeypatch.setattr(sets_module, "_sorted_keys",
+                            lambda *args: chunks.append(1) or sorted_keys(*args))
 
-        def peak(build, A, B):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            result = build(A, B)
-            return tracemalloc.get_traced_memory()[1] - base - (1 << 16), result
+        def peak(build, A, B, chunk):
+            chunks.clear()
+            with mock.patch.object(sets_module, "_CHUNK_ELEMENTS", chunk):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                result = build(A, B)
+                used = tracemalloc.get_traced_memory()[1] - base - (1 << 16)
+            return used, result
+
+        def bound(A, B, chunk, distinct):
+            span = (A.max - A.min) + (B.max - B.min)
+            wide = span >= 2**64 - 1
+            per_pair, per_element = (64, 160) if wide else (16, 64)
+            chunk = max(1, chunk // 4) if wide else chunk
+            per_sum = 80 if span >= 2**63 else 32
+            chunk_pairs = min(len(A) * len(B), max(chunk, min(len(A), len(B))))
+            return (per_pair * chunk_pairs + per_element * (len(A) + len(B))
+                    + per_sum * distinct + 512 * len(chunks))
 
         tracemalloc.start()
         try:
-            for A, B in cases:
-                wide = (A.max - A.min) + (B.max - B.min) >= 2**63
-                per_pair, per_sum = (64, 80) if wide else (40, 16)
-                used, profile = peak(representation_profile, A, B)
-                assert used <= (per_pair * len(A) * len(B)
-                                + per_sum * len(profile.counts))
+            for A, B, chunk in cases:
+                used, profile = peak(representation_profile, A, B, chunk)
+                assert used <= bound(A, B, chunk, len(profile.offsets))
                 del profile
-                for build, per_b in ((sumset, 0), (difference_set, 48)):
-                    used, sums = peak(build, A, B)
-                    assert used <= (per_pair * len(A) * len(B)
-                                    + (per_sum + 72) * len(sums)
-                                    + per_b * len(B))
+                builds = ((sumset, 0), (difference_set, 48))
+                for build, per_b in builds if chunk == default else ():
+                    used, sums = peak(build, A, B, chunk)
+                    assert used <= (bound(A, B, chunk, len(sums))
+                                    + 80 * len(sums) + per_b * len(B))
                     del sums
         finally:
             tracemalloc.stop()
 
+    @given(profile_pairs(), st.sampled_from([1, 7, 64]))
+    @example((iset(*range(10)),) * 2, 7)  # the sum 9 has 10 pairs
+    @example((iset(0, 1, 2, 2**32 - 2), iset(0, 1, 2)), 1)
+    @example((iset(0), iset(-2**63, -1, 0)), 7)
+    @example((iset(0, 1, 2, 2**63), iset(0, 1, 2**64 - 2**63 - 1)), 1)
+    @settings(max_examples=150)
+    def test_chunked_profile_matches_the_definition(self, sets, chunk):
+        """The profile built from many chunks, some holding only part of
+        one sum's pairs, against the pair-by-pair oracle: the sums in
+        increasing order, their counts and the offsets' dtype."""
+        A, B = sets
+        with mock.patch.object(sets_module, "_CHUNK_ELEMENTS", chunk):
+            profile = representation_profile(A, B)
+        oracle = representation_profile_by_definition(A, B)
+        sums = sorted(oracle)
+        assert profile.base == sums[0]
+        assert [profile.base + x for x in profile.offsets.tolist()] == sums
+        assert profile.multiplicities.tolist() == [oracle[x] for x in sums]
+        assert profile.offsets.dtype == (
+            object if sums[-1] - sums[0] >= 2**63 else np.int64)
+        assert profile.multiplicities.dtype == np.int64
+
     def test_both_sort_paths(self):
-        # summed spans 2**63 - 1 keep the pair sums in int64; 2**63 does not
+        # summed spans 2**63 - 1 keep the offsets in int64; 2**63 does not
         for span_b, dtype in ((2**62 - 1, np.int64), (2**62, object)):
             A = iset(-2**62, -1, 0)
             B = iset(0, 1, 2, span_b - 1, span_b)
             profile = representation_profile(A, B)
             assert profile.offsets.dtype == dtype
             oracle = representation_profile_by_definition(A, B)
-            assert list(profile.counts.items()) == list(oracle.items())
+            assert list(profile.counts.items()) == sorted(oracle.items())
 
     @given(st.sets(profile_values, min_size=1, max_size=12),
            st.sets(profile_values, min_size=1, max_size=12), st.booleans())
@@ -361,7 +441,8 @@ class TestRepresentationProfile:
     def test_array_fields_levels_and_energies(self, xs, ys, same):
         """The columnar profile against the pair-by-pair oracle: offsets,
         counts and their dtypes, the level sets at every t, and the
-        energies (integer ones exact, fractional ones bit for bit)."""
+        energies (integer ones exact, fractional ones the exactly rounded
+        sum, bit for bit)."""
         A = IntegerSet.of(xs)
         B = A if same or not ys else IntegerSet.of(ys)
         profile = representation_profile(A, B)
@@ -414,15 +495,13 @@ class TestRepresentationProfile:
     def test_validation_of_counts_and_sums_beyond_int64(self):
         with pytest.raises(ValueError, match=f"^count 3 for {2**70} outside"):
             RepProfile(-2**70, np.array([0, 2**71], dtype=object),
-                       np.array([1, 3]), (2, 2), np.arange(2))
+                       np.array([1, 3]), (2, 2))
         with pytest.raises(ValueError, match=r"^representation counts"):
             RepProfile(0, np.array([0]), np.array([2**70], dtype=object),
-                       (2, 2), np.arange(1))
-        # the sum 1 appears first
-        with pytest.raises(ValueError, match=f"^count {2**70} for 1 outside"):
+                       (2, 2))
+        with pytest.raises(ValueError, match=f"^count {4 - 2**70} for 0 outside"):
             RepProfile(0, np.arange(2),
-                       np.array([4 - 2**70, 2**70], dtype=object), (2, 2),
-                       np.array([1, 0]))
+                       np.array([4 - 2**70, 2**70], dtype=object), (2, 2))
 
 
 class TestEnergy:
