@@ -17,7 +17,10 @@ graph made by ``build_sum_graph`` remembers its sets, and its crossings and
 intersections come from the sweep when that is the smaller job, from the
 merge pass otherwise; the merge pass counts every other graph, such as a
 subgraph or a copy of a sum graph.  ``has_parallel_edges`` reads A alone on
-a sum graph whose A has distinct consecutive differences.
+a sum graph whose A has distinct consecutive differences.  The 1-D sorts
+of the sum graph's keys, the edge keys and the sweep's differences and
+bounds go through ``sets._sort``, which splits a large array over two
+threads; the row sorts of the merge pass do not.
 
 Each counter's peak memory, in bytes per edge and per vertex, is listed
 in the README and held to that bound by ``test_peak_memory``.
@@ -30,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sets import (_INT64_SPAN, IntegerSet, _gather, _pair_offsets, is_dcd,
-                   representation_profile)
+from .sets import (_INT64_SPAN, IntegerSet, _gather, _pair_offsets, _sort,
+                   is_dcd, representation_profile)
 
 __all__ = [
     "ArcGraph",
@@ -131,7 +134,7 @@ def build_sum_graph(A: IntegerSet, B: IntegerSet) -> ArcGraph:
     if (A.max - A.min + B.max - B.min + 1) * n <= _INT64_SPAN:
         sums *= n
         sums += np.arange(n)
-        sums.sort()
+        _sort(sums)
         order = sums % n
         sums //= n
     else:
@@ -222,7 +225,7 @@ def _sorted_edge_keys(graph: ArcGraph) -> np.ndarray:
     edges adjacent."""
     keys = graph.u * graph.num_vertices
     keys += graph.v
-    keys.sort()
+    _sort(keys)
     return keys
 
 
@@ -378,7 +381,7 @@ def _translate_pair_sweep(A: IntegerSet,
 
         block = _ARC_PAIR_BLOCK
     else:
-        differences.sort()
+        _sort(differences)
         starts = np.flatnonzero(np.concatenate(
             ([True], differences[1:] != differences[:-1])))
         deltas = differences[starts]
@@ -387,7 +390,7 @@ def _translate_pair_sweep(A: IntegerSet,
 
         def below(bounds):
             """#{bound < delta} and #{bound <= delta} for each delta."""
-            bounds.sort()
+            _sort(bounds)
             return (np.searchsorted(bounds, deltas, "left"),
                     np.searchsorted(bounds, deltas, "right"))
 

@@ -9,12 +9,16 @@ floating point.
 ``sumset_size`` and ``representation_profile`` share one chunk loop over
 the pair sums (``_each_chunk``): each chunk's sums are gathered and sorted
 in a bounded buffer, and only what the caller keeps of them, a count or
-the runs of equal sums, outlives the chunk.
+the runs of equal sums, outlives the chunk.  ``_sort`` sorts numeric keys
+in place, and splits an array of ``_SPLIT_SORT_MIN`` keys or more in two
+halves sorted on two threads when the process may run on two CPUs: the
+sorted keys, and so every count, are the same either way.
 """
 
 from __future__ import annotations
 
 import operator
+import os
 import re
 import sys
 from bisect import bisect_left
@@ -495,13 +499,53 @@ def _sorted_keys(a: np.ndarray, b: np.ndarray, starts: np.ndarray,
     merges the rows, each already in order.  Otherwise the keys are uint32
     when hi - lo <= 2**32, else uint64; each lies in [0, hi - lo), so the
     sum of a_i - lo and b_j, both reduced modulo the key width (a_i - lo
-    wraps where a_i < lo), is the key."""
+    wraps where a_i < lo), is the key, sorted by :func:`_sort`."""
     key = (object if a.dtype == object
            else np.uint32 if hi - lo <= _UINT32_SPAN else np.uint64)
     sums = _gather((a - a.dtype.type(lo)).astype(key, copy=False),
                    b.astype(key, copy=False), starts, stops)
-    sums.sort(kind="stable" if key is object else None)
+    if key is object:
+        sums.sort(kind="stable")
+    else:
+        _sort(sums)
     return sums
+
+
+# Numeric arrays of at least this many keys are sorted in two halves.
+# Near it, starting the worker thread costs about what the split saves.
+_SPLIT_SORT_MIN = 1 << 18
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sort(keys: np.ndarray) -> None:
+    """Sort the 1-D array ``keys`` in place.  Numeric arrays of at least
+    ``_SPLIT_SORT_MIN`` keys, in a process that may use two CPUs, are
+    partitioned about their middle position, so that no key of the lower
+    half exceeds a key of the upper half, and the halves are sorted at
+    once, the lower on a second thread: numpy releases the GIL in both
+    sorts and allocates nothing per key.  The worker is joined before
+    this returns, and its exception, if any, raised here.  Other arrays,
+    Python-int (object) keys among them, take one ``sort``."""
+    if (len(keys) < _SPLIT_SORT_MIN or keys.dtype == object
+            or _usable_cpus() < 2):
+        keys.sort()
+        return
+    # imported here: 6 ms that only a process splitting a sort pays
+    from concurrent.futures import ThreadPoolExecutor
+
+    mid = len(keys) // 2
+    keys.partition(mid)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        lower = pool.submit(keys[:mid].sort)
+        keys[mid:].sort()
+    lower.result()
 
 
 # ---------------------------------------------------------------------------

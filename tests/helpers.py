@@ -5,13 +5,17 @@ The oracles here deliberately re-derive quantities from first principles
 checked against something that cannot share their bugs.
 """
 
+import concurrent.futures.thread  # noqa: F401  (see sorts_split)
+import contextlib
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
 from sumcross import ArcGraph, IntegerSet
+from sumcross import sets
 
 
 def random_dcd_set(rng: random.Random, size: int, max_gap: int | None = None,
@@ -200,6 +204,21 @@ def nestings_by_difference_per_delta(a: np.ndarray,
                     & (below[:, 1:] < k))
         found[lo:lo + step] = holds + np.count_nonzero(same_gap, axis=1)
     return found
+
+
+@contextlib.contextmanager
+def sorts_split(split: bool = True):
+    """With ``split``, ``sets._sort`` splits every numeric array of one key
+    or more over two threads inside the block, as on a machine with two
+    CPUs; without, the block runs as the program does.  The thread pool's
+    module is imported once with this module, so that its one-time import
+    stays out of the peak-memory measurements."""
+    if not split:
+        yield
+        return
+    with mock.patch.object(sets, "_SPLIT_SORT_MIN", 1), \
+            mock.patch.object(sets, "_usable_cpus", lambda: 2):
+        yield
 
 
 def sumset_size_by_definition(A: IntegerSet, B: IntegerSet) -> int:

@@ -37,6 +37,7 @@ from helpers import (
     random_dcd_set,
     random_integer_set,
     representation_profile_by_definition,
+    sorts_split,
     strict_inversions_by_definition,
     sum_graph_by_definition,
     translate_pair_crossings_by_definition,
@@ -488,19 +489,22 @@ def test_profile_and_sum_graph_against_the_definitions(sets):
     """The profile, from the chunk loop, and the sum graph, from its rank
     sort of the pair sums (packed keys or an argsort), against the
     pair-by-pair oracles: the counts in increasing order of the sums, the
-    sums, the vertex count and the u and v columns."""
+    sums, the vertex count and the u and v columns; as the program runs,
+    and with every sort split over two threads."""
     A, B = sets
-    profile = representation_profile(A, B)
     oracle = representation_profile_by_definition(A, B)
-    assert list(profile.counts.items()) == sorted(oracle.items())
     sums, edges = sum_graph_by_definition(A, B)
-    assert [profile.base + x for x in profile.offsets.tolist()] == list(sums)
-    if len(A) < 2:
-        return
-    graph = build_sum_graph(A, B)
-    assert graph.num_vertices == len(sums)
-    assert graph.u.tolist() == [u for u, _ in edges]
-    assert graph.v.tolist() == [v for _, v in edges]
+    for split in (False, True):
+        with sorts_split(split):
+            profile = representation_profile(A, B)
+            graph = build_sum_graph(A, B) if len(A) > 1 else None
+        assert list(profile.counts.items()) == sorted(oracle.items())
+        assert [profile.base + x for x in profile.offsets.tolist()] == list(sums)
+        if graph is None:
+            continue
+        assert graph.num_vertices == len(sums)
+        assert graph.u.tolist() == [u for u, _ in edges]
+        assert graph.v.tolist() == [v for _, v in edges]
 
 
 def _sweep_by_path(A, B, dense, block):
@@ -612,14 +616,17 @@ def test_sweep_paths_against_each_other_and_the_oracles(sets):
     ``_histograms_fit``, 3 span(A) <= 5 close pairs counted pair by pair;
     the sweep on either path, and the dense path forced on every int64
     input of a modest span(A), agrees with the Counter of B - B and the
-    per-delta oracles."""
+    per-delta oracles; as the program runs, and with every sort split over
+    two threads."""
     A, B = sets
     close = sum(1 for i, b in enumerate(B) for c in B[i + 1:] if c - b < A.max - A.min)
     int64 = _pair_offsets(A, B)[0].dtype == np.int64
     assert _histograms_fit(A.max - A.min, close) == (3 * (A.max - A.min) <= 5 * close)
     expected = bool(close) and int64 and 3 * (A.max - A.min) <= 5 * close
-    assert _takes_the_dense_path(A, B) == expected
-    _sweep_against_the_per_delta_counts(A, B)
+    for split in (False, True):
+        with sorts_split(split):
+            assert _takes_the_dense_path(A, B) == expected
+            _sweep_against_the_per_delta_counts(A, B)
 
 
 @st.composite

@@ -1,6 +1,9 @@
+import itertools
 import math
+import os
 import random
 import sys
+import threading
 import tracemalloc
 from bisect import bisect_left
 from unittest import mock
@@ -38,7 +41,7 @@ from sumcross import (
 from sumcross import sets as sets_module
 from helpers import (additive_quadruples, energy_by_definition,
                      pairwise_sums_distinct, random_integer_set,
-                     representation_profile_by_definition,
+                     representation_profile_by_definition, sorts_split,
                      sumset_size_by_definition)
 
 int_sets = st.sets(st.integers(-10**6, 10**6), min_size=1, max_size=30).map(
@@ -124,6 +127,40 @@ def probe_calls(monkeypatch) -> list[int]:
     monkeypatch.setattr(sets_module, "_rows_below",
                         lambda *args: probes.append(1) or rows_below(*args))
     return probes
+
+
+@st.composite
+def sort_keys(draw) -> np.ndarray:
+    """A uint32, uint64 or int64 array of up to 300 keys, lengths 0 to 3
+    drawn often, the dtype's extremes among the values; any values, one
+    value repeated, a few repeated, sorted or reversed."""
+    dtype, lo, hi = draw(st.sampled_from([(np.uint32, 0, 2**32 - 1),
+                                          (np.uint64, 0, 2**64 - 1),
+                                          (np.int64, -2**63, 2**63 - 1)]))
+    values = st.one_of(st.sampled_from([lo, lo + 1, hi - 1, hi, 0]),
+                       st.integers(lo, hi))
+    n = draw(st.one_of(st.integers(0, 3), st.integers(0, 300)))
+    shape = draw(st.sampled_from(["any", "equal", "few", "sorted", "reversed"]))
+    if shape == "equal":
+        xs = [draw(values)] * n
+    elif shape == "few":
+        pool = draw(st.lists(values, min_size=1, max_size=3))
+        xs = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    else:
+        xs = draw(st.lists(values, min_size=n, max_size=n))
+        if shape != "any":
+            xs.sort(reverse=shape == "reversed")
+    return np.array(xs, dtype=dtype)
+
+
+def threads_started(monkeypatch) -> list[int]:
+    """Wrap ``threading.Thread.start``; the list returned gets one entry
+    per thread started from then on."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(1) or start(self))
+    return started
 
 
 def dtypes(arrays: list[np.ndarray]) -> list[np.dtype]:
@@ -322,7 +359,8 @@ class TestRepresentationProfile:
         pairs, are held to the profile's bound plus 80 bytes per distinct
         sum for the result's Python ints, which are largest (36 bytes) when
         the sums pass 2**60, and ``difference_set`` to 48 more per element
-        of B for -B."""
+        of B for -B.  Every case runs twice: as the program runs, and with
+        every sort split over two threads, which adds nothing per key."""
         rng = random.Random(43)
         default = 1 << 22
         cases = [(*coprime_construction(1)[:2], default),
@@ -385,16 +423,17 @@ class TestRepresentationProfile:
 
         tracemalloc.start()
         try:
-            for A, B, chunk in cases:
-                used, profile = peak(representation_profile, A, B, chunk)
-                assert used <= bound(A, B, chunk, len(profile.offsets))
-                del profile
-                builds = ((sumset, 0), (difference_set, 48))
-                for build, per_b in builds if chunk == default else ():
-                    used, sums = peak(build, A, B, chunk)
-                    assert used <= (bound(A, B, chunk, len(sums))
-                                    + 80 * len(sums) + per_b * len(B))
-                    del sums
+            for (A, B, chunk), split in itertools.product(cases, (False, True)):
+                with sorts_split(split):
+                    used, profile = peak(representation_profile, A, B, chunk)
+                    assert used <= bound(A, B, chunk, len(profile.offsets))
+                    del profile
+                    builds = ((sumset, 0), (difference_set, 48))
+                    for build, per_b in builds if chunk == default else ():
+                        used, sums = peak(build, A, B, chunk)
+                        assert used <= (bound(A, B, chunk, len(sums))
+                                        + 80 * len(sums) + per_b * len(B))
+                        del sums
         finally:
             tracemalloc.stop()
 
@@ -407,18 +446,21 @@ class TestRepresentationProfile:
     def test_chunked_profile_matches_the_definition(self, sets, chunk):
         """The profile built from many chunks, some holding only part of
         one sum's pairs, against the pair-by-pair oracle: the sums in
-        increasing order, their counts and the offsets' dtype."""
+        increasing order, their counts and the offsets' dtype; as the
+        program runs, and with every sort split over two threads."""
         A, B = sets
-        with mock.patch.object(sets_module, "_CHUNK_ELEMENTS", chunk):
-            profile = representation_profile(A, B)
         oracle = representation_profile_by_definition(A, B)
         sums = sorted(oracle)
-        assert profile.base == sums[0]
-        assert [profile.base + x for x in profile.offsets.tolist()] == sums
-        assert profile.multiplicities.tolist() == [oracle[x] for x in sums]
-        assert profile.offsets.dtype == (
-            object if sums[-1] - sums[0] >= 2**63 else np.int64)
-        assert profile.multiplicities.dtype == np.int64
+        for split in (False, True):
+            with mock.patch.object(sets_module, "_CHUNK_ELEMENTS", chunk), \
+                    sorts_split(split):
+                profile = representation_profile(A, B)
+            assert profile.base == sums[0]
+            assert [profile.base + x for x in profile.offsets.tolist()] == sums
+            assert profile.multiplicities.tolist() == [oracle[x] for x in sums]
+            assert profile.offsets.dtype == (
+                object if sums[-1] - sums[0] >= 2**63 else np.int64)
+            assert profile.multiplicities.dtype == np.int64
 
     def test_both_sort_paths(self):
         # summed spans 2**63 - 1 keep the offsets in int64; 2**63 does not
@@ -942,7 +984,9 @@ class TestSumsetSize:
         spans past 2**64 - 1, values below 2**88, 64 bytes per pair of a
         chunk of a quarter as many pairs plus 160 per element, measured
         with tracemalloc (numpy reports its buffers there, Python its
-        ints); 64 KB covers fixed-size allocations."""
+        ints); 64 KB covers fixed-size allocations.  Every case runs twice:
+        as the program runs, and with every sort split over two threads,
+        which adds nothing per key."""
         rng = random.Random(37)
 
         def peak(A, B, chunk):
@@ -980,13 +1024,77 @@ class TestSumsetSize:
 
         tracemalloc.start()
         try:
-            for A, B, chunk in cases:
-                assert peak(A, B, chunk) <= bound(A, B, chunk, 16, 64)
-            for A, B, chunk in bigint_cases:
-                assert (peak(A, B, chunk)
-                        <= bound(A, B, max(1, chunk // 4), 64, 160))
+            for split in (False, True):
+                with sorts_split(split):
+                    for A, B, chunk in cases:
+                        assert peak(A, B, chunk) <= bound(A, B, chunk, 16, 64)
+                    for A, B, chunk in bigint_cases:
+                        assert (peak(A, B, chunk)
+                                <= bound(A, B, max(1, chunk // 4), 64, 160))
         finally:
             tracemalloc.stop()
+
+
+class TestSort:
+    """``sets._sort``: one in-place sort, or a partition about the middle
+    and the two halves sorted on two threads."""
+
+    @given(sort_keys(), st.sampled_from([1, 2]))
+    @settings(max_examples=150)
+    def test_matches_np_sort(self, keys, cpus):
+        """Every array of one key or more is split when two CPUs are
+        usable, none with one; the result is np.sort's, dtype and all."""
+        expected = np.sort(keys)
+        with mock.patch.object(sets_module, "_SPLIT_SORT_MIN", 1), \
+                mock.patch.object(sets_module, "_usable_cpus", lambda: cpus):
+            sets_module._sort(keys)
+        assert keys.dtype == expected.dtype
+        assert keys.tolist() == expected.tolist()
+
+    def test_threads_only_for_large_arrays_and_two_cpus(self, monkeypatch):
+        started = threads_started(monkeypatch)
+        size = sets_module._SPLIT_SORT_MIN
+        rng = np.random.default_rng(5)
+        for n, cpus, threads in ((size - 1, 2, 0), (size, 1, 0), (size, 2, 1)):
+            keys = rng.integers(0, 2**64, n, dtype=np.uint64)
+            expected = np.sort(keys)
+            started.clear()
+            with mock.patch.object(sets_module, "_usable_cpus", lambda: cpus):
+                sets_module._sort(keys)
+            assert len(started) == threads
+            assert np.array_equal(keys, expected)
+        # Python ints hold the GIL through their comparisons: never split
+        keys = np.array([int(x) for x in rng.integers(0, 9, size)], dtype=object)
+        started.clear()
+        with mock.patch.object(sets_module, "_usable_cpus", lambda: 2):
+            sets_module._sort(keys)
+        assert not started
+        assert keys.tolist() == sorted(keys.tolist())
+
+    def test_usable_cpus_follow_the_affinity_mask(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert sets_module._usable_cpus() == len(os.sched_getaffinity(0))
+        else:
+            assert sets_module._usable_cpus() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_an_exception_in_either_half_reaches_the_caller(self, failing):
+        """A failed sort of either half raises from ``_sort``, and the
+        worker thread has ended by then."""
+        caller = threading.get_ident()
+
+        class Failing(np.ndarray):
+            def sort(self, *args, **kwargs):
+                if (threading.get_ident() == caller) == (failing == "caller"):
+                    raise RuntimeError(f"the {failing} failed")
+                super().sort(*args, **kwargs)
+
+        keys = np.arange(101, dtype=np.int64)[::-1].copy().view(Failing)
+        threads = threading.active_count()
+        with sorts_split(), pytest.raises(RuntimeError,
+                                          match=f"the {failing} failed"):
+            sets_module._sort(keys)
+        assert threading.active_count() == threads
 
 
 class TestSetFiles:
