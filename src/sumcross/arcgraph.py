@@ -4,8 +4,9 @@ intervals strictly interleave; they intersect iff the open intervals overlap
 at all (interleaving or nesting) and the edges share no vertex.
 
 The sum graph's vertices are the distinct pair sums; ``build_sum_graph``
-ranks the pairs by one sort of their sums, made here.  Only the order of
-the points matters for any count, so a graph keeps no coordinates.  Edges
+ranks the pairs through a table over the span of the sums when they are
+dense, and by one sort of the sums, made here, otherwise.  Only the order
+of the points matters for any count, so a graph keeps no coordinates.  Edges
 are stored as int64 columns and every count on a graph is computed with
 numpy in O(m log m), without a Python loop over edges: the merge pass.  The
 translate-pair sweep counts from the sets instead, one pair of translates
@@ -33,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sets import (_INT64_SPAN, IntegerSet, _gather, _pair_offsets, _sort,
-                   is_dcd, representation_profile)
+from .sets import (_INT64_SPAN, IntegerSet, RepProfile, _gather, _pair_offsets,
+                   _sort, is_dcd, representation_profile)
 
 __all__ = [
     "ArcGraph",
@@ -118,20 +119,55 @@ def build_sum_graph(A: IntegerSet, B: IntegerSet) -> ArcGraph:
     are retained.
 
     A pair's vertex is its sum's rank among the distinct sums, so vertex i
-    is the i-th smallest sum: the running count of runs of equal sums in
-    the order of one sort of the pair sums, scattered back through the
-    order, which needs no stable order.  When (span(A) + span(B) + 1) *
-    |A||B| fits int64, an in-place sort of the distinct keys sum * |A||B| +
-    i*|B| + j gives the sums and the order at once; other inputs take an
-    argsort, a stable one for Python ints, whose timsort merges the rows,
-    each already in order.  The graph records (A, B) as its ``summands``.
+    is the i-th smallest sum.  Dense pairs, whose sums span at most
+    2|A||B| values, are ranked through a table over that span
+    (``_ranks_by_table``); all others by a sort of the pair sums
+    (``_ranks_by_sort``).  The graph records (A, B) as its ``summands``.
     """
     if len(A) < 2:
         raise ValueError("A must have at least two elements")
     a, b = _pair_offsets(A, B)
+    width = A.max - A.min + B.max - B.min + 1
+    if width <= 2 * len(a) * len(b):
+        num_vertices, index = _ranks_by_table(a, b, width)
+    else:
+        num_vertices, index = _ranks_by_sort(a, b, width)
+    graph = ArcGraph(num_vertices, u=index[:, :-1].ravel(), v=index[:, 1:].ravel())
+    object.__setattr__(graph, "summands", (A, B))
+    return graph
+
+
+def _ranks_by_table(a: np.ndarray, b: np.ndarray,
+                    width: int) -> tuple[int, np.ndarray]:
+    """(number of distinct sums, ranks) for offsets a and b whose sums lie
+    in [0, width): entry (j, i) of the ranks is the rank of a_i + b_j.
+    Every sum is marked in a table over [0, width), the marked entries are
+    numbered in increasing order, and each pair's rank is read back from
+    the table: no sort."""
+    sums = b[:, None] + a[None, :]
+    marked = np.zeros(width, dtype=bool)
+    marked[sums] = True
+    distinct = np.flatnonzero(marked)
+    del marked
+    num_vertices = len(distinct)
+    table = np.empty(width, dtype=np.int64)
+    table[distinct] = np.arange(num_vertices)
+    del distinct
+    return num_vertices, table[sums]
+
+
+def _ranks_by_sort(a: np.ndarray, b: np.ndarray,
+                   width: int) -> tuple[int, np.ndarray]:
+    """(number of distinct sums, ranks) as ``_ranks_by_table`` returns
+    them, by one sort of the pair sums: the running count of runs of
+    equal sums in sorted order, scattered back through the order, which
+    needs no stable order.  When width * |A||B| fits int64, an in-place
+    sort of the distinct keys sum * |A||B| + i*|B| + j gives the sums and
+    the order at once; other inputs take an argsort, a stable one for
+    Python ints, whose timsort merges the rows, each already in order."""
     sums = (a[:, None] + b[None, :]).ravel()
     n = len(sums)
-    if (A.max - A.min + B.max - B.min + 1) * n <= _INT64_SPAN:
+    if width * n <= _INT64_SPAN:
         sums *= n
         sums += np.arange(n)
         _sort(sums)
@@ -147,11 +183,7 @@ def build_sum_graph(A: IntegerSet, B: IntegerSet) -> ArcGraph:
     num_vertices = int(rank[-1]) + 1
     rank[order] = rank.copy()
     del order
-    index = rank.reshape(len(A), len(B)).T
-    graph = ArcGraph(num_vertices, u=index[:, :-1].ravel(),
-                     v=index[:, 1:].ravel())
-    object.__setattr__(graph, "summands", (A, B))
-    return graph
+    return num_vertices, rank.reshape(len(a), len(b)).T
 
 
 def _occurrences(values: np.ndarray, n: int) -> np.ndarray:
@@ -241,11 +273,16 @@ def _crossings_and_nestings(graph: ArcGraph) -> tuple[int, int]:
 
     On a sum graph the translate-pair sweep gives the same two counts as
     the sums of mult * f and mult * g, and they come from it when
-    ``_sweep_is_smaller``.
+    ``_sweep_is_smaller``; the close pairs that rule reads are handed on
+    to the sweep.
     """
-    if graph.summands is not None and _sweep_is_smaller(*graph.summands):
-        mult, f, g = _translate_pair_sweep(*graph.summands)
-        return int(mult @ f), int(mult @ g)
+    if graph.summands is not None:
+        A, B = graph.summands
+        pairs = _close_pairs(A, B)
+        if _sweep_is_smaller(len(A), len(B), pairs[3]):
+            mult, f, g = _translate_pair_sweep(A, B, pairs)
+            return int(mult @ f), int(mult @ g)
+        del pairs  # not held through the merge pass
     m = graph.num_edges
     if m < 2:
         return 0, 0
@@ -280,26 +317,25 @@ def count_intersections(graph: ArcGraph) -> int:
 
 
 def _close_pairs(A: IntegerSet,
-                 B: IntegerSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A - min A, B - min B, stop): the b' in B with b < b' < b + span(A)
-    are those at indices i + 1 .. stop[i] - 1 for b at index i, the pairs
-    of translates that can meet."""
+                 B: IntegerSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(A - min A, B - min B, stop, close): the b' in B with
+    b < b' < b + span(A) are those at indices i + 1 .. stop[i] - 1 for b at
+    index i, the pairs of translates that can meet; close counts them."""
     a, b = _pair_offsets(A, B)
-    return a, b, np.searchsorted(b, b + a[-1], side="left")
+    stop = np.searchsorted(b, b + a[-1], side="left")
+    return a, b, stop, int(stop.sum()) - len(b) * (len(b) + 1) // 2
 
 
-def _sweep_is_smaller(A: IntegerSet, B: IntegerSet) -> bool:
+def _sweep_is_smaller(k: int, l: int, close: int) -> bool:
     """Whether the translate-pair sweep, rather than the merge pass, counts
-    the sum graph of (A, B), |A| >= 2: iff its arc pairs plus twice its
-    close pairs of B, the differences it gathers and sorts, are at most
-    twice the m edges the merge pass sorts.  The constructions pass with
-    about 25% to spare, and the sweep takes 0.4-0.5 of the merge pass's
-    time on them; a skewed pair such as |A| = 2 against a dense B, whose
-    close pairs grow as m^2, falls to the merge pass."""
-    a, b, stop = _close_pairs(A, B)
-    k, n = len(a), len(b)
-    close = int(stop.sum()) - n * (n + 1) // 2
-    return (k - 1) * (k - 2) // 2 + 2 * close <= 2 * n * (k - 1)
+    the sum graph of |A| = k >= 2 and |B| = l with close pairs of B: iff
+    its arc pairs plus twice its close pairs, the differences it gathers
+    and sorts, are at most twice the m = l(k - 1) edges the merge pass
+    sorts.  The constructions pass with about 25% to spare, and the sweep
+    takes 0.4-0.5 of the merge pass's time on them; a skewed pair such as
+    |A| = 2 against a dense B, whose close pairs grow as m^2, falls to the
+    merge pass."""
+    return (k - 1) * (k - 2) // 2 + 2 * close <= 2 * l * (k - 1)
 
 
 def _histograms_fit(span: int, close: int) -> bool:
@@ -314,8 +350,8 @@ def _histograms_fit(span: int, close: int) -> bool:
     return 3 * span <= 5 * close
 
 
-def _translate_pair_sweep(A: IntegerSet,
-                          B: IntegerSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _translate_pair_sweep(A: IntegerSet, B: IntegerSet, pairs: tuple | None = None
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mult, f, g) over the distinct differences delta < span(A) of B - B,
     in increasing order: mult pairs b < b' of B have b' - b = delta, and the
     paths through A and A + delta have f crossing and g strictly nested arc
@@ -352,14 +388,14 @@ def _translate_pair_sweep(A: IntegerSet,
     bounds and reads each count by a ``searchsorted``; its blocks hold at
     least one arc pair per delta, so that the searches cost no more than
     the sorts.  Offsets are int64 below summed spans of 2**63, Python ints
-    above, which only the sorted path takes.
+    above, which only the sorted path takes.  ``pairs`` is
+    ``_close_pairs(A, B)`` when the caller has made it already.
     """
     empty = np.zeros(0, dtype=np.int64)
     if len(A) < 2:
         return empty, empty, empty
-    a, b, stop = _close_pairs(A, B)
+    a, b, stop, close = _close_pairs(A, B) if pairs is None else pairs
     k, n = len(a), len(b)
-    close = int(stop.sum()) - n * (n + 1) // 2
     if not close:
         return empty, empty, empty
     differences = _gather(-b, b, np.arange(1, n + 1), stop)
@@ -465,6 +501,18 @@ def _degrees(graph: ArcGraph) -> np.ndarray:
     return _occurrences(graph.u, n) + _occurrences(graph.v, n)
 
 
+def _degrees_from_profile(profile: RepProfile, A: IntegerSet,
+                          B: IntegerSet) -> np.ndarray:
+    """The degree of each vertex of the sum graph of (A, B), |A| >= 2, read
+    from its representation profile: a sum x lies on r(x) paths
+    a_1+b, ..., a_k+b with two edges each, less one on the paths it
+    starts, x = min A + b, and on those it ends, x = max A + b."""
+    degrees = 2 * profile.multiplicities
+    degrees[profile.locate([A.min + b for b in B])] -= 1
+    degrees[profile.locate([A.max + b for b in B])] -= 1
+    return degrees
+
+
 def _nonincreasing(degrees: np.ndarray) -> tuple[int, ...]:
     return tuple(np.sort(degrees)[::-1].tolist())
 
@@ -491,16 +539,11 @@ def crossing_stats(A: IntegerSet, B: IntegerSet) -> CrossingStats:
     without building the graph.  Edges of one translate never cross or
     nest, so the crossings and intersections are the translate-pair sweep's
     f and f + g summed with the multiplicity of each delta in B - B.  The
-    degrees come from the representation profile: a sum x lies on r(x)
-    paths a_1+b, ..., a_k+b with two edges each, less one on the paths it
-    starts, x = min A + b, and on those it ends, x = max A + b."""
+    degrees come from the representation profile
+    (``_degrees_from_profile``)."""
     if len(A) < 2:
         raise ValueError("A must have at least two elements")
-    profile = representation_profile(A, B)
-    degrees = 2 * profile.multiplicities
-    degrees[profile.locate([A.min + b for b in B])] -= 1
-    degrees[profile.locate([A.max + b for b in B])] -= 1
-    del profile
+    degrees = _degrees_from_profile(representation_profile(A, B), A, B)
     mult, f, g = _translate_pair_sweep(A, B)
     crossings = int(mult @ f)
     return CrossingStats(

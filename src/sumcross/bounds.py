@@ -27,6 +27,7 @@ from .arcgraph import (
     ArcGraph,
     build_sum_graph,
     _degrees,
+    _degrees_from_profile,
     count_crossings_fast,
     count_intersections,
     has_parallel_edges,
@@ -167,18 +168,21 @@ def _crossing_lower_report(k: int, l: int, s: int, crossings: int,
 def check_degree_weighted_crossing(graph: ArcGraph) -> BoundReport:
     """cr(G) >= (1/36000n) * sum_i i*d_i^3 - 4.01 n^2 over the nonincreasing
     degree sequence of a simple graph."""
-    return _degree_weighted_report(graph, count_crossings_fast(graph))
+    return _degree_weighted_report(graph, count_crossings_fast(graph),
+                                   _degrees(graph))
 
 
-def _degree_weighted_report(graph: ArcGraph, crossings: int) -> BoundReport:
-    """The degree-weighted report for a graph with the given crossings."""
+def _degree_weighted_report(graph: ArcGraph, crossings: int,
+                            degrees: np.ndarray) -> BoundReport:
+    """The degree-weighted report for a graph with the given crossings and
+    vertex degrees."""
     if has_parallel_edges(graph):
         raise ValueError("degree-weighted bound needs a simple graph")
     n = graph.num_vertices
     # sum of i * d_i^3: the c vertices of degree d after the first `before`
     # hold places before + 1 .. before + c
     weighted = before = 0
-    vertices = np.bincount(_degrees(graph))
+    vertices = np.bincount(degrees)
     for d in np.flatnonzero(vertices)[::-1].tolist():
         c = int(vertices[d])
         weighted += d**3 * (c * before + c * (c + 1) // 2)
@@ -367,8 +371,9 @@ def run_all_checks(A: IntegerSet, B: IntegerSet) -> list[BoundReport]:
     sorted by (name, context digest).
 
     Each report equals its public checker's on (A, B).  The profile (so
-    |A+B| and the levels), ``is_dcd(A)``, the sum graph and its crossings
-    are computed once and passed to the checkers' private report functions.
+    |A+B|, the levels and the sum graph's degrees), ``is_dcd(A)``, the sum
+    graph and its crossings are computed once and passed to the checkers'
+    private report functions.
 
     The bipartite-split and intersection-number reports appear only when
     the sum graph has at most ``_ORACLE_EDGE_LIMIT`` edges.  Both counters
@@ -395,7 +400,8 @@ def run_all_checks(A: IntegerSet, B: IntegerSet) -> list[BoundReport]:
         reports.append(_crossing_upper_report(k, l, crossings, pre))
         reports.append(_crossing_lower_report(k, l, s, crossings, pre))
         if not has_parallel_edges(graph):
-            reports.append(_degree_weighted_report(graph, crossings))
+            degrees = _degrees_from_profile(profile, A, B)
+            reports.append(_degree_weighted_report(graph, crossings, degrees))
         if graph.num_edges <= _ORACLE_EDGE_LIMIT:
             even = range(0, graph.num_vertices, 2)
             reports.append(check_bipartite_crossing(graph, even))

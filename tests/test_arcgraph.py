@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sumcross import (
@@ -43,7 +43,7 @@ from helpers import (
     translate_pair_crossings_by_definition,
 )
 from sumcross import arcgraph, bounds
-from sumcross.arcgraph import (_histograms_fit, _strict_inversions,
+from sumcross.arcgraph import (_close_pairs, _histograms_fit, _strict_inversions,
                                _sweep_is_smaller, _translate_pair_sweep)
 from sumcross.sets import _pair_offsets
 
@@ -59,6 +59,11 @@ def graph_of(n, pairs):
 def plain_copy(g):
     """The same drawing without the summands: the merge pass counts it."""
     return ArcGraph(g.num_vertices, u=g.u, v=g.v)
+
+
+def sweeps(A, B):
+    """Whether the translate-pair sweep counts the sum graph of (A, B)."""
+    return _sweep_is_smaller(len(A), len(B), _close_pairs(A, B)[3])
 
 
 class TestArcGraphType:
@@ -486,8 +491,8 @@ def sum_graph_sets(draw):
 @example((iset(-2**62, 2**62), iset(0, 2**62)))  # a sum reaches 2**63
 @example((iset(-2**63, 0), iset(-1, 5)))  # a sum below -2**63
 def test_profile_and_sum_graph_against_the_definitions(sets):
-    """The profile, from the chunk loop, and the sum graph, from its rank
-    sort of the pair sums (packed keys or an argsort), against the
+    """The profile, from the chunk loop, and the sum graph, from its table
+    or its sort of the pair sums (packed keys or an argsort), against the
     pair-by-pair oracles: the counts in increasing order of the sums, the
     sums, the vertex count and the u and v columns; as the program runs,
     and with every sort split over two threads."""
@@ -505,6 +510,70 @@ def test_profile_and_sum_graph_against_the_definitions(sets):
         assert graph.num_vertices == len(sums)
         assert graph.u.tolist() == [u for u, _ in edges]
         assert graph.v.tolist() == [v for _, v in edges]
+
+
+@st.composite
+def density_rule_sets(draw):
+    """(A, B) of 2-8 and 1-8 values whose sums span a drawn width: exactly
+    2|A||B| or 2|A||B| + 1 (the two sides of the table path's edge), any
+    width up to 4|A||B| (mostly the table) or up to 2**64 (the sort, and
+    the argsort past 2**63); span(A) + 1 when |B| = 1.  Half the time A
+    repeats gaps of 1 to 3, which gives parallel edges; one time in six B
+    is A.  The sets start near 0, near +-2**62 or at 2**64, so that the
+    table also ranks sums far beyond int64."""
+    k, l = draw(st.integers(2, 8)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        gaps = draw(st.lists(st.integers(1, 3), min_size=k - 1, max_size=k - 1))
+        a = list(itertools.accumulate([0] + gaps))
+    else:
+        a = [0] + sorted(draw(st.sets(st.integers(1, 3 * k), min_size=k - 1,
+                                      max_size=k - 1)))
+    starts = (st.integers(-50, 50) | st.integers(-2**62 - 5, -2**62 + 5)
+              | st.integers(2**62 - 5, 2**62 + 5) | st.just(2**64))
+    start = draw(starts)
+    A = IntegerSet(tuple(start + x for x in a))
+    if draw(st.integers(0, 5)) == 5:
+        return A, A
+    if l == 1:
+        width = a[-1] + 1
+    else:
+        width = draw(st.sampled_from([2 * k * l, 2 * k * l + 1])
+                     | st.integers(1, 4 * k * l) | st.integers(1, 2**64)
+                     | st.integers(2**63, 2**64))
+    span = width - 1 - a[-1]  # of B
+    assume(span >= l - 1)
+    b = {0, span}
+    if l > 2:
+        b |= draw(st.sets(st.integers(1, span - 1), min_size=l - 2, max_size=l - 2))
+    start = draw(starts)
+    return A, IntegerSet.of(start + x for x in b)
+
+
+@given(density_rule_sets())
+@example((iset(0, 4), iset(0, 3)))  # width 8 = 2|A||B|: the table
+@example((iset(0, 4), iset(0, 4)))  # A == B, width 9 = 2|A||B| + 1: the sort
+@example((iset(0, 1, 3), iset(0, 1, 3)))  # A == B, width 7: the table
+@example((iset(0, 3), iset(5)))  # |B| = 1, width 4 = 2|A||B|: the table
+@example((iset(0, 4), iset(5)))  # |B| = 1, width 5: the sort
+@example((iset(0, 1, 2, 3), iset(0, 1, 5)))  # parallel edges: the table
+@example((iset(0, 1, 2, 3), iset(0, 1, 50)))  # parallel edges: the sort
+@example((iset(2**62 - 9, 2**62 - 5, 2**62), iset(-2**62, -2**62 + 2)))
+@example((iset(2**63 + 1, 2**63 + 4), iset(2**64, 2**64 + 1)))  # sums past int64
+@example((iset(0, 2**40), iset(0, 1, 2**50)))  # the packed sort
+@example((iset(-2**62, 2**62), iset(0, 2**62)))  # the argsort of Python ints
+def test_sum_graph_on_either_side_of_the_table_rule(sets):
+    """``build_sum_graph`` ranks the pairs through the table exactly when
+    their sums span at most 2|A||B| values, and by the sort otherwise; on
+    both paths its vertex count and columns match the Python builder."""
+    A, B = sets
+    sums, edges = sum_graph_by_definition(A, B)
+    dense = A.max - A.min + B.max - B.min + 1 <= 2 * len(A) * len(B)
+    table = mock.Mock(wraps=arcgraph._ranks_by_table)
+    with mock.patch.object(arcgraph, "_ranks_by_table", table):
+        g = build_sum_graph(A, B)
+    assert table.called == dense
+    assert g.num_vertices == len(sums)
+    assert edge_pairs(g) == edges
 
 
 def _sweep_by_path(A, B, dense, block):
@@ -667,8 +736,9 @@ def dispatch_sets(draw):
 def test_sum_graph_counts_on_either_path(sets):
     """``_sweep_is_smaller`` against its rule, with the close pairs of B
     counted pair by pair.  count_crossings_fast and count_intersections on
-    the sum graph take the path it picks and agree with the merge pass on
-    the plain copy and with the quadratic oracles, as does
+    the sum graph take the path it picks, each finding the close pairs of
+    B once, and agree with the merge pass on the plain copy and with the
+    quadratic oracles, as does
     ``has_parallel_edges``, which reads A's gaps on a dcd sum graph and
     sorts the copy's edge keys.  Graphs derived from the
     sum graph carry no summands: a ``dataclasses.replace`` copy and the
@@ -678,17 +748,22 @@ def test_sum_graph_counts_on_either_path(sets):
     assert g.summands == (A, B)
     close = sum(1 for i, b in enumerate(B) for c in B[i + 1:] if c - b < A.max - A.min)
     arc_pairs = (len(A) - 1) * (len(A) - 2) // 2
-    assert _sweep_is_smaller(A, B) == (arc_pairs + 2 * close <= 2 * g.num_edges)
+    rule = arc_pairs + 2 * close <= 2 * g.num_edges
+    assert _close_pairs(A, B)[3] == close
+    assert _sweep_is_smaller(len(A), len(B), close) == rule == sweeps(A, B)
     plain = plain_copy(g)
     parallel = len(set(edge_pairs(g))) < g.num_edges
     assert has_parallel_edges(g) == has_parallel_edges(plain) == parallel
     crossings = crossings_by_definition(g)
     intersections = intersections_by_definition(g)
     sweep = mock.Mock(wraps=_translate_pair_sweep)
-    with mock.patch.object(arcgraph, "_translate_pair_sweep", sweep):
+    pairs = mock.Mock(wraps=_close_pairs)
+    with mock.patch.object(arcgraph, "_translate_pair_sweep", sweep), \
+            mock.patch.object(arcgraph, "_close_pairs", pairs):
         assert count_crossings_fast(g) == crossings
         assert count_intersections(g) == intersections
-    assert sweep.call_count == (2 if _sweep_is_smaller(A, B) else 0)
+    assert sweep.call_count == (2 if rule else 0)
+    assert pairs.call_count == 2
     assert count_crossings_fast(plain) == crossings
     assert count_intersections(plain) == intersections
     assert count_crossings_oracle(g) == crossings
@@ -789,6 +864,9 @@ def test_peak_memory():
     against 3,000 values of B within span(A), where the sweep would gather
     C(3000, 2) differences, some 270 MiB.  A sum graph of |A| = 2 with
     every sum distinct comes closest to the bound of ``build_sum_graph``.
+    Its table path is held to its own bound on coprime t=2 and on a
+    random pair whose sums span exactly 2|A||B| values, 0.73 of them
+    sums.
     The dense path of the sweep is held at the edge of its rule: span(A)
     the largest that ``_histograms_fit`` allows against 800 random values
     of B, whose close pairs have mostly distinct differences, with few arc
@@ -829,8 +907,8 @@ def test_peak_memory():
     assert _takes_the_dense_path(A, B)
     assert not _takes_the_dense_path(IntegerSet(A.elements[:-1] + (edge + 1,)), B)
     cases.append((A, B, False))
-    for A, B, sweeps in cases:
-        assert _sweep_is_smaller(A, B) == sweeps
+    for A, B, sweeping in cases:
+        assert sweeps(A, B) == sweeping
         bound = sweep_bound(A, B)
         tracemalloc.start()
         try:
@@ -839,7 +917,7 @@ def test_peak_memory():
             m, n = g.num_edges, g.num_vertices
             assert built <= 48 * m + 32 * n
             assert g.u.nbytes + g.v.nbytes == 16 * m
-            counted = bound if sweeps else 32 * m + 16 * n
+            counted = bound if sweeping else 32 * m + 16 * n
             assert peak(count_crossings_fast, g) <= counted
             assert peak(count_intersections, g) <= counted
             assert peak(has_parallel_edges, g) <= 9 * m
@@ -854,7 +932,7 @@ def test_peak_memory():
 
     A = IntegerSet((0, 3 * 10**9))
     B = random_integer_set(random.Random(56), 3000, 0, 10**9)
-    assert not _sweep_is_smaller(A, B)
+    assert not sweeps(A, B)
     g = build_sum_graph(A, B)
     tracemalloc.start()
     try:
@@ -873,6 +951,21 @@ def test_peak_memory():
     g = build_sum_graph(A, B)
     assert g.num_vertices == 2 * len(B)
     assert built <= 48 * g.num_edges + 32 * g.num_vertices
+
+    rng = random.Random(62)
+    edge = (IntegerSet.of([0, 60_000] + rng.sample(range(1, 60_000), 298)),
+            IntegerSet.of([0, 59_999] + rng.sample(range(1, 59_999), 198)))
+    for A, B in (coprime_construction(2)[:2], edge):
+        pairs = len(A) * len(B)
+        assert A.max - A.min + B.max - B.min + 1 <= 2 * pairs
+        tracemalloc.start()
+        try:
+            built = peak(build_sum_graph, A, B)
+        finally:
+            tracemalloc.stop()
+        g = build_sum_graph(A, B)
+        assert built <= 32 * pairs + 16 * g.num_vertices
+        assert built <= 48 * g.num_edges + 32 * g.num_vertices
 
     rng = random.Random(58)
     cases = [(IntegerSet.of(rng.randrange(-2**62, 2**62) for _ in range(300)),

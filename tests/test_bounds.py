@@ -504,10 +504,42 @@ class TestSuiteRunner:
 
         assert dicts(run_all_checks(A, B)) == dicts(expected)
 
+    def test_degree_weighted_report_reads_the_profile(self, monkeypatch):
+        """The suite's degree-weighted report takes its degrees from the
+        profile, never from the sum graph's edges, and equals the public
+        checker's on the sum graph, which counts them from the edges: on
+        random dcd pairs whose sums are dense (the sum graph's table) and
+        sparse (its sort).  A non-dcd A with parallel edges still drops
+        the report."""
+        from sumcross import bounds
+
+        def refuse(graph):
+            raise AssertionError("counted the degrees from the edges")
+
+        rng = random.Random(61)
+        for i in range(40):
+            k = rng.randint(2, 12)
+            A = random_dcd_set(rng, k, offset=rng.randint(-10**6, 10**6))
+            dense = i % 2 == 0
+            B = random_integer_set(rng, 2 * k, 0, 4 * k if dense else 10**6)
+            assert (A.max - A.min + B.max - B.min + 1 <= 2 * k * len(B)) == dense
+            with monkeypatch.context() as patched:
+                patched.setattr(bounds, "_degrees", refuse)
+                reports = [r for r in run_all_checks(A, B)
+                           if r.name == "degree_weighted_crossing_ge"]
+            expected = check_degree_weighted_crossing(build_sum_graph(A, B))
+            assert [r.as_dict() for r in reports] == [expected.as_dict()]
+        for A, B in ((iset(0, 1, 2, 3), iset(0, 1)),
+                     (iset(0, 3, 6, 10, 14), iset(-50, -47, -30, 2**40))):
+            assert len(set(edge_pairs(build_sum_graph(A, B)))) < (len(A) - 1) * len(B)
+            names = {r.name for r in run_all_checks(A, B)}
+            assert "crossing_upper_ge" in names
+            assert "degree_weighted_crossing_ge" not in names
+
     def test_one_sort_per_builder_and_few_dcd_tests_per_suite(self, monkeypatch):
         # the suite builds the profile and the sum graph through the public
         # builders, the profile from one chunk loop over the pair sums and
-        # the graph from its own sort; coprime t=3 has 13 level-set reports,
+        # the graph from its own table; coprime t=3 has 13 level-set reports,
         # and the suite tests A's gaps once for all reports
         # (has_parallel_edges reads them again on its own, through
         # arcgraph's is_dcd, on each of its two calls)
