@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sets import (_INT64_SPAN, IntegerSet, RepProfile, _gather, _pair_offsets,
-                   _sort, is_dcd, representation_profile)
+                   _runs, _sort, is_dcd, representation_profile)
 
 __all__ = [
     "ArcGraph",
@@ -273,14 +273,14 @@ def _crossings_and_nestings(graph: ArcGraph) -> tuple[int, int]:
 
     On a sum graph the translate-pair sweep gives the same two counts as
     the sums of mult * f and mult * g, and they come from it when
-    ``_sweep_is_smaller``; the close pairs that rule reads are handed on
-    to the sweep.
+    ``_sweep_is_smaller``; the close pairs that rule reads are the sweep's
+    arguments.
     """
     if graph.summands is not None:
         A, B = graph.summands
         pairs = _close_pairs(A, B)
         if _sweep_is_smaller(len(A), len(B), pairs[3]):
-            mult, f, g = _translate_pair_sweep(A, B, pairs)
+            mult, f, g = _translate_pair_sweep(*pairs)
             return int(mult @ f), int(mult @ g)
         del pairs  # not held through the merge pass
     m = graph.num_edges
@@ -292,10 +292,7 @@ def _crossings_and_nestings(graph: ArcGraph) -> tuple[int, int]:
     np.cumsum(_occurrences(u, n), out=starts_below[1:])
     overlapping = int((starts_below[v] - starts_below[u + 1]).sum())
     keys = _sorted_edge_keys(graph)
-    run_ends = np.flatnonzero(np.diff(keys)) + 1
-    shared_right = (_pairs_within(_occurrences(v, n))
-                    - _pairs_within(np.diff(run_ends, prepend=0, append=m)))
-    del run_ends  # not held through the merge sort's peak
+    shared_right = _pairs_within(_occurrences(v, n)) - _pairs_within(_runs(keys)[1])
     keys %= n
     nestings = _strict_inversions(keys)
     return overlapping - nestings - shared_right, nestings
@@ -350,13 +347,14 @@ def _histograms_fit(span: int, close: int) -> bool:
     return 3 * span <= 5 * close
 
 
-def _translate_pair_sweep(A: IntegerSet, B: IntegerSet, pairs: tuple | None = None
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _translate_pair_sweep(a: np.ndarray, b: np.ndarray, stop: np.ndarray,
+                          close: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mult, f, g) over the distinct differences delta < span(A) of B - B,
-    in increasing order: mult pairs b < b' of B have b' - b = delta, and the
-    paths through A and A + delta have f crossing and g strictly nested arc
-    pairs, vertex-disjoint both.  Translates further apart share no
-    interior point, and an A of one element has no arcs, so no delta.
+    in increasing order, from the close pairs ``_close_pairs(A, B)``: mult
+    pairs b < b' of B have b' - b = delta, and the paths through A and
+    A + delta have f crossing and g strictly nested arc pairs,
+    vertex-disjoint both.  Translates further apart share no interior
+    point, and an A of one element has no arcs, so no delta.
 
     Take arcs (a_i, a_i+1) of A and (a_j + delta, a_j+1 + delta), delta > 0,
     and let lo and hi be the min and max of a_i - a_j and a_i+1 - a_j+1.
@@ -388,15 +386,11 @@ def _translate_pair_sweep(A: IntegerSet, B: IntegerSet, pairs: tuple | None = No
     bounds and reads each count by a ``searchsorted``; its blocks hold at
     least one arc pair per delta, so that the searches cost no more than
     the sorts.  Offsets are int64 below summed spans of 2**63, Python ints
-    above, which only the sorted path takes.  ``pairs`` is
-    ``_close_pairs(A, B)`` when the caller has made it already.
+    above, which only the sorted path takes.
     """
-    empty = np.zeros(0, dtype=np.int64)
-    if len(A) < 2:
-        return empty, empty, empty
-    a, b, stop, close = _close_pairs(A, B) if pairs is None else pairs
     k, n = len(a), len(b)
-    if not close:
+    if k < 2 or not close:
+        empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty
     differences = _gather(-b, b, np.arange(1, n + 1), stop)
     span = int(a[-1])
@@ -418,11 +412,8 @@ def _translate_pair_sweep(A: IntegerSet, B: IntegerSet, pairs: tuple | None = No
         block = _ARC_PAIR_BLOCK
     else:
         _sort(differences)
-        starts = np.flatnonzero(np.concatenate(
-            ([True], differences[1:] != differences[:-1])))
-        deltas = differences[starts]
-        mult = np.diff(starts, append=len(differences))
-        del differences, starts
+        deltas, mult = _runs(differences)
+        del differences
 
         def below(bounds):
             """#{bound < delta} and #{bound <= delta} for each delta."""
@@ -492,7 +483,7 @@ def max_translate_pair_crossings(A: IntegerSet, B: IntegerSet) -> int:
     A + b and A + b' of the sum graph of (A, B), over b < b' in B: those
     cross as A and A + delta with delta = b' - b, so this is the largest
     f of ``_translate_pair_sweep``."""
-    return int(_translate_pair_sweep(A, B)[1].max(initial=0))
+    return int(_translate_pair_sweep(*_close_pairs(A, B))[1].max(initial=0))
 
 
 def _degrees(graph: ArcGraph) -> np.ndarray:
@@ -544,7 +535,7 @@ def crossing_stats(A: IntegerSet, B: IntegerSet) -> CrossingStats:
     if len(A) < 2:
         raise ValueError("A must have at least two elements")
     degrees = _degrees_from_profile(representation_profile(A, B), A, B)
-    mult, f, g = _translate_pair_sweep(A, B)
+    mult, f, g = _translate_pair_sweep(*_close_pairs(A, B))
     crossings = int(mult @ f)
     return CrossingStats(
         crossings=crossings,

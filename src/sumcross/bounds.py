@@ -145,8 +145,6 @@ def check_crossing_lower(A: IntegerSet, B: IntegerSet) -> BoundReport:
     edges and n = |A+B| vertices.  Report-only: the cited bound speaks about
     optimal drawings and its small-instance correction terms are unknown, so
     instances like |B| = 1 legitimately fall below it."""
-    if len(A) < 2:
-        raise ValueError("A must have at least two elements")
     crossings = count_crossings_fast(build_sum_graph(A, B))
     return _crossing_lower_report(len(A), len(B), sumset_size(A, B),
                                   crossings, is_dcd(A))

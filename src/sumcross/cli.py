@@ -66,16 +66,11 @@ def _dump_json(path: Path, text: str) -> None:
 
 def _json_with_runs(payload: dict) -> str:
     """``json.dumps(payload, indent=2)``, byte for byte, for a payload whose
-    last value is a list of ints, such as the ``crossings`` degree
+    last value is a nonempty list of ints, such as the ``crossings`` degree
     sequence.  The other keys go through ``json.dumps``; the list is
     spliced in one run of equal adjacent values at a time, which is right
-    in any order and fast when the list is sorted.  A list that is empty
-    or holds anything but exact ints (a bool, say) falls back to
-    ``json.dumps``."""
+    in any order and fast when the list is sorted."""
     *_, (key, values) = payload.items()
-    if (type(values) is not list or not values
-            or list(map(type, values)) != [int] * len(values)):
-        return json.dumps(payload, indent=2)
     text = json.dumps({**payload, key: []}, indent=2)
     body = "".join([("    " + str(v) + ",\n") * len(list(run))
                     for v, run in itertools.groupby(values)])

@@ -124,6 +124,7 @@ class IntegerSet:
         return tuple(map(operator.sub, e[1:], e))
 
 
+@dataclass(frozen=True, eq=False)
 class RepProfile:
     """Representation counts of a sumset, as arrays over its distinct sums
     in increasing order: ``base + offsets[i]`` is the sum of exactly
@@ -131,22 +132,22 @@ class RepProfile:
     sums span less than 2**63 and holds Python ints (object dtype) above.
 
     :func:`representation_profile` builds a profile from the sorted pair
-    sums and hands the constructor its arrays.  ``counts`` reads the arrays
-    back as a mapping ``{sum: count}``, in increasing order of the sums.
-    Every profile is checked: the counts sum to |A||B| and each lies in
+    sums and hands the constructor its arrays, which it makes read-only;
+    no field can be set or deleted.  ``counts`` reads the arrays back as a
+    mapping ``{sum: count}``, in increasing order of the sums.  Every
+    profile is checked: the counts sum to |A||B| and each lies in
     [1, min(|A|, |B|)].
     """
 
-    __slots__ = ("base", "offsets", "multiplicities", "source_sizes")
+    base: int
+    offsets: np.ndarray
+    multiplicities: np.ndarray
+    source_sizes: tuple[int, int]
 
-    def __init__(self, base: int, offsets: np.ndarray,
-                 multiplicities: np.ndarray, source_sizes: tuple[int, int]):
-        for array in (offsets, multiplicities):
+    def __post_init__(self):
+        multiplicities = self.multiplicities
+        for array in (self.offsets, multiplicities):
             array.setflags(write=False)
-        fields = dict(base=base, offsets=offsets, multiplicities=multiplicities,
-                      source_sizes=tuple(source_sizes))
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
         ka, kb = self.source_sizes
         if multiplicities.sum() != ka * kb:
             raise ValueError("representation counts must sum to |A|*|B|")
@@ -154,11 +155,8 @@ class RepProfile:
         if multiplicities.min() < 1 or multiplicities.max() > cap:
             i = np.flatnonzero((multiplicities < 1) | (multiplicities > cap))[0]
             raise ValueError(f"count {multiplicities[i]} for "
-                             f"{base + int(offsets[i])} outside "
+                             f"{self.base + int(self.offsets[i])} outside "
                              "[1, min(|A|,|B|)]")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"RepProfile is read-only: cannot set {name}")
 
     @property
     def counts(self) -> Mapping[int, int]:
@@ -246,10 +244,15 @@ def _offsets(values: Sequence[int], dtype) -> np.ndarray:
     return np.array([x - base for x in values], dtype=dtype)
 
 
+def _pair_dtype(A: IntegerSet, B: IntegerSet) -> type:
+    """int64 when span(A) + span(B) < 2**63, so that every sum of the
+    offsets from min A and min B fits, else object (Python ints)."""
+    return np.int64 if (A.max - A.min) + (B.max - B.min) < _INT64_SPAN else object
+
+
 def _pair_offsets(A: IntegerSet, B: IntegerSet) -> tuple[np.ndarray, np.ndarray]:
-    """(A - min A, B - min B) in int64 when span(A) + span(B) < 2**63, so
-    that every pair sum fits, else as Python ints in object arrays."""
-    dtype = np.int64 if (A.max - A.min) + (B.max - B.min) < _INT64_SPAN else object
+    """(A - min A, B - min B) as arrays of ``_pair_dtype(A, B)``."""
+    dtype = _pair_dtype(A, B)
     return _offsets(A.elements, dtype), _offsets(B.elements, dtype)
 
 
@@ -260,23 +263,26 @@ def representation_profile(A: IntegerSet, B: IntegerSet) -> RepProfile:
     pair gathered: in each chunk [lo, hi) the runs of equal sorted keys are
     the chunk's distinct sums (a run's key + lo) and their counts (the run
     lengths).  The chunks cover increasing ranges of sums, so their runs,
-    concatenated, are the profile's arrays.
+    concatenated, are the profile's arrays, the offsets as
+    ``_pair_dtype(A, B)``.
     """
-    dtype = (np.int64 if (A.max - A.min) + (B.max - B.min) < _INT64_SPAN
-             else object)
+    dtype = _pair_dtype(A, B)
+
+    def chunk_runs(keys: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
+        values, counts = _runs(keys)
+        return np.add(values, lo, dtype=dtype), counts
+
     first = np.zeros(len(A), dtype=np.intp)
-    runs = list(_each_chunk(A, B, first, lambda keys, lo: _runs(keys, lo, dtype)))
+    runs = list(_each_chunk(A, B, first, chunk_runs))
     offsets, multiplicities = map(np.concatenate, zip(*runs))
     return RepProfile(A.min + B.min, offsets, multiplicities, (len(A), len(B)))
 
 
-def _runs(keys: np.ndarray, lo: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of the sorted ``keys`` plus ``lo``, as ``dtype``,
-    and how often each occurs."""
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the nonempty sorted ``keys`` and how often
+    each occurs."""
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    values = keys[starts].astype(dtype, copy=False)
-    values += lo
-    return values, np.diff(starts, append=len(keys))
+    return keys[starts], np.diff(starts, append=len(keys))
 
 
 def energy(profile: RepProfile, alpha: float) -> EnergyValue:

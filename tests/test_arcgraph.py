@@ -52,6 +52,11 @@ def iset(*values):
     return IntegerSet.of(values)
 
 
+def sweep_of(A, B):
+    """The translate-pair sweep of (A, B), from the close pairs of B."""
+    return _translate_pair_sweep(*_close_pairs(A, B))
+
+
 def graph_of(n, pairs):
     return ArcGraph(n, u=[u for u, _ in pairs], v=[v for _, v in pairs])
 
@@ -581,7 +586,7 @@ def _sweep_by_path(A, B, dense, block):
     instead of ``_histograms_fit``, over blocks of ``block`` arc pairs."""
     with mock.patch.object(arcgraph, "_histograms_fit", lambda *_: dense), \
             mock.patch.object(arcgraph, "_ARC_PAIR_BLOCK", block):
-        return [x.tolist() for x in _translate_pair_sweep(A, B)]
+        return [x.tolist() for x in sweep_of(A, B)]
 
 
 def _sweep_against_the_per_delta_counts(A, B):
@@ -590,7 +595,7 @@ def _sweep_against_the_per_delta_counts(A, B):
     value, with the default blocks and with blocks of one arc pair per
     delta, each on the sorted path and, for int64 offsets and span(A) up to
     2**20, on the dense one, whatever its rule picks."""
-    mult, f, g = _translate_pair_sweep(A, B)
+    mult, f, g = sweep_of(A, B)
     counts = Counter(c - x for i, x in enumerate(B) for c in B[i + 1:]
                      if c - x < A.max - A.min)
     assert mult.tolist() == [counts[d] for d in sorted(counts)]
@@ -644,7 +649,7 @@ def _takes_the_dense_path(A, B):
     calls to ``_occurrences``, which the sorted path makes none of."""
     occurrences = mock.Mock(wraps=arcgraph._occurrences)
     with mock.patch.object(arcgraph, "_occurrences", occurrences):
-        _translate_pair_sweep(A, B)
+        sweep_of(A, B)
     return occurrences.called
 
 
@@ -764,6 +769,11 @@ def test_sum_graph_counts_on_either_path(sets):
         assert count_intersections(g) == intersections
     assert sweep.call_count == (2 if rule else 0)
     assert pairs.call_count == 2
+    for call in sweep.call_args_list:  # the close pairs, as _close_pairs gives them
+        a, b, stop, found = call.args
+        assert not call.kwargs and found == close
+        assert [a.tolist(), b.tolist()] == [x.tolist() for x in _pair_offsets(A, B)]
+        assert stop.tolist() == [sum(1 for c in B if c < x + A.max - A.min) for x in B]
     assert count_crossings_fast(plain) == crossings
     assert count_intersections(plain) == intersections
     assert count_crossings_oracle(g) == crossings
@@ -840,7 +850,7 @@ class TestTranslatePairsByDifference:
         # pairs and (lo, hi) is empty.
         for A in (iset(0, 2, 6, 14, 24), iset(0, 4, 8, 14, 18)):
             span = A.max - A.min
-            mult, f, g = _translate_pair_sweep(A, IntegerSet(tuple(range(span))))
+            mult, f, g = sweep_of(A, IntegerSet(tuple(range(span))))
             deltas = range(1, span)
             assert mult.tolist() == [span - d for d in deltas]
             assert f.tolist() == [translate_pair_crossings_by_definition(A, 0, d)

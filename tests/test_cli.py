@@ -1,14 +1,23 @@
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import random
 import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumcross import (REFERENCE_SEED, IntegerSet, coprime_construction,
-                      load_set, save_set, sidon_seed_construction)
+from helpers import (crossings_by_definition, intersections_by_definition,
+                     sum_graph_by_definition,
+                     translate_pair_crossings_by_definition)
+from sumcross import (REFERENCE_SEED, ArcGraph, IntegerSet, coprime_construction,
+                      crossing_stats, load_set, save_set, sidon_seed_construction)
 from sumcross.cli import _json_with_runs, main
 
 
@@ -197,6 +206,81 @@ class TestCrossings:
         assert stats["degreeSequence"] == [3, 2, 1, 1, 1]
 
 
+@st.composite
+def small_pairs(draw):
+    """(A, B) with |A| >= 2 and |B| >= 1, up to seven elements each: gaps
+    of 1 to 4, so often repeated, or 2**62, from a start near 0 or near
+    +-2**62, so that values and summed spans reach past int64."""
+    def one_set(min_size):
+        start = draw(st.one_of(st.integers(-20, 20),
+                               st.integers(-2**62 - 20, -2**62 + 20),
+                               st.integers(2**62 - 20, 2**62 + 20)))
+        gaps = draw(st.lists(st.one_of(st.integers(1, 4), st.just(2**62)),
+                             min_size=min_size - 1, max_size=6))
+        return IntegerSet(tuple(itertools.accumulate(gaps, initial=start)))
+
+    return one_set(2), one_set(1)
+
+
+def main_output(*argv):
+    """(exit code, stdout, stderr) of ``main`` on ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(*argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_pairs(), st.randoms(use_true_random=False),
+       st.sampled_from(["1.5", "seven", "+3", "0x10", "1e3", "- 3"]))
+@example((IntegerSet((0, 2, 4, 6)), IntegerSet((-7,))), random.Random(1), "1.5")
+@example((IntegerSet((-2**62, -2**62 + 1, -2**62 + 2, 2, 2**62 + 2)),
+          IntegerSet((2**62 - 3, 2**62 - 2, 2**62))), random.Random(2), "+3")
+def test_crossings_command_against_the_definitions(sets, rng, bad):
+    """``crossings`` on set files written in shuffled line order prints the
+    JSON of ``crossing_stats``, and its counts, like those in the contexts
+    of ``check all``, are the quadratic oracles' on the sum graph built by
+    definition.  A set file with a line that is no decimal integer exits 2
+    with one ``error:`` line."""
+    A, B = sets
+    sums, edges = sum_graph_by_definition(A, B)
+    graph = ArcGraph(len(sums), u=[u for u, _ in edges], v=[v for _, v in edges])
+    crossings = crossings_by_definition(graph)
+    degrees = Counter(itertools.chain.from_iterable(edges))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp, f"{name}.txt") for name in ("a", "b", "bad")}
+        lines = {}
+        for name, S in (("a", A), ("b", B)):
+            lines[name] = [f"{x}\n" for x in S]
+            rng.shuffle(lines[name])
+            paths[name].write_text("".join(lines[name]))
+        files = ["--a", paths["a"], "--b", paths["b"], "--outdir", tmp]
+        code, out, err = main_output("crossings", *files)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(crossing_stats(A, B).as_dict(), indent=2) + "\n"
+        stats = json.loads(out)
+        assert stats["crossings"] == crossings
+        assert stats["intersections"] == intersections_by_definition(graph)
+        assert stats["maxTranslatePairCrossings"] == max(
+            (translate_pair_crossings_by_definition(A, b, c)
+             for i, b in enumerate(B) for c in B[i + 1:]), default=0)
+        assert sorted(stats["degreeSequence"]) == sorted(degrees.values())
+        assert len(degrees) == len(sums)
+
+        check = Path(tmp, "check.json")
+        assert main_output("check", "all", *files, "--json", check)[0] == 0
+        contexts = [r["context"] for r in json.loads(check.read_text())]
+        assert {c["crossings"] for c in contexts if "crossings" in c} == {crossings}
+
+        which = rng.choice(["a", "b"])
+        lines[which].insert(rng.randint(0, len(lines[which])), bad + "\n")
+        paths["bad"].write_text("".join(lines[which]))
+        files[files.index(paths[which])] = paths["bad"]
+        code, out, err = main_output("crossings", *files)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [
     ("crossings", "--a", "A", "--b", "B"),
     ("analyze", "--a", "A", "--b", "B"),
@@ -214,39 +298,41 @@ def test_printed_json_is_the_json_file(tmp_path, capsys, command):
 
 @st.composite
 def degree_lists(draw):
-    """Lists of ints: empty, one element, one run, two values alternating,
-    unsorted, negative, past 2**63, nonincreasing with long runs, or any
-    of these with True in them."""
+    """Nonempty lists of ints, as ``crossings`` writes its degree sequence:
+    one element, one run, two values alternating, unsorted, negative,
+    past 2**63, or nonincreasing with long runs."""
     values = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
     shape = draw(st.sampled_from(["any", "one", "run", "alternate", "sorted"]))
     if shape == "one":
-        degrees = [draw(values)]
-    elif shape == "run":
-        degrees = [draw(values)] * draw(st.integers(1, 40))
-    elif shape == "alternate":
-        degrees = [draw(values), draw(values)] * draw(st.integers(1, 20))
-    elif shape == "sorted":
-        degrees = sorted(draw(st.lists(st.integers(0, 5), max_size=80)),
-                         reverse=True)
-    else:
-        degrees = draw(st.lists(values, max_size=20))
-    if draw(st.integers(0, 4)) == 0:
-        degrees.insert(draw(st.integers(0, len(degrees))), True)
-    return degrees
+        return [draw(values)]
+    if shape == "run":
+        return [draw(values)] * draw(st.integers(1, 40))
+    if shape == "alternate":
+        return [draw(values), draw(values)] * draw(st.integers(1, 20))
+    if shape == "sorted":
+        return sorted(draw(st.lists(st.integers(0, 5), min_size=1, max_size=80)),
+                      reverse=True)
+    return draw(st.lists(values, min_size=1, max_size=20))
+
+
+_JSON_SCALARS = st.one_of(st.text(), st.floats(), st.none(), st.booleans(),
+                          st.integers())
 
 
 @given(st.dictionaries(st.text().filter(lambda k: k != "degreeSequence"),
-                       st.one_of(st.text(), st.floats(), st.none(),
-                                 st.booleans(), st.integers()),
+                       st.one_of(_JSON_SCALARS,
+                                 st.lists(_JSON_SCALARS, max_size=3),
+                                 st.dictionaries(st.text(), _JSON_SCALARS,
+                                                 max_size=3)),
                        max_size=4),
        degree_lists())
-@example({}, [])
 @example({"crossings": 0}, [7])
 @example({"crossings": 1, "ratio": 0.5, "name": "x", "none": None}, [3, 3, 1])
-@example({"flag": True}, [1, True, 1])  # a bool falls back to json.dumps
+@example({"flag": True, "list": [1, [2]], "object": {"k": None}}, [1, 0, 1])
 @example({}, [2**63, 2**63, -2**64, 5, 5])
 def test_runs_encoder_is_json_dumps(head, degrees):
-    """The runs encoder writes the bytes of ``json.dumps(indent=2)``."""
+    """The runs encoder writes the bytes of ``json.dumps(indent=2)`` for
+    the payloads of ``crossings``: a nonempty list of ints last."""
     payload = {**head, "degreeSequence": degrees}
     assert _json_with_runs(payload) == json.dumps(payload, indent=2)
 

@@ -525,8 +525,11 @@ class TestRepresentationProfile:
             counts[2**64]
         with pytest.raises(TypeError):
             counts[4] = 1
-        with pytest.raises(AttributeError):
-            profile.base = 1
+        for name in ("base", "offsets", "multiplicities", "source_sizes"):
+            with pytest.raises(AttributeError):
+                setattr(profile, name, getattr(profile, name))
+            with pytest.raises(AttributeError):
+                delattr(profile, name)
         for array in (profile.offsets, profile.multiplicities):
             assert not array.flags.writeable
         wide = representation_profile(iset(-2**64, 0), iset(0, 2**64))
