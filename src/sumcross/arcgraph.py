@@ -317,9 +317,11 @@ def _close_pairs(A: IntegerSet,
                  B: IntegerSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """(A - min A, B - min B, stop, close): the b' in B with
     b < b' < b + span(A) are those at indices i + 1 .. stop[i] - 1 for b at
-    index i, the pairs of translates that can meet; close counts them."""
+    index i, the pairs of translates that can meet; close counts them.  An
+    A of one element, span 0, is searched as span 1: stop[i] = i + 1 and
+    no pair is close."""
     a, b = _pair_offsets(A, B)
-    stop = np.searchsorted(b, b + a[-1], side="left")
+    stop = np.searchsorted(b, b + max(a[-1], 1), side="left")
     return a, b, stop, int(stop.sum()) - len(b) * (len(b) + 1) // 2
 
 
@@ -388,10 +390,10 @@ def _translate_pair_sweep(a: np.ndarray, b: np.ndarray, stop: np.ndarray,
     the sorts.  Offsets are int64 below summed spans of 2**63, Python ints
     above, which only the sorted path takes.
     """
-    k, n = len(a), len(b)
-    if k < 2 or not close:
+    if not close:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty
+    k, n = len(a), len(b)
     differences = _gather(-b, b, np.arange(1, n + 1), stop)
     span = int(a[-1])
     dense = a.dtype != object and _histograms_fit(span, close)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -82,24 +82,11 @@ class BoundReport:
     context: dict
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "mode": self.mode,
-            "satisfied": self.satisfied,
-            "ratio": self.ratio,
-            "context": self.context,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _ratio(lhs, rhs) -> Optional[float]:
-    if rhs <= 0:
-        return None
-    try:
-        return float(lhs) / float(rhs)
-    except OverflowError:
-        return None
+    return float(lhs) / float(rhs) if rhs > 0 else None
 
 
 def check_sumset_lower(A: IntegerSet, B: IntegerSet) -> BoundReport:

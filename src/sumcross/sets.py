@@ -259,12 +259,13 @@ def _pair_offsets(A: IntegerSet, B: IntegerSet) -> tuple[np.ndarray, np.ndarray]
 def representation_profile(A: IntegerSet, B: IntegerSet) -> RepProfile:
     """Multiplicity of every sum value; totals |A|*|B| by construction.
 
-    The pair sums come from the chunk loop of :func:`sumset_size`, every
-    pair gathered: in each chunk [lo, hi) the runs of equal sorted keys are
-    the chunk's distinct sums (a run's key + lo) and their counts (the run
-    lengths).  The chunks cover increasing ranges of sums, so their runs,
-    concatenated, are the profile's arrays, the offsets as
-    ``_pair_dtype(A, B)``.
+    The pair sums come from the chunk loop of :func:`sumset_size`: in each
+    chunk [lo, hi) the runs of equal sorted keys are the chunk's distinct
+    sums (a run's key + lo) and their counts (the run lengths).  The chunks
+    cover increasing ranges of sums, so their runs, concatenated, are the
+    profile's arrays, the offsets as ``_pair_dtype(A, B)``.  When A == B
+    the loop gathers only the pairs i <= j, c(x) of them for the sum x,
+    and r(x) = 2 c(x) - [x in 2A], the sums 2a located by one search.
     """
     dtype = _pair_dtype(A, B)
 
@@ -272,9 +273,12 @@ def representation_profile(A: IntegerSet, B: IntegerSet) -> RepProfile:
         values, counts = _runs(keys)
         return np.add(values, lo, dtype=dtype), counts
 
-    first = np.zeros(len(A), dtype=np.intp)
-    runs = list(_each_chunk(A, B, first, chunk_runs))
+    runs = list(_each_chunk(A, B, chunk_runs))
     offsets, multiplicities = map(np.concatenate, zip(*runs))
+    if A.elements == B.elements:
+        multiplicities *= 2
+        doubles = 2 * _offsets(A.elements, dtype)
+        multiplicities[np.searchsorted(offsets, doubles)] -= 1
     return RepProfile(A.min + B.min, offsets, multiplicities, (len(A), len(B)))
 
 
@@ -407,20 +411,21 @@ def sumset_size(A: IntegerSet, B: IntegerSet) -> int:
     quarter as many pairs: 64 bytes per pair of a chunk plus 160 per
     element for values below 2**88.
     """
-    # row i pairs a_i with b_j for first[i] <= j
-    first = (np.arange(len(A)) if A.elements == B.elements
-             else np.zeros(len(A), dtype=np.intp))
-    return sum(_each_chunk(A, B, first, lambda keys, lo: 1 + int(
+    return sum(_each_chunk(A, B, lambda keys, lo: 1 + int(
         np.count_nonzero(keys[1:] != keys[:-1]))))
 
 
-def _each_chunk(A: IntegerSet, B: IntegerSet, first: np.ndarray,
+def _each_chunk(A: IntegerSet, B: IntegerSet,
                 reduce: Callable[[np.ndarray, int], object]) -> Iterator:
-    """``reduce(keys, lo)`` for each chunk [lo, hi) of the sums a_i + b_j,
-    j >= first[i], of (A - min A) + (B - min B), in increasing order:
-    ``keys`` holds the chunk's sums less lo, gathered and sorted in place
-    by :func:`_sorted_keys`.  Each chunk's keys are freed when ``reduce``
+    """``reduce(keys, lo)`` for each chunk [lo, hi) of the sums a_i + b_j
+    of (A - min A) + (B - min B), in increasing order, over the pairs
+    j >= i when A == B and every pair otherwise: ``keys`` holds the
+    chunk's sums less lo, gathered and sorted in place by
+    :func:`_sorted_keys`.  Each chunk's keys are freed when ``reduce``
     returns, before the next chunk is gathered."""
+    # row i pairs a_i with b_j for first[i] <= j
+    first = (np.arange(len(A)) if A.elements == B.elements
+             else np.zeros(len(A), dtype=np.intp))
     # |A+B| is translation invariant: count (A - min A) + (B - min B)
     wide = (A.max - A.min) + (B.max - B.min) >= _UINT64_SPAN_LIMIT
     dtype = object if wide else np.uint64
@@ -560,9 +565,9 @@ def _sort(keys: np.ndarray) -> None:
 
 def load_set(path) -> IntegerSet:
     """Read a set file; duplicates, non-integer lines and bytes that are not
-    UTF-8 are rejected with a diagnostic naming the offending line."""
+    UTF-8 are rejected with a diagnostic naming the offending line.  The
+    set is the sorted keys of the map from each value to its first line."""
     seen: dict[int, int] = {}
-    values: list[int] = []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             text = raw.strip()
@@ -584,10 +589,9 @@ def load_set(path) -> IntegerSet:
                     path, line_no,
                     f"duplicate value {value} (first on line {seen[value]})")
             seen[value] = line_no
-            values.append(value)
-    if not values:
+    if not seen:
         raise SetFileError(path, 0, "file contains no values")
-    return IntegerSet.of(values)
+    return IntegerSet._canonical(tuple(sorted(seen)))
 
 
 def save_set(path, A: IntegerSet) -> None:

@@ -644,6 +644,22 @@ def test_translate_pair_sweep_against_the_definitions(sets):
     assert stats.max_translate_pair_crossings == expected
 
 
+@pytest.mark.parametrize("B", [
+    iset(0), iset(0, 3, 7), iset(0, 1, 2, 3), iset(-2**62, 2**62),
+    iset(-2**64, 0, 1, 2**64)])
+def test_one_element_a_has_no_close_pairs(B):
+    """An A of one element has span 0, so no b' of B lies in
+    (b, b + span(A)): the close pairs count 0, and every row's stop is past
+    its own index.  The sweep then finds no delta, and the largest
+    translate-pair crossing count is 0."""
+    A = iset(5)
+    _, _, stop, close = _close_pairs(A, B)
+    assert close == 0
+    assert stop.tolist() == list(range(1, len(B) + 1))
+    assert [x.tolist() for x in sweep_of(A, B)] == [[], [], []]
+    assert max_translate_pair_crossings(A, B) == 0
+
+
 def _takes_the_dense_path(A, B):
     """Whether the sweep counts (A, B) by histograms, watched through its
     calls to ``_occurrences``, which the sorted path makes none of."""

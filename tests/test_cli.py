@@ -281,6 +281,47 @@ def test_crossings_command_against_the_definitions(sets, rng, bad):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_pairs())
+@example((IntegerSet((0, 1, 2, 4)), IntegerSet((-7,))))
+@example((IntegerSet((-2**62, -2**62 + 1, -2**62 + 2, 2**62 + 2)),
+          IntegerSet((2**62 - 3, 2**62 - 2, 2**62))))
+def test_analyze_command_against_the_definitions(sets):
+    """``analyze`` on the drawn pair, and on A passed as both files (the
+    chunk loop then gathers the pairs i <= j), against a Counter of the
+    pair sums and the set of the differences."""
+    A, B = sets
+    with tempfile.TemporaryDirectory() as tmp:
+        a = write_set(Path(tmp, "a.txt"), A)
+        for Y, b in ((B, write_set(Path(tmp, "b.txt"), B)), (A, a)):
+            code, out, err = main_output("analyze", "--a", a, "--b", b,
+                                         "--outdir", tmp)
+            assert (code, err) == (0, "")
+            stats = json.loads(out)
+            r = Counter(x + y for x in A for y in Y)
+            assert stats["sumsetSize"] == len(r)
+            assert stats["differenceSize"] == len({x - y for x in A for y in Y})
+            assert stats["energy2"] == sum(c * c for c in r.values())
+            assert stats["multiplicityHistogram"] == {
+                str(c): n for c, n in sorted(Counter(r.values()).items())}
+
+
+def test_one_element_a(tmp_path):
+    """An A of one element has a sum graph without edges: ``crossings``
+    exits 2 with one error line, and ``check all`` exits 0 with the three
+    reports that need no sum graph."""
+    a = write_set(tmp_path / "a.txt", [5])
+    b = write_set(tmp_path / "b.txt", [0, 3, 7])
+    files = ("--a", a, "--b", b, "--outdir", tmp_path)
+    assert main_output("crossings", *files) == (
+        2, "", "error: A must have at least two elements\n")
+    check = tmp_path / "check.json"
+    code, _, err = main_output("check", "all", *files, "--json", check)
+    assert (code, err) == (0, "")
+    assert {r["name"] for r in json.loads(check.read_text())} == {
+        "doubling_lower_ge", "heavy_subset_ge", "sumset_lower_ge"}
+
+
 @pytest.mark.parametrize("command", [
     ("crossings", "--a", "A", "--b", "B"),
     ("analyze", "--a", "A", "--b", "B"),
@@ -404,6 +445,8 @@ class TestGoldenBytes:
          "4abda535e2b40ea7ac1c3a03e14ea8f4df2d991d69df899dbdc9bdaf72abc20c"),
         ("check", "seeded_depth1",
          "a75de357995fe7006b823e86b069387db2fbaafb0c191cf48a923f5e2dd5c69b"),
+        ("analyze", "seeded_depth1",
+         "08ccdbdc4f95351955930bd4f5faa29ace34344fe000d3d3c4262487673fc5ae"),
         ("analyze", "coprime_t1",
          "209d4f217cf6aac6080e24e97ef5ddf10ef5e6aab025a30f706afe5a830cc69e"),
         ("check", "coprime_t3",

@@ -332,6 +332,10 @@ class TestRepresentationProfile:
     @example({-2**62, 0, 1, 2**62}, set(), True)
     @example({-(2**62) - 1, 2**62}, {0, 2**62}, False)
     @example({2**64, -2**64, 3}, {-2**62, 2**62 + 5}, False)
+    # A = B, 2 span(A) = 2**63 - 2 and 2**63: the sums 2a are searched
+    # among int64 offsets, then among Python-int offsets
+    @example({0, 1, 2, 2**62 - 1}, set(), True)
+    @example({-2**61, -2**61 + 1, -2**61 + 2, 2**61}, set(), True)
     def test_matches_definition_in_increasing_order(self, xs, ys, same):
         A = IntegerSet.of(xs)
         B = A if same or not ys else IntegerSet.of(ys)
@@ -351,9 +355,12 @@ class TestRepresentationProfile:
         below 2**88: 64 per pair of a chunk of a quarter as many pairs plus
         160 per element), plus 32 bytes per distinct sum while the offsets
         are int64 and 80 where they are Python ints (summed spans of 2**63
-        on), plus 512 per chunk.  The cases: random values (nearly every
-        sum distinct) and an arithmetic progression (few), |A| = 1 and
-        |A| = 2 with every sum distinct, in one chunk and in many.
+        on), plus 512 per chunk.  When A == B the pairs are the
+        |A|(|A|+1)/2 that the chunk loop gathers, i <= j.  The cases: random
+        values (nearly every sum distinct) and an arithmetic progression
+        (few), |A| = 1 and |A| = 2 with every sum distinct, in one chunk and
+        in many, and A = B of 1,000 values with few distinct sums, where
+        gathering all |A|^2 pairs would pass the bound.
 
         ``sumset`` and ``difference_set``, on the cases in chunks of 2**22
         pairs, are held to the profile's bound plus 80 bytes per distinct
@@ -396,7 +403,8 @@ class TestRepresentationProfile:
                  (IntegerSet.of(k << 55 for k in range(-150, 150)),
                   IntegerSet.of(k << 55 for k in range(-100, 100)), default),
                  (iset(0, 2**61), IntegerSet.of(rng.randrange(2**61, 2**62)
-                                                for _ in range(20000)), default)]
+                                                for _ in range(20000)), default),
+                 (*(random_integer_set(rng, 1000, 0, 3999),) * 2, default)]
         chunks = []
         sorted_keys = sets_module._sorted_keys
         monkeypatch.setattr(sets_module, "_sorted_keys",
@@ -417,7 +425,9 @@ class TestRepresentationProfile:
             per_pair, per_element = (64, 160) if wide else (16, 64)
             chunk = max(1, chunk // 4) if wide else chunk
             per_sum = 80 if span >= 2**63 else 32
-            chunk_pairs = min(len(A) * len(B), max(chunk, min(len(A), len(B))))
+            pairs = (len(A) * (len(A) + 1) // 2 if A == B
+                     else len(A) * len(B))
+            chunk_pairs = min(pairs, max(chunk, min(len(A), len(B))))
             return (per_pair * chunk_pairs + per_element * (len(A) + len(B))
                     + per_sum * distinct + 512 * len(chunks))
 
@@ -428,10 +438,12 @@ class TestRepresentationProfile:
                     used, profile = peak(representation_profile, A, B, chunk)
                     assert used <= bound(A, B, chunk, len(profile.offsets))
                     del profile
-                    builds = ((sumset, 0), (difference_set, 48))
-                    for build, per_b in builds if chunk == default else ():
+                    # difference_set(A, B) gathers the pairs of A + (-B)
+                    builds = ((sumset, B, 0),
+                              (difference_set, sets_module._negated(B), 48))
+                    for build, Y, per_b in builds if chunk == default else ():
                         used, sums = peak(build, A, B, chunk)
-                        assert used <= (bound(A, B, chunk, len(sums))
+                        assert used <= (bound(A, Y, chunk, len(sums))
                                         + 80 * len(sums) + per_b * len(B))
                         del sums
         finally:
@@ -800,6 +812,24 @@ class TestSumsetSize:
             multi += len(chunks) > 1
         assert multi >= 40
 
+    def test_each_chunk_gathers_the_pairs_i_le_j_of_a_set_with_itself(self):
+        """``_each_chunk`` hands ``reduce`` |A|(|A|+1)/2 keys when A == B,
+        an equal copy of A included, and |A||B| otherwise: in one chunk and
+        in many, with uint keys and with Python-int keys."""
+        rng = random.Random(61)
+        for scale in (1, 2**60):
+            A, B = (IntegerSet.of(scale * x for x in random_integer_set(
+                rng, n, 0, 10**4)) for n in (60, 45))
+            twin = IntegerSet.of(list(A))
+            cases = ((A, A, 60 * 61 // 2), (A, twin, 60 * 61 // 2),
+                     (A, B, 60 * 45), (B, A, 60 * 45))
+            for (X, Y, pairs), chunk in itertools.product(cases, (1 << 22, 64)):
+                with mock.patch.object(sets_module, "_CHUNK_ELEMENTS", chunk):
+                    keys = list(sets_module._each_chunk(
+                        X, Y, lambda keys, lo: len(keys)))
+                assert sum(keys) == pairs
+                assert (len(keys) > 1) == (chunk == 64)
+
     def test_one_probe_per_chunk_on_the_paper_set(self, monkeypatch):
         # the depth-2 set (1,710,325 pairs i <= j) in chunks of 2**12 pairs
         # gives the one-chunk count with fewer than two _rows_below calls
@@ -1163,6 +1193,29 @@ class TestSetFiles:
         path.write_text("\n\n")
         with pytest.raises(SetFileError):
             load_set(path)
+
+    def test_equal_values_written_differently_are_duplicates(self, tmp_path):
+        """A duplicate is a repeated value, not a repeated line: 0 and -0,
+        and 7 and 007; the error names the line of the first."""
+        path = tmp_path / "s.txt"
+        for first, again in (("0", "-0"), ("7", "007"), ("-007", "-7")):
+            path.write_text(f"3\n{first}\n\n{again}\n")
+            with pytest.raises(SetFileError, match=f":4: duplicate value "
+                               f"{int(first)} \\(first on line 2\\)$"):
+                load_set(path)
+
+    def test_shuffled_file_loads_its_integers(self, tmp_path):
+        """10^4 values in random order, negatives and leading zeros among
+        them, load to the set of their ``int``s, every element a plain
+        Python int."""
+        rng = random.Random(71)
+        lines = [f"{'-' if x < 0 else ''}{'0' * rng.randrange(3)}{abs(x)}\n"
+                 for x in rng.sample(range(-10**6, 10**6), 10**4)]
+        path = tmp_path / "s.txt"
+        path.write_text("".join(lines))
+        loaded = load_set(path)
+        assert loaded == IntegerSet.of(int(line) for line in lines)
+        assert {type(x) for x in loaded} == {int}
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="no digit limit for integer string conversion")
