@@ -318,10 +318,12 @@ def _close_pairs(A: IntegerSet,
     """(A - min A, B - min B, stop, close): the b' in B with
     b < b' < b + span(A) are those at indices i + 1 .. stop[i] - 1 for b at
     index i, the pairs of translates that can meet; close counts them.  An
-    A of one element, span 0, is searched as span 1: stop[i] = i + 1 and
-    no pair is close."""
+    A of one element, span 0, finds stop[i] = i, raised to i + 1: no pair
+    is close.  b + span(A) is at most span(A) + span(B), which the offsets'
+    dtype holds."""
     a, b = _pair_offsets(A, B)
-    stop = np.searchsorted(b, b + max(a[-1], 1), side="left")
+    stop = np.searchsorted(b, b + a[-1], side="left")
+    np.maximum(stop, np.arange(1, len(b) + 1), out=stop)
     return a, b, stop, int(stop.sum()) - len(b) * (len(b) + 1) // 2
 
 

@@ -8,6 +8,11 @@ Exit codes: 0 ok, 1 assert-mode bound violation or reference mismatch,
 2 malformed input or a file that cannot be read or written (a one-line
 ``error:`` message on stderr, no traceback), 3 an internal error: any other
 exception, ``MemoryError`` included, with its traceback on stderr.
+
+``main(argv)`` may be called many times in one process.  Its parser is built
+on the first call and reused; a one-shot ``sumcross`` process builds it once
+either way.  The subcommand handlers are bound at that first build, so a test
+patches what a handler calls, never the handler.
 """
 
 from __future__ import annotations
@@ -360,7 +365,10 @@ def cmd_reproduce(args) -> int:
 # Parser wiring.
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, shared by every ``main`` call:
+    callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="sumcross",
         description="sumset growth, arc-graph crossing counts, and the "

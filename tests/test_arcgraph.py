@@ -621,6 +621,8 @@ def _sweep_against_the_per_delta_counts(A, B):
 @example((iset(-2**62, 0, 2**62 - 20), iset(-2**62, -2**62 + 3, -2**62 + 10)))  # int64
 @example((iset(-2**62, -2**62 + 3, 2**62 - 9), iset(2**62 - 5, 2**62, 2**62 + 4)))  # 2**63
 @example((iset(-2**64, -5, 0, 2**64), iset(-2**64, 3, 2**63)))  # Python ints
+@example((iset(0), iset(-4_611_686_018_427_387_899,
+                        4_611_686_018_427_387_908)))  # |A| = 1, span(B) 2**63 - 1
 def test_translate_pair_sweep_against_the_definitions(sets):
     """crossing_stats and max_translate_pair_crossings, both from the
     translate-pair sweep, against the edge-pair oracles on the whole sum
@@ -646,7 +648,7 @@ def test_translate_pair_sweep_against_the_definitions(sets):
 
 @pytest.mark.parametrize("B", [
     iset(0), iset(0, 3, 7), iset(0, 1, 2, 3), iset(-2**62, 2**62),
-    iset(-2**64, 0, 1, 2**64)])
+    iset(-2**64, 0, 1, 2**64), iset(0, 2**63 - 1), iset(0, 5, 2**63 - 1)])
 def test_one_element_a_has_no_close_pairs(B):
     """An A of one element has span 0, so no b' of B lies in
     (b, b + span(A)): the close pairs count 0, and every row's stop is past
@@ -658,6 +660,22 @@ def test_one_element_a_has_no_close_pairs(B):
     assert stop.tolist() == list(range(1, len(B) + 1))
     assert [x.tolist() for x in sweep_of(A, B)] == [[], [], []]
     assert max_translate_pair_crossings(A, B) == 0
+
+
+@pytest.mark.parametrize("A, B", [
+    (iset(0, 1), iset(0, 2**63 - 2)),
+    (iset(0, 3, 2**62), iset(0, 1, 2, 2**62 - 1))])
+def test_summed_spans_at_the_int64_limit(A, B):
+    """span(A) + span(B) = 2**63 - 1, the widest pair on int64 offsets:
+    b + span(A) reaches 2**63 - 1 and no further, so an A of two or more
+    elements searches its close pairs without wrapping."""
+    a, b, stop, close = _close_pairs(A, B)
+    assert a.dtype == b.dtype == np.int64
+    assert close == sum(c - x < A.max - A.min
+                        for i, x in enumerate(B) for c in B[i + 1:])
+    assert max_translate_pair_crossings(A, B) == max(
+        translate_pair_crossings_by_definition(A, x, c)
+        for i, x in enumerate(B) for c in B[i + 1:])
 
 
 def _takes_the_dense_path(A, B):

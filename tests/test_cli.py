@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -18,7 +19,7 @@ from helpers import (crossings_by_definition, intersections_by_definition,
                      translate_pair_crossings_by_definition)
 from sumcross import (REFERENCE_SEED, ArcGraph, IntegerSet, coprime_construction,
                       crossing_stats, load_set, save_set, sidon_seed_construction)
-from sumcross.cli import _json_with_runs, main
+from sumcross.cli import _json_with_runs, build_parser, main
 
 
 def write_set(path, values):
@@ -422,6 +423,27 @@ class TestCheck:
         assert err.endswith(f"{error.__name__}: synthetic internal error\n")
 
 
+# (command, instance, SHA-256 of its --json file)
+GOLDEN_JSON = [
+    ("check", "coprime_t1",
+     "4abda535e2b40ea7ac1c3a03e14ea8f4df2d991d69df899dbdc9bdaf72abc20c"),
+    ("check", "seeded_depth1",
+     "a75de357995fe7006b823e86b069387db2fbaafb0c191cf48a923f5e2dd5c69b"),
+    ("analyze", "seeded_depth1",
+     "08ccdbdc4f95351955930bd4f5faa29ace34344fe000d3d3c4262487673fc5ae"),
+    ("analyze", "coprime_t1",
+     "209d4f217cf6aac6080e24e97ef5ddf10ef5e6aab025a30f706afe5a830cc69e"),
+    ("check", "coprime_t3",
+     "c5088432c099c593525cb69e8649d9faa574c00a024de4582c7ea0ea25e17624"),
+    ("crossings", "coprime_t1",
+     "87d4e296d449714835e0f778380ca63d8fb28f08479107229b7e622dccce5e77"),
+    ("crossings", "coprime_t3",
+     "e229c849ee39bb69999aed0c606f79a33024d55cd7cdcb44a3571f083dd6a929"),
+    ("crossings", "seeded_depth1",
+     "1d7d57227e6d43b9022084268e0994bc119f53ccb688cee5c308a161efbe756c"),
+]
+
+
 class TestGoldenBytes:
     """SHA-256 of JSON outputs pinned from an earlier release, so that a
     faster path can never change a byte.  Seeded depth 1 has A == B, so its
@@ -440,24 +462,7 @@ class TestGoldenBytes:
         save_set(b, B)
         return a, b
 
-    @pytest.mark.parametrize("command, name, digest", [
-        ("check", "coprime_t1",
-         "4abda535e2b40ea7ac1c3a03e14ea8f4df2d991d69df899dbdc9bdaf72abc20c"),
-        ("check", "seeded_depth1",
-         "a75de357995fe7006b823e86b069387db2fbaafb0c191cf48a923f5e2dd5c69b"),
-        ("analyze", "seeded_depth1",
-         "08ccdbdc4f95351955930bd4f5faa29ace34344fe000d3d3c4262487673fc5ae"),
-        ("analyze", "coprime_t1",
-         "209d4f217cf6aac6080e24e97ef5ddf10ef5e6aab025a30f706afe5a830cc69e"),
-        ("check", "coprime_t3",
-         "c5088432c099c593525cb69e8649d9faa574c00a024de4582c7ea0ea25e17624"),
-        ("crossings", "coprime_t1",
-         "87d4e296d449714835e0f778380ca63d8fb28f08479107229b7e622dccce5e77"),
-        ("crossings", "coprime_t3",
-         "e229c849ee39bb69999aed0c606f79a33024d55cd7cdcb44a3571f083dd6a929"),
-        ("crossings", "seeded_depth1",
-         "1d7d57227e6d43b9022084268e0994bc119f53ccb688cee5c308a161efbe756c"),
-    ])
+    @pytest.mark.parametrize("command, name, digest", GOLDEN_JSON)
     def test_json_digest(self, tmp_path, capsys, command, name, digest):
         a, b = self.instance(tmp_path, name)
         out = tmp_path / "out.json"
@@ -607,3 +612,182 @@ class TestGoldenRuns:
         rc = main(argv.split())
         out, err = capsys.readouterr()
         assert self.digest(rc, out, err, tmp_path) == expected
+
+
+# every subcommand, run from a directory holding _write_inputs' files
+SUBCOMMANDS = [
+    "construct coprime --t 1",
+    "construct sidon-seed --seed paper --k 1",
+    "analyze --a a.txt --b b.txt",
+    "crossings --a a.txt --b b.txt",
+    "check all --a a.txt --b b.txt",
+    "sidon search --size 3 --max 3",
+    "sidon optimize",
+    "reproduce-paper",
+]
+# the parser and each subparser with a --help of its own
+HELP_PATHS = [[], ["construct"], ["construct", "coprime"],
+              ["construct", "sidon-seed"], ["analyze"], ["crossings"], ["check"],
+              ["sidon"], ["sidon", "search"], ["sidon", "optimize"],
+              ["reproduce-paper"]]
+
+
+def _help_text(parse, path) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        parse([*path, "--help"])
+    assert exc.value.code == 0
+    return out.getvalue()
+
+
+class TestOneParserPerProcess:
+    """``main`` parses every call with the parser ``build_parser`` makes on
+    the first one: later calls construct no ``ArgumentParser``, and nothing
+    one call parses, fails on or prints reaches the next."""
+
+    def test_later_calls_build_no_parser(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _write_inputs(tmp_path)
+        assert main(["sidon", "search", "--size", "3", "--max", "3"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in SUBCOMMANDS:
+            assert main(argv.split()) == 0, argv
+        assert built == []
+        assert build_parser() is build_parser()
+
+    def test_json_of_one_call_is_not_the_next_ones(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _write_inputs(tmp_path)
+        files = ["--a", "a.txt", "--b", "b.txt"]
+        manifest = tmp_path / "crossings-manifest.json"
+        assert main(["crossings", *files, "--json", "x.json"]) == 0
+        assert json.loads(manifest.read_text())["outputs"] == ["x.json"]
+        Path("x.json").unlink()
+        assert main(["crossings", *files]) == 0
+        assert json.loads(manifest.read_text())["outputs"] == []
+        assert not Path("x.json").exists()
+
+    def test_outdir_of_one_call_is_not_the_next_ones(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _write_inputs(tmp_path)
+        files = ["--a", "a.txt", "--b", "b.txt"]
+        assert main(["crossings", *files, "--outdir", "d"]) == 0
+        assert Path("d", "crossings-manifest.json").exists()
+        Path("d", "crossings-manifest.json").unlink()
+        assert main(["crossings", *files]) == 0
+        assert Path("crossings-manifest.json").exists()
+        assert not Path("d", "crossings-manifest.json").exists()
+
+    def test_exits_leave_the_parser_as_it_was(self, tmp_path, capsys):
+        a, b = TestGoldenBytes.instance(tmp_path, "seeded_depth1")
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "all", "--a", str(a)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sumcross check ")
+        assert err.endswith("error: the following arguments are required: --b\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        out = tmp_path / "out.json"
+        assert run("check", "all", "--a", a, "--b", b, "--json", out,
+                   "--outdir", tmp_path) == 0
+        digests = {(c, n): d for c, n, d in GOLDEN_JSON}
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == digests["check", "seeded_depth1"])
+
+    def test_help_is_the_same_on_every_call(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        build_parser.cache_clear()
+        first = [_help_text(main, path) for path in HELP_PATHS]
+        later = [_help_text(main, path) for path in HELP_PATHS]
+        fresh = [_help_text(build_parser.__wrapped__().parse_args, path)
+                 for path in HELP_PATHS]
+        assert first == later == fresh
+        assert len(set(first)) == len(HELP_PATHS)
+
+
+# Lines a set file may hold: odd spellings of integers, which the loader
+# rejects, equal values spelled twice, and bytes that are no UTF-8 (lone
+# surrogates, encoded with surrogatepass).
+ODD_LINES = ["", " ", "-", "+1", "1_0", "0x1", "1e3", "\t7\t", " -12 ",
+             "٣", "１", "7\x00", "\x00", "-0", "0", "007", "7",
+             "9" * 5000, "\ud800", "4\udfff"]
+
+
+@st.composite
+def set_file_bytes(draw) -> bytes:
+    """Up to eight distinct integers with up to two odd lines or random
+    text among them, joined by one kind of line end, and in a quarter of
+    the files random trailing bytes."""
+    lines = draw(st.lists(st.integers(-10**20, 10**20).map(str), max_size=8,
+                          unique=True))
+    for odd in draw(st.lists(st.one_of(st.sampled_from(ODD_LINES),
+                                       st.text(max_size=6)), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    tail = draw(st.binary(max_size=4)) if draw(st.integers(0, 3)) == 0 else b""
+    return newline.join(lines).encode("utf-8", "surrogatepass") + tail
+
+
+def _set_file_values(data: bytes):
+    """The values of a set file by its README rules, or None if it is
+    not one: UTF-8, lines split at \\n, \\r\\n or \\r, blank lines
+    skipped, every other line an ASCII decimal integer (optional leading
+    -) within int()'s digit limit, no value twice, at least one value."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    lines = [line.strip() for line in text.replace("\r\n", "\n")
+             .replace("\r", "\n").split("\n")]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    values = []
+    for line in filter(None, lines):
+        digits = line.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        if limit and len(digits) > limit:
+            return None
+        values.append(int(line))
+    return values if values and len(set(values)) == len(values) else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(set_file_bytes(), set_file_bytes())
+@example(b"-0\r\n007\r7\n", b"1\n2\n")  # 0 and -0 are one value
+@example(b"1\n\xed\xa0\x80\n", b"1\n2\n")  # a lone surrogate is no UTF-8
+@example(b"\t5\r\n3\r\n", b"-100000000000000000000\n\n8\xff")
+def test_any_set_file_bytes(a_bytes, b_bytes):
+    """``analyze``, ``crossings`` and ``check all``, one after another in
+    this process, on set files of random lines, line ends and trailing
+    bytes: each exits 0 exactly when both files are set files (and, for
+    ``crossings``, A has two elements), 1 only for a failed bound of
+    ``check``, and otherwise 2 with one ``error:`` line on stderr."""
+    values = [_set_file_values(a_bytes), _set_file_values(b_bytes)]
+    valid = None not in values
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "a.txt").write_bytes(a_bytes)
+        Path(tmp, "b.txt").write_bytes(b_bytes)
+        files = ["--a", Path(tmp, "a.txt"), "--b", Path(tmp, "b.txt"),
+                 "--outdir", tmp]
+        for argv, ok in ((["analyze"], valid),
+                         (["crossings"], valid and len(values[0]) >= 2),
+                         (["check", "all"], valid)):
+            code, out, err = main_output(*argv, *files)
+            allowed = ({0, 1} if argv[0] == "check" else {0}) if ok else {2}
+            assert code in allowed, (argv, code, err)
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1
+            if argv == ["analyze"] and ok:
+                assert json.loads(out)["sumsetSize"] == len(
+                    {x + y for x in values[0] for y in values[1]})
