@@ -17,6 +17,7 @@ sorted keys, and so every count, are the same either way.
 
 from __future__ import annotations
 
+import io
 import operator
 import os
 import re
@@ -25,6 +26,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -53,6 +55,12 @@ __all__ = [
 ]
 
 _INT_LINE = re.compile(r"-?[0-9]+")
+# The bytes that load_set converts in bulk: ASCII digits, '-', and the
+# spaces, tabs and line ends around them.  Any other byte sends the file
+# through the line-by-line loop.
+_PLAIN_BYTES = b"0123456789- \t\r\n"
+# load_set converts a plain file in slices of about this many bytes.
+_LOAD_SLICE_BYTES = 1 << 16
 # An undecodable byte x, read with errors="surrogateescape", is U+DC00 + x.
 _RAW_BYTE = re.compile("[\udc80-\udcff]")
 
@@ -565,10 +573,56 @@ def _sort(keys: np.ndarray) -> None:
 
 def load_set(path) -> IntegerSet:
     """Read a set file; duplicates, non-integer lines and bytes that are not
-    UTF-8 are rejected with a diagnostic naming the offending line.  The
-    set is the sorted keys of the map from each value to its first line."""
+    UTF-8 are rejected with a diagnostic naming the offending line.
+
+    The file's bytes are read once.  If :func:`_plain_values` reads them as
+    integers, and no two are equal, their sorted list is the set.  Any
+    other file, valid or not, goes through :func:`_load_lines`, which
+    accepts the same files and names the first bad line of the others."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    values = _plain_values(data)
+    if values and all(map(operator.lt, values, islice(values, 1, None))):
+        return IntegerSet._canonical(tuple(values))
+    return _load_lines(path, data)
+
+
+def _plain_values(data: bytes) -> list[int] | None:
+    """The sorted values of the nonempty lines of ``data``, or None unless
+    every byte is an ASCII digit, ``-``, space, tab, ``\\r`` or ``\\n`` and
+    ``int`` converts every nonempty line.  On those bytes ``int`` takes
+    exactly what :func:`_load_lines` takes from a line: a decimal integer
+    (optional leading ``-``) within the digit limit, padded by spaces and
+    tabs.  It refuses ``-``, ``--1``, ``1-2`` and two values on one line,
+    and also a line of spaces only, which the loop skips.  ``data`` is
+    converted in slices that end at a ``\\n`` (a file without one is one
+    slice), so that only one slice's lines are bytes objects at a time."""
+    values: list[int] = []
+    start = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _LOAD_SLICE_BYTES) + 1 or len(data)
+        chunk = data[start:stop]
+        if chunk.translate(None, _PLAIN_BYTES):
+            return None
+        try:
+            values += map(int, filter(None, chunk.splitlines()))
+        except ValueError:
+            return None
+        start = stop
+    values.sort()
+    return values
+
+
+def _load_lines(path, data: bytes) -> IntegerSet:
+    """The set in ``data``, the bytes of the set file at ``path``, read line
+    by line as text mode reads the file: UTF-8 with undecodable bytes
+    escaped, lines ending at \\n, \\r\\n or \\r.  The first line that is
+    a duplicate, is no decimal integer or holds an undecodable byte raises
+    a SetFileError naming it.  The set is the sorted keys of the map from
+    each value to its first line."""
     seen: dict[int, int] = {}
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                          errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text:

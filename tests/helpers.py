@@ -13,6 +13,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+from hypothesis import strategies as st
 
 from sumcross import ArcGraph, IntegerSet
 from sumcross import sets
@@ -322,3 +323,31 @@ def coarse_grid_by_iteration() -> list[float]:
         xs.append(x)
         x = round(x + (0.01 if x < 50.0 else 0.5), 6)
     return xs
+
+
+# Lines a set file may hold: odd spellings of integers, which the loader
+# rejects, equal values spelled twice, bytes that are no UTF-8 (lone
+# surrogates, encoded with surrogatepass), and the spellings at the edge
+# of load_set's whole-file path: two values on a line, malformed signs,
+# and whitespace that str.strip removes but the whole-file path does not
+# take (vertical tab, \x1c, no-break space, line separator), or a BOM.
+ODD_LINES = ["", " ", "-", "+1", "1_0", "0x1", "1e3", "\t7\t", " -12 ",
+             "٣", "１", "7\x00", "\x00", "-0", "0", "007", "7",
+             "9" * 5000, "\ud800", "4\udfff",
+             "1 2", "1\t-2", "5 -", "- 5", "--1", "1-2",
+             "\x0b7", "7\x1c", "\xa07", "\u20287", "\ufeff7"]
+
+
+@st.composite
+def set_file_bytes(draw) -> bytes:
+    """Up to eight distinct integers with up to two odd lines or random
+    text among them, joined by one kind of line end, and in a quarter of
+    the files random trailing bytes."""
+    lines = draw(st.lists(st.integers(-10**20, 10**20).map(str), max_size=8,
+                          unique=True))
+    for odd in draw(st.lists(st.one_of(st.sampled_from(ODD_LINES),
+                                       st.text(max_size=6)), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    tail = draw(st.binary(max_size=4)) if draw(st.integers(0, 3)) == 0 else b""
+    return newline.join(lines).encode("utf-8", "surrogatepass") + tail

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (crossings_by_definition, intersections_by_definition,
-                     sum_graph_by_definition,
+                     set_file_bytes, sum_graph_by_definition,
                      translate_pair_crossings_by_definition)
 from sumcross import (REFERENCE_SEED, ArcGraph, IntegerSet, coprime_construction,
                       crossing_stats, load_set, save_set, sidon_seed_construction)
@@ -714,29 +714,6 @@ class TestOneParserPerProcess:
                  for path in HELP_PATHS]
         assert first == later == fresh
         assert len(set(first)) == len(HELP_PATHS)
-
-
-# Lines a set file may hold: odd spellings of integers, which the loader
-# rejects, equal values spelled twice, and bytes that are no UTF-8 (lone
-# surrogates, encoded with surrogatepass).
-ODD_LINES = ["", " ", "-", "+1", "1_0", "0x1", "1e3", "\t7\t", " -12 ",
-             "٣", "１", "7\x00", "\x00", "-0", "0", "007", "7",
-             "9" * 5000, "\ud800", "4\udfff"]
-
-
-@st.composite
-def set_file_bytes(draw) -> bytes:
-    """Up to eight distinct integers with up to two odd lines or random
-    text among them, joined by one kind of line end, and in a quarter of
-    the files random trailing bytes."""
-    lines = draw(st.lists(st.integers(-10**20, 10**20).map(str), max_size=8,
-                          unique=True))
-    for odd in draw(st.lists(st.one_of(st.sampled_from(ODD_LINES),
-                                       st.text(max_size=6)), max_size=2)):
-        lines.insert(draw(st.integers(0, len(lines))), odd)
-    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    tail = draw(st.binary(max_size=4)) if draw(st.integers(0, 3)) == 0 else b""
-    return newline.join(lines).encode("utf-8", "surrogatepass") + tail
 
 
 def _set_file_values(data: bytes):

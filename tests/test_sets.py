@@ -3,9 +3,11 @@ import math
 import os
 import random
 import sys
+import tempfile
 import threading
 import tracemalloc
 from bisect import bisect_left
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -41,8 +43,8 @@ from sumcross import (
 from sumcross import sets as sets_module
 from helpers import (additive_quadruples, energy_by_definition,
                      pairwise_sums_distinct, random_integer_set,
-                     representation_profile_by_definition, sorts_split,
-                     sumset_size_by_definition)
+                     representation_profile_by_definition, set_file_bytes,
+                     sorts_split, sumset_size_by_definition)
 
 int_sets = st.sets(st.integers(-10**6, 10**6), min_size=1, max_size=30).map(
     IntegerSet.of)
@@ -1225,6 +1227,90 @@ class TestSetFiles:
         path.write_text(f"1\n-{'9' * (limit + 1)}\n")
         with pytest.raises(SetFileError, match=f":2: more than {limit} digits$"):
             load_set(path)
+
+    def test_plain_files_skip_the_line_loop(self, tmp_path, monkeypatch):
+        """Files of ASCII digits, '-', spaces, tabs and line ends, each
+        nonempty line one value, load without the line-by-line loop: in
+        any order, with any line end, a file without a \\n or one longer
+        than a slice."""
+        def no_loop(path, data):
+            raise AssertionError("the line loop ran")
+
+        monkeypatch.setattr(sets_module, "_load_lines", no_loop)
+        monkeypatch.setattr(sets_module, "_LOAD_SLICE_BYTES", 5)
+        path = tmp_path / "s.txt"
+        for data, want in ((b"7\n\n-2\n0\n", (-2, 0, 7)),
+                           (b" 5\t\r\n-3 \r\r\n4", (-3, 4, 5)),
+                           (b"007\n-0012\n-0\n", (-12, 0, 7)),
+                           (b"3\r1\r2\r", (1, 2, 3)),
+                           (b"".join(b"%d\n" % x for x in range(99, -1, -1)),
+                            tuple(range(100)))):
+            path.write_bytes(data)
+            assert load_set(path).elements == want
+
+    @pytest.mark.parametrize("data", [
+        b"1\n2\xc2\xa0\n", b"\xef\xbb\xbf7\n", b"1\x0b\n", b"1 2\n",
+        b"1\t-2\n", b"5 -\n", b"- 5\n", b"--1\n", b"1-2\n", b"+1\n",
+        b"1_0\n", b"1\n \n2\n", b"-0\n0\n", b"\n\r\n", b"", b"1\n\xff",
+        b"1\n" + b"9" * 5000 + b"\n"])
+    def test_other_files_go_through_the_line_loop(self, tmp_path, data):
+        """Any other file, valid or not, is read by the loop, once, from
+        the bytes already read."""
+        path = tmp_path / "s.txt"
+        path.write_bytes(data)
+        with mock.patch.object(sets_module, "_load_lines",
+                               wraps=sets_module._load_lines) as loop:
+            try:
+                load_set(path)
+            except SetFileError:
+                pass
+        loop.assert_called_once_with(path, data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(set_file_bytes())
+    @example(b"1\n1")
+    @example(b"5 -\n3")
+    @example(b"2\r\xc2\xa07")
+    def test_both_paths_give_one_answer(self, data):
+        """On any set file, load_set gives the set the line loop gives from
+        the same bytes, or raises a SetFileError with the same message."""
+        def outcome(load, *args):
+            try:
+                return load(*args).elements
+            except SetFileError as exc:
+                return str(exc)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "s.txt")
+            path.write_bytes(data)
+            assert (outcome(load_set, path)
+                    == outcome(sets_module._load_lines, path, data))
+
+    def test_peak_memory(self, tmp_path):
+        """Peak memory within the bound the README states, for values below
+        2**60 in absolute value: the file's bytes plus 56 per line on the
+        whole-file path and 160 per line through the line loop, measured
+        with tracemalloc and counting the result.  A sorted and a shuffled
+        file of 2 * 10**5 values run through each path; a trailing
+        no-break space sends a file to the loop."""
+        rng = random.Random(41)
+        values = rng.sample(range(-10**12, 10**12), 2 * 10**5)
+        path = tmp_path / "s.txt"
+        tracemalloc.start()
+        try:
+            for order in (sorted(values), values):
+                text = "".join(f"{x}\n" for x in order)
+                for tail, per_line in (("", 56), ("\xa0", 160)):
+                    path.write_text(text + tail, encoding="utf-8")
+                    tracemalloc.reset_peak()
+                    base = tracemalloc.get_traced_memory()[0]
+                    loaded = load_set(path)
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                    assert len(loaded) == len(values)
+                    del loaded
+                    assert peak <= path.stat().st_size + per_line * len(values)
+        finally:
+            tracemalloc.stop()
 
 
 def test_energy_value_is_plain_record():
