@@ -18,6 +18,7 @@ patches what a handler calls, never the handler.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -133,8 +134,7 @@ def cmd_construct_coprime(args) -> int:
     save_set(out_b, B)
     size, low, high, divisible = _coprime_sums(A, B, p)
     sidecar = {
-        "params": {"t": p.t, "a": p.a, "b": p.b, "c": p.c, "d": p.d,
-                   "n": p.n, "k": p.k, "m": p.m, "r": p.r},
+        "params": dataclasses.asdict(p),
         "aSize": len(A),
         "bSize": len(B),
         "maxA": A.max,
@@ -169,13 +169,13 @@ def cmd_construct_sidon_seed(args) -> int:
     pairs = len(A) * len(A)
     heavy_ok = args.heavy or pairs <= _LIGHT_PAIR_LIMIT
     exact = sumset_size(A, A) if heavy_ok else None
-    seed_sums = sumset_size(seed, seed)
-    bound = seed_sums**args.k * 2 * len(A)
+    stats = seed_stats(seed)
+    bound = stats.sums**args.k * 2 * len(A)
     sidecar = {
         "seed": list(seed.elements),
         "depth": args.k,
         "base": base,
-        "walkLength": len(seed) * (len(seed) - 1) + 1,
+        "walkLength": stats.diffs,
         "size": len(A),
         "dcd": is_dcd(A),
         "sumsetSize": exact,
@@ -308,7 +308,6 @@ def _reference_rows(heavy: bool) -> list[dict]:
                      max_translate_pair_crossings(seed, seed), "le"))
 
     depths = (1, 2, 3) if heavy else (1, 2)
-    walk_len = len(seed) * (len(seed) - 1) + 1
     base = default_encoding_base(seed)
     seq = walk
     for depth in depths:
@@ -316,7 +315,7 @@ def _reference_rows(heavy: bool) -> list[dict]:
             seq = extend_walk(seq, walk)
         codes = encode_vectors(seq, base)
         A = assemble_increasing(codes, base, depth)
-        rows.append(_row(f"depth{depth}_size", walk_len**depth, len(A)))
+        rows.append(_row(f"depth{depth}_size", stats.diffs**depth, len(A)))
         rows.append(_row(f"depth{depth}_distinct_gaps", True, is_dcd(A)))
         if depth <= 2:
             # {c_i + c_j : i <= j} over the code list is S + S for its set S

@@ -67,7 +67,6 @@ def sidon_search(size: int, max_element: int) -> list[IntegerSet]:
             extend(c + 1)
             chosen.pop()
             sums.difference_update(fresh)
-        return
 
     extend(1)
     return results

@@ -7,7 +7,10 @@ asserted at the limits stated below, tolerances are pinned in the asserts.
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 
 from sumcross import (
@@ -255,3 +258,22 @@ def test_criterion_9_reproduce_determinism(tmp_path):
     table = json.loads(first)
     assert table["allMatch"] is True
     _stamp(9, 120.0, started, "reproduce-paper byte-identical across runs")
+
+
+def test_package_republishes_each_module_all():
+    import sumcross
+    from sumcross import arcgraph, bounds, construct, sets, sidon
+
+    modules = (arcgraph, bounds, construct, sets, sidon)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(sumcross, name) is getattr(module, name), name
+    # a fresh interpreter, since importing sumcross.cli here adds ``cli``
+    code = ("import sumcross; print(' '.join(n for n in vars(sumcross)"
+            " if not n.startswith('_')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    public = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert sorted(public) == sorted(
+        {n for m in modules for n in m.__all__}
+        | {"arcgraph", "bounds", "construct", "sets", "sidon"})

@@ -42,6 +42,12 @@ class TestConstructCoprime:
         assert sidecar["withinBound"] and sidecar["allSumsDivisible"]
         assert sidecar["params"]["n"] == 56
 
+    def test_sidecar_golden_bytes(self, tmp_path):
+        assert run("construct", "coprime", "--t", 1, "--outdir", tmp_path) == 0
+        assert hashlib.sha256((tmp_path / "coprime_t1.json").read_bytes()
+                              ).hexdigest() == ("c0b5401b30326a7a4ba1b4fa73b80ce7"
+                                                "e3a9ca1372b077c148017febbd5d6f89")
+
     def test_manifest_lists_outputs_and_version(self, tmp_path):
         run("construct", "coprime", "--t", 1, "--outdir", tmp_path)
         manifest = json.loads(
@@ -69,6 +75,13 @@ class TestConstructSidonSeed:
         assert sidecar["sumsetBound"] == 2408
         assert sidecar["withinBound"] is True
         assert sidecar["base"] == 100
+
+    def test_sidecar_golden_bytes(self, tmp_path):
+        assert run("construct", "sidon-seed", "--seed", "paper", "--k", 1,
+                   "--paper-tour", "--outdir", tmp_path) == 0
+        assert hashlib.sha256((tmp_path / "sidon_seed_k1.json").read_bytes()
+                              ).hexdigest() == ("b5b5e75b892733f84c104b26e41fe19d"
+                                                "76c397d5c489fcfcfa4ecd01dde92829")
 
     def test_seed_from_file(self, tmp_path):
         seed = write_set(tmp_path / "seed.txt", [0, 1, 3])
