@@ -39,12 +39,9 @@ from .construct import (
     REFERENCE_TOUR,
     REFERENCE_WALK_VALUES,
     CoprimeParams,
-    assemble_increasing,
     coprime_construction,
     construction_exponent,
     default_encoding_base,
-    encode_vectors,
-    extend_walk,
     seed_walk,
     sidon_seed_construction,
 )
@@ -65,7 +62,7 @@ from .sidon import objective_f, optimize_exponent, seed_stats, sidon_search
 _LIGHT_PAIR_LIMIT = 1 << 26
 
 
-def _dump_json(path: Path, text: str) -> None:
+def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="utf-8")
 
@@ -95,10 +92,10 @@ def _write_outputs(args, command: str, parameters: dict, payload, *,
     text = encode(payload)
     json_path = Path(args.json or default_json) if default_json else args.json
     if json_path:
-        _dump_json(Path(json_path), text)
+        _write_text(Path(json_path), text)
         outputs = [*outputs, str(json_path)]
     manifest = args.manifest or Path(args.outdir) / f"{command}-manifest.json"
-    _dump_json(Path(manifest), json.dumps({
+    _write_text(Path(manifest), json.dumps({
         "command": command,
         "parameters": parameters,
         "inputHashes": {p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
@@ -208,11 +205,8 @@ def cmd_analyze(args) -> int:
         "multiplicityHistogram": {str(r): n for r, n in histogram.items()},
     }
     if args.csv:
-        path = Path(args.csv)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lines = ["multiplicity,count"]
-        lines += [f"{r},{n}" for r, n in histogram.items()]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_text(Path(args.csv), "\n".join(
+            ["multiplicity,count", *(f"{r},{n}" for r, n in histogram.items())]))
     print(_write_outputs(args, "analyze", {"a": args.a, "b": args.b}, result,
                          inputs=[args.a, args.b],
                          outputs=[args.csv] if args.csv else []))
@@ -307,19 +301,14 @@ def _reference_rows(heavy: bool) -> list[dict]:
     rows.append(_row("translate_pair_crossings", 2 * len(seed) - 1,
                      max_translate_pair_crossings(seed, seed), "le"))
 
-    depths = (1, 2, 3) if heavy else (1, 2)
-    base = default_encoding_base(seed)
-    seq = walk
-    for depth in depths:
-        if depth > 1:
-            seq = extend_walk(seq, walk)
-        codes = encode_vectors(seq, base)
-        A = assemble_increasing(codes, base, depth)
+    for depth in (1, 2, 3) if heavy else (1, 2):
+        A = sidon_seed_construction(seed, depth, tour=REFERENCE_TOUR)
         rows.append(_row(f"depth{depth}_size", stats.diffs**depth, len(A)))
         rows.append(_row(f"depth{depth}_distinct_gaps", True, is_dcd(A)))
         if depth <= 2:
-            # {c_i + c_j : i <= j} over the code list is S + S for its set S
-            S = IntegerSet.of(codes)
+            # the codes c_i = a_i - i*base**depth; {c_i + c_j} is S + S
+            shift = default_encoding_base(seed)**depth
+            S = IntegerSet.of(a - i * shift for i, a in enumerate(A, start=1))
             rows.append(_row(f"depth{depth}_code_sum_count",
                              stats.sums**depth, sumset_size(S, S), "le"))
         bound = min(stats.sums**depth * 2 * len(A),

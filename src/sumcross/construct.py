@@ -263,14 +263,19 @@ def encode_vectors(seq: VectorSequence, base: int) -> list[int]:
 
 def assemble_increasing(codes: list[int], base: int, dim: int) -> IntegerSet:
     """Shift the i-th code by i*base**dim (1-based) to force monotonicity;
-    consecutive differences inherit distinctness from the codes."""
+    consecutive differences inherit distinctness from the codes.  Any code
+    but a Python or numpy integer, a float say, raises TypeError."""
     shift = base**dim
-    if len(codes) and not (0 <= min(codes) and max(codes) < shift):
-        code = next(c for c in codes if not 0 <= c < shift)
+    codes = np.asarray(codes)
+    if len(codes) and codes.dtype.kind not in "biuO":
+        raise TypeError(f"codes must be integers, not {codes.dtype}")
+    if len(codes) and not (0 <= codes.min() and codes.max() < shift):
+        code = next(c for c in codes.tolist() if not 0 <= c < shift)
         raise ValueError(f"code {code} outside [0, base**dim)")
-    dtype = np.int64 if (len(codes) + 1) * shift < 2**63 else object
+    fits = (len(codes) + 1) * shift < 2**63 and codes.dtype != object
+    dtype = np.int64 if fits else object
     steps = np.arange(1, len(codes) + 1, dtype=dtype) * shift
-    return IntegerSet(tuple((np.array(codes, dtype=dtype) + steps).tolist()))
+    return IntegerSet(tuple((codes.astype(dtype) + steps).tolist()))
 
 
 def default_encoding_base(seed: IntegerSet) -> int:

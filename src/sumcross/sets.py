@@ -588,15 +588,15 @@ def load_set(path) -> IntegerSet:
 
 
 def _plain_values(data: bytes) -> list[int] | None:
-    """The sorted values of the nonempty lines of ``data``, or None unless
+    """The sorted values of the nonblank lines of ``data``, or None unless
     every byte is an ASCII digit, ``-``, space, tab, ``\\r`` or ``\\n`` and
-    ``int`` converts every nonempty line.  On those bytes ``int`` takes
+    ``int`` converts every nonblank line.  On those bytes ``int`` takes
     exactly what :func:`_load_lines` takes from a line: a decimal integer
     (optional leading ``-``) within the digit limit, padded by spaces and
-    tabs.  It refuses ``-``, ``--1``, ``1-2`` and two values on one line,
-    and also a line of spaces only, which the loop skips.  ``data`` is
-    converted in slices that end at a ``\\n`` (a file without one is one
-    slice), so that only one slice's lines are bytes objects at a time."""
+    tabs.  It refuses ``-``, ``--1``, ``1-2``, two values on one line and
+    a line of blanks only, so a slice it refuses is retried with stripped
+    lines.  ``data`` is converted in slices that end at a ``\\n`` (a file
+    without one is one slice): only one slice's lines are bytes at a time."""
     values: list[int] = []
     start = 0
     while start < len(data):
@@ -604,10 +604,15 @@ def _plain_values(data: bytes) -> list[int] | None:
         chunk = data[start:stop]
         if chunk.translate(None, _PLAIN_BYTES):
             return None
+        n, lines = len(values), chunk.splitlines()
         try:
-            values += map(int, filter(None, chunk.splitlines()))
-        except ValueError:
-            return None
+            values += map(int, filter(None, lines))
+        except ValueError:  # a line of spaces and tabs only, perhaps
+            del values[n:]
+            try:
+                values += map(int, filter(None, map(bytes.strip, lines)))
+            except ValueError:
+                return None
         start = stop
     values.sort()
     return values

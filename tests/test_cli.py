@@ -436,6 +436,29 @@ class TestCheck:
         assert err.endswith(f"{error.__name__}: synthetic internal error\n")
 
 
+@pytest.mark.parametrize("argv", [
+    "analyze --a {a} --b {a}", "crossings --a {a} --b {a}",
+    "check all --a {a} --b {a}", "reproduce-paper", "construct coprime --t 1",
+    "construct sidon-seed --seed paper --k 1"])
+def test_counter_fault_exits_three(tmp_path, capsys, monkeypatch, argv):
+    """A fault deep inside the pair-sum chunk loop, which every counting
+    command reaches, exits 3 with its traceback: nothing on stdout and no
+    run manifest."""
+    from sumcross import sets as sets_module
+
+    def broken(A, B, reduce):
+        raise RuntimeError("synthetic counter fault")
+
+    a = write_set(tmp_path / "a.txt", [0, 1, 3, 7])
+    monkeypatch.setattr(sets_module, "_each_chunk", broken)
+    assert main([*argv.format(a=a).split(), "--outdir", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("RuntimeError: synthetic counter fault\n")
+    assert not list(tmp_path.glob("*manifest*"))
+
+
 # (command, instance, SHA-256 of its --json file)
 GOLDEN_JSON = [
     ("check", "coprime_t1",

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -414,6 +415,17 @@ class TestEncodeAssemble:
             with pytest.raises(ValueError) as raised:
                 assemble_increasing(codes, base, dim)
             assert str(raised.value) == str(expected.value)
+
+    def test_assemble_refuses_non_integer_codes(self):
+        # a float or fraction code raises, on both sides of int64, as in
+        # IntegerSet
+        for codes, base, dim in (([0.5, 1], 10, 1), ([1, 2.0], 10, 1),
+                                 ([Fraction(1, 2), 1], 10, 1),
+                                 ([0.5, 2**70], 10, 30)):
+            with pytest.raises(TypeError):
+                assemble_increasing(codes, base, dim)
+        for codes in ([np.int32(0), np.int64(1)], np.array([0, 1], np.uint8)):
+            assert assemble_increasing(codes, 10, 1).elements == (10, 21)
 
     def test_default_base(self):
         assert default_encoding_base(REFERENCE_SEED) == 100

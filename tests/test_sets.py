@@ -1230,9 +1230,9 @@ class TestSetFiles:
 
     def test_plain_files_skip_the_line_loop(self, tmp_path, monkeypatch):
         """Files of ASCII digits, '-', spaces, tabs and line ends, each
-        nonempty line one value, load without the line-by-line loop: in
-        any order, with any line end, a file without a \\n or one longer
-        than a slice."""
+        nonblank line one value, load without the line-by-line loop: in
+        any order, with any line end, with lines of spaces or tabs only,
+        a file without a \\n or one longer than a slice."""
         def no_loop(path, data):
             raise AssertionError("the line loop ran")
 
@@ -1243,6 +1243,9 @@ class TestSetFiles:
                            (b" 5\t\r\n-3 \r\r\n4", (-3, 4, 5)),
                            (b"007\n-0012\n-0\n", (-12, 0, 7)),
                            (b"3\r1\r2\r", (1, 2, 3)),
+                           (b"1\n \n2\n", (1, 2)),
+                           (b"4\n\t\t\r\n-4\n   \n", (-4, 4)),
+                           (b"12\n \t \n9\n8\n   ", (8, 9, 12)),
                            (b"".join(b"%d\n" % x for x in range(99, -1, -1)),
                             tuple(range(100)))):
             path.write_bytes(data)
@@ -1251,7 +1254,7 @@ class TestSetFiles:
     @pytest.mark.parametrize("data", [
         b"1\n2\xc2\xa0\n", b"\xef\xbb\xbf7\n", b"1\x0b\n", b"1 2\n",
         b"1\t-2\n", b"5 -\n", b"- 5\n", b"--1\n", b"1-2\n", b"+1\n",
-        b"1_0\n", b"1\n \n2\n", b"-0\n0\n", b"\n\r\n", b"", b"1\n\xff",
+        b"1_0\n", b"1\n \n2 3\n", b"-0\n0\n", b"\n\r\n", b"", b"1\n\xff",
         b"1\n" + b"9" * 5000 + b"\n"])
     def test_other_files_go_through_the_line_loop(self, tmp_path, data):
         """Any other file, valid or not, is read by the loop, once, from
@@ -1270,6 +1273,7 @@ class TestSetFiles:
     @given(set_file_bytes())
     @example(b"1\n1")
     @example(b"5 -\n3")
+    @example(b"3\n \t\n-3\n3")
     @example(b"2\r\xc2\xa07")
     def test_both_paths_give_one_answer(self, data):
         """On any set file, load_set gives the set the line loop gives from
