@@ -7,7 +7,9 @@ JSON plus a run manifest, and outputs are byte-stable across repeated runs.
 Exit codes: 0 ok, 1 assert-mode bound violation or reference mismatch,
 2 malformed input or a file that cannot be read or written (a one-line
 ``error:`` message on stderr, no traceback), 3 an internal error: any other
-exception, ``MemoryError`` included, with its traceback on stderr.
+exception, ``MemoryError`` included, with its traceback on stderr.  Exits 2
+on a bad ``--outdir`` and 3 write no file: ``--outdir`` is made before any
+work (and may stay empty); an I/O error mid-write can leave earlier files.
 
 ``main(argv)`` may be called many times in one process.  Its parser is built
 on the first call and reused; a one-shot ``sumcross`` process builds it once
@@ -123,13 +125,12 @@ def _coprime_sums(A: IntegerSet, B: IntegerSet,
 
 def cmd_construct_coprime(args) -> int:
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     A, B, p = coprime_construction(args.t)
+    size, low, high, divisible = _coprime_sums(A, B, p)
     out_a = Path(args.out_a) if args.out_a else outdir / f"coprime_t{args.t}_a.txt"
     out_b = Path(args.out_b) if args.out_b else outdir / f"coprime_t{args.t}_b.txt"
     save_set(out_a, A)
     save_set(out_b, B)
-    size, low, high, divisible = _coprime_sums(A, B, p)
     sidecar = {
         "params": dataclasses.asdict(p),
         "aSize": len(A),
@@ -154,15 +155,12 @@ def cmd_construct_coprime(args) -> int:
 
 def cmd_construct_sidon_seed(args) -> int:
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     seed = REFERENCE_SEED if args.seed == "paper" else load_set(args.seed)
     if args.paper_tour and seed != REFERENCE_SEED:
         raise ValueError("--paper-tour requires --seed paper")
     tour = REFERENCE_TOUR if args.paper_tour else None
     base = default_encoding_base(seed) if args.base is None else args.base
     A = sidon_seed_construction(seed, args.k, base=base, tour=tour)
-    out = Path(args.out) if args.out else outdir / f"sidon_seed_k{args.k}.txt"
-    save_set(out, A)
     pairs = len(A) * len(A)
     heavy_ok = args.heavy or pairs <= _LIGHT_PAIR_LIMIT
     exact = sumset_size(A, A) if heavy_ok else None
@@ -179,6 +177,8 @@ def cmd_construct_sidon_seed(args) -> int:
         "sumsetBound": bound,
         "withinBound": (exact <= bound) if exact is not None else None,
     }
+    out = Path(args.out) if args.out else outdir / f"sidon_seed_k{args.k}.txt"
+    save_set(out, A)
     _write_outputs(args, "construct-sidon-seed",
                    {"seed": args.seed, "k": args.k, "base": base,
                     "paperTour": bool(args.paper_tour),
@@ -222,13 +222,13 @@ def cmd_crossings(args) -> int:
 
 def cmd_check(args) -> int:
     reports = run_all_checks(load_set(args.a), load_set(args.b))
+    _write_outputs(args, "check",
+                   {"a": args.a, "b": args.b, "which": args.which},
+                   reports_to_jsonable(reports), inputs=[args.a, args.b])
     failures = [r for r in reports if r.mode == "assert" and not r.satisfied]
     for r in reports:
         flag = "ok" if r.satisfied else ("FAIL" if r.mode == "assert" else "miss")
         print(f"{flag:4} {r.mode:6} {r.name:28} lhs={r.lhs:.6g} rhs={r.rhs:.6g}")
-    _write_outputs(args, "check",
-                   {"a": args.a, "b": args.b, "which": args.which},
-                   reports_to_jsonable(reports), inputs=[args.a, args.b])
     if failures:
         print("assert-mode failures:", file=sys.stderr)
         print(json.dumps(reports_to_jsonable(failures), indent=2),
@@ -332,12 +332,10 @@ def _reference_rows(heavy: bool) -> list[dict]:
 
 
 def cmd_reproduce(args) -> int:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = _reference_rows(args.heavy)
     table = {"rows": rows, "allMatch": all(r["match"] for r in rows),
              "heavy": bool(args.heavy)}
-    out_json = Path(args.json or outdir / "reproduce_paper.json")
+    out_json = Path(args.json or Path(args.outdir) / "reproduce_paper.json")
     _write_outputs(args, "reproduce-paper", {"heavy": bool(args.heavy)},
                    table, default_json=out_json)
     width = max(len(r["name"]) for r in rows)
@@ -432,6 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        Path(args.outdir).mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except (ValueError, OSError) as exc:
         # malformed input (SetFileError is a ValueError) or unreadable files

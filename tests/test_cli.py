@@ -443,7 +443,7 @@ class TestCheck:
 def test_counter_fault_exits_three(tmp_path, capsys, monkeypatch, argv):
     """A fault deep inside the pair-sum chunk loop, which every counting
     command reaches, exits 3 with its traceback: nothing on stdout and no
-    run manifest."""
+    file written, set files included."""
     from sumcross import sets as sets_module
 
     def broken(A, B, reduce):
@@ -456,7 +456,25 @@ def test_counter_fault_exits_three(tmp_path, capsys, monkeypatch, argv):
     assert out == ""
     assert err.startswith("Traceback (most recent call last):")
     assert err.endswith("RuntimeError: synthetic counter fault\n")
-    assert not list(tmp_path.glob("*manifest*"))
+    assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+
+def test_fault_after_the_set_is_built_writes_no_set_file(tmp_path, capsys,
+                                                         monkeypatch):
+    """``construct sidon-seed`` saves its set only after the exact |A+A|
+    count, so a fault in that count leaves no set file behind."""
+    from sumcross import cli as cli_mod
+
+    def broken(A, B):
+        raise RuntimeError("synthetic count fault")
+
+    monkeypatch.setattr(cli_mod, "sumset_size", broken)
+    assert run("construct", "sidon-seed", "--seed", "paper", "--k", 1,
+               "--outdir", tmp_path) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("RuntimeError: synthetic count fault\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # (command, instance, SHA-256 of its --json file)
@@ -750,6 +768,24 @@ class TestOneParserPerProcess:
                  for path in HELP_PATHS]
         assert first == later == fresh
         assert len(set(first)) == len(HELP_PATHS)
+
+
+@pytest.mark.parametrize("argv", [
+    *(f"{command} --outdir a.txt --json j.json" for command in SUBCOMMANDS),
+    "check all --a a.txt --b b.txt --json a.txt/r.json"])
+def test_unwritable_output_path_writes_nothing(tmp_path, capsys, monkeypatch,
+                                               argv):
+    """A run that exits 2 on an unwritable output path writes no file and
+    prints nothing: ``--outdir`` is made before any work, and ``check``
+    prints its verdict only after its files are written."""
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def _set_file_values(data: bytes):
